@@ -3,7 +3,7 @@ geometric functionals and deficits, an oblique-boundary spectral solver,
 Stein kernels, Steklov spectra, Hoelder shape distances, and reflected
 Brownian motion cross-checks."""
 
-from ._kernels import NUMBA_ENABLED, backend
+from ._kernels import backend
 from .errors import (
     DegenerateBasis,
     GridTooCoarse,

@@ -1,59 +1,31 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Hot numeric kernels: pairwise Hoelder seminorms and the reflected path.
 
-Backend selection happens once at import time.  Setting the environment
-variable ``STEINSHAPES_NUMBA`` to ``0``, ``false``, ``off``, or ``numpy``
-forces the fallback; any other value (or the variable being absent) uses
-numba when it is importable.  ``backend()`` reports which path is live.
+The seminorms are numpy maxima over blocks of point pairs.  Each takes
+the max over every pair of distinct points of the ratio
 
-The pairwise seminorm kernels have vectorized numpy fallbacks that visit
-the same pairs; because numpy's vectorized power rounds differently from
-libm's pow on a small fraction of inputs, the vectorized ratios only
-rank the pairs and every near-maximal candidate is recomputed in scalar
-libm arithmetic, so both backends return the same bits.  The
-reflected-path stepper is inherently sequential; its fallback executes
-the identical Python source uncompiled, which keeps the two backends
-bit-identical at the cost of speed.  ``benchmarks/bench_kernels.py``
-measures the gap.
+    |f_i - f_j| / d2 ** (alpha / 2),    d2 = sum_q (p_iq - p_jq)^2,
+
+the association of the reference loops ``_*_loop`` below, with d2 summed
+coordinate by coordinate in the loops' order.  numpy's vectorized power
+may round one ulp away from libm's pow, so the kernels agree with the loops
+to within a couple of ulp, not bit for bit; the tests hold them to that.
+The reflected-path stepper is inherently sequential and runs as a plain
+Python loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "backend",
-    "pair_seminorm",
-    "matrix_pair_seminorm",
-    "circle_lag_seminorm",
-    "reflect_path",
-]
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("STEINSHAPES_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off", "numpy")
-
-
-NUMBA_ENABLED = False
-if _want_numba():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
 
 def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# loop implementations (numba-compilable, also runnable as plain Python)
+# reference loops, the oracles of the vectorized kernels
 
 
 def _pair_seminorm_loop(pts, vals, alpha):
@@ -110,7 +82,68 @@ def _circle_lag_seminorm_loop(vals, alpha):
     return best
 
 
-def _reflect_path_loop(x0, y0, dx, dy, base, cosc, sinc):
+# ---------------------------------------------------------------------------
+# vectorized kernels
+
+
+def _accumulated_square_sum(diff):
+    # column-by-column accumulation, the loop's association order; einsum
+    # may pair terms differently and drift by an ulp
+    total = diff[..., 0] * diff[..., 0]
+    for q in range(1, diff.shape[-1]):
+        total = total + diff[..., q] * diff[..., q]
+    return total
+
+
+def _blocked_max(pts, numerators, alpha, block):
+    """Max of num / d2 ** (alpha/2) over pairs i < j with d2 > 0.
+
+    ``numerators(rows, cols)`` returns |f_i - f_j| for i in ``rows`` and
+    j in ``cols``.  A row block meets only the columns from its first row
+    on: that covers every pair i < j, and the pairs a block holds in both
+    orders give equal ratios.
+    """
+    e = 0.5 * alpha
+    best = 0.0
+    for i0 in range(0, pts.shape[0], block):
+        rows, cols = slice(i0, i0 + block), slice(i0, None)
+        d2 = _accumulated_square_sum(pts[rows, None, :] - pts[None, cols, :])
+        mask = d2 > 0.0
+        if mask.any():
+            ratio = numerators(rows, cols)[mask] / d2[mask] ** e
+            best = max(best, float(ratio.max()))
+    return best
+
+
+def pair_seminorm(pts, vals, alpha):
+    return _blocked_max(
+        pts,
+        lambda rows, cols: np.abs(vals[rows, None] - vals[None, cols]),
+        alpha,
+        block=512,
+    )
+
+
+def matrix_pair_seminorm(pts, mats, alpha):
+    def numerators(rows, cols):
+        diff = mats[rows, None, :] - mats[None, cols, :]
+        return np.sqrt(_accumulated_square_sum(diff))
+
+    return _blocked_max(pts, numerators, alpha, block=256)
+
+
+def circle_lag_seminorm(vals, alpha):
+    m = vals.shape[0]
+    best = 0.0
+    for k in range(1, m // 2 + 1):
+        dk = (2.0 * math.pi * k / m) ** alpha
+        s = np.abs(np.roll(vals, -k) - vals).max() / dk
+        if s > best:
+            best = float(s)
+    return best
+
+
+def reflect_path(x0, y0, dx, dy, base, cosc, sinc):
     # Pull-back reflection: on exit from the unit ball, march back along the
     # transported normal of the star-shaped domain until |X| = 1 again.
     n = dx.shape[0]
@@ -158,105 +191,3 @@ def _reflect_path_loop(x0, y0, dx, dy, base, cosc, sinc):
         xs[i + 1] = x
         ys[i + 1] = y
     return xs, ys, n_reflect, -1
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks (same pair set, same elementwise arithmetic)
-
-
-def _accumulated_square_sum(diff):
-    # column-by-column accumulation, the loop's association order; einsum
-    # may pair terms differently and drift by an ulp
-    total = diff[..., 0] * diff[..., 0]
-    for q in range(1, diff.shape[-1]):
-        total = total + diff[..., q] * diff[..., q]
-    return total
-
-
-# numpy's vectorized power and libm's pow disagree by an ulp on a few
-# percent of inputs, so the vectorized ratio only ranks the pairs; every
-# pair within this margin of the running max gets its power redone in
-# scalar libm arithmetic, which is what the loop backend executes
-_POW_MARGIN = 1.0 - 1e-12
-
-
-def _scalar_rescan(best, nums, denoms, exponent):
-    for num, den in zip(nums.tolist(), denoms.tolist()):
-        s = num / den ** exponent
-        if s > best:
-            best = s
-    return best
-
-
-def _pair_blocks(pts, vals, alpha, block=512):
-    e = 0.5 * alpha
-    for i0 in range(0, pts.shape[0], block):
-        diff = pts[i0 : i0 + block, None, :] - pts[None, :, :]
-        d2 = _accumulated_square_sum(diff)
-        num = np.abs(vals[i0 : i0 + block, None] - vals[None, :])
-        mask = d2 > 0.0
-        yield num[mask], d2[mask], num[mask] * d2[mask] ** -e
-
-
-def _matrix_blocks(pts, mats, alpha, block=256):
-    e = 0.5 * alpha
-    for i0 in range(0, pts.shape[0], block):
-        diff = pts[i0 : i0 + block, None, :] - pts[None, :, :]
-        d2 = _accumulated_square_sum(diff)
-        md = mats[i0 : i0 + block, None, :] - mats[None, :, :]
-        f2 = _accumulated_square_sum(md)
-        mask = d2 > 0.0
-        num = np.sqrt(f2[mask])
-        yield num, d2[mask], num * d2[mask] ** -e
-
-
-def _seminorm_over_blocks(make_blocks, exponent):
-    approx = 0.0
-    for _, _, s in make_blocks():
-        if s.size:
-            approx = max(approx, float(s.max()))
-    best = 0.0
-    for num, d2, s in make_blocks():
-        near = s >= approx * _POW_MARGIN
-        if near.any():
-            best = _scalar_rescan(best, num[near], d2[near], exponent)
-    return best
-
-
-def _pair_seminorm_numpy(pts, vals, alpha):
-    return _seminorm_over_blocks(
-        lambda: _pair_blocks(pts, vals, alpha), 0.5 * alpha
-    )
-
-
-def _matrix_pair_seminorm_numpy(pts, mats, alpha):
-    return _seminorm_over_blocks(
-        lambda: _matrix_blocks(pts, mats, alpha), 0.5 * alpha
-    )
-
-
-def _circle_lag_seminorm_numpy(vals, alpha):
-    m = vals.shape[0]
-    best = 0.0
-    for k in range(1, m // 2 + 1):
-        dk = (2.0 * math.pi * k / m) ** alpha
-        s = np.abs(np.roll(vals, -k) - vals).max() / dk
-        if s > best:
-            best = float(s)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# public bindings
-
-if NUMBA_ENABLED:
-    _sig_cache = {"cache": True}
-    pair_seminorm = _njit(**_sig_cache)(_pair_seminorm_loop)
-    matrix_pair_seminorm = _njit(**_sig_cache)(_matrix_pair_seminorm_loop)
-    circle_lag_seminorm = _njit(**_sig_cache)(_circle_lag_seminorm_loop)
-    reflect_path = _njit(**_sig_cache)(_reflect_path_loop)
-else:
-    pair_seminorm = _pair_seminorm_numpy
-    matrix_pair_seminorm = _matrix_pair_seminorm_numpy
-    circle_lag_seminorm = _circle_lag_seminorm_numpy
-    reflect_path = _reflect_path_loop

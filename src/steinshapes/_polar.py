@@ -1,20 +1,36 @@
 """Evaluation engine for polynomial-trigonometric fields on the plane.
 
-A basis is a list of terms r^m cos(k theta) or r^m sin(k theta) with
-m >= k >= 0 and m - k even (the parity class of polynomials in x, y).
-Values, Cartesian gradients, polar-frame and Cartesian Hessians, and
-Laplacians all have closed forms:
+A basis is one table of terms, each a row (m, k, kind, w):
 
-    f_r              = m r^{m-1} T(k theta)
-    (1/r) f_theta    = r^{m-1} T'(k theta)
-    H_rr             = m (m-1) r^{m-2} T
-    H_rtheta         = (m-1) r^{m-2} T'          (frame component d/dr(f_theta/r))
-    H_thetatheta     = (m - k^2) r^{m-2} T       (f_thetatheta/r^2 + f_r/r)
-    Laplacian        = (m^2 - k^2) r^{m-2} T
+    w = 0:   r^m trig(k theta)
+    w = 1:   r^m log(r) trig(k theta)
+
+with trig = cos or sin.  Writing T = trig(k theta), T' = dT/dtheta, and
+l = log r on log terms and l = 1 otherwise, every evaluation is one closed
+form for the whole table:
+
+    value            = r^m l T
+    f_r              = r^{m-1} (m l + w) T
+    (1/r) f_theta    = r^{m-1} l T'
+    H_rr             = r^{m-2} (m (m-1) l + w (2m - 1)) T
+    H_rtheta         = r^{m-2} ((m-1) l + w) T'     (frame component d/dr(f_theta/r))
+    H_thetatheta     = r^{m-2} ((m - k^2) l + w) T  (f_thetatheta/r^2 + f_r/r)
+    Laplacian        = r^{m-2} ((m^2 - k^2) l + 2 m w) T
+
+Polynomial terms have m >= k and m - k even.  Terms with m >= 2 may drop
+that parity rule ("loose" terms, the low-power, high-frequency pairs that an
+angle-dependent coefficient excites) or carry the log weight.  The plain
+power family cannot produce a Laplacian proportional to r^{k-2} T: the
+factor m^2 - k^2 vanishes on the needed power m = k.  The log term fills
+that hole, since its resonant members (m = k) have the purely polynomial
+Laplacian 2k r^{k-2} T.
 
 Negative exponents only occur where the prefactor vanishes (m <= 1 with
-the parity constraint), so powers are clipped at zero and the zero
-multiplier keeps the arithmetic exact, including at r = 0.
+the parity rule), so powers are clipped at zero and the zero multiplier
+keeps the arithmetic exact, including at r = 0.  Every term with m >= 2
+has a continuous gradient at the origin; the Hessian components of the
+m = 2 log terms diverge like log r there, which stays square integrable on
+the disk, and are evaluated with a finite stand-in for log 0.
 """
 
 from __future__ import annotations
@@ -27,83 +43,112 @@ COS, SIN = 0, 1
 
 
 class PolarBasis:
-    """Fixed list of r^m trig(k theta) terms with vectorized evaluation."""
+    """Table of r^m [log r] trig(k theta) terms with vectorized evaluation.
 
-    def __init__(self, powers, freqs, kinds):
+    ``logs`` holds the log weight w of each term, 0 or 1 (all 0 when
+    omitted).  Evaluations have one row per point and one column per term.
+    """
+
+    def __init__(self, powers, freqs, kinds, logs=None):
         self.powers = np.asarray(powers, dtype=float)
         self.freqs = np.asarray(freqs, dtype=float)
         self.kinds = np.asarray(kinds, dtype=int)
-        if self.powers.shape != self.freqs.shape or self.powers.shape != self.kinds.shape:
+        if logs is None:
+            logs = np.zeros(self.powers.shape)
+        self.logs = np.asarray(logs, dtype=float)
+        shapes = {a.shape for a in (self.powers, self.freqs, self.kinds, self.logs)}
+        if len(shapes) != 1:
             raise ValueError("term arrays must share a shape")
         if np.any((self.kinds == SIN) & (self.freqs == 0)):
             raise ValueError("sin terms need k >= 1")
-        self._validate()
-
-    def _validate(self):
-        if np.any(self.freqs > self.powers) or np.any((self.powers - self.freqs) % 2 != 0):
-            raise ValueError("terms must satisfy m >= k with m - k even")
+        if np.any((self.logs != 0.0) & (self.logs != 1.0)):
+            raise ValueError("log weights must be 0 or 1")
+        if np.any((self.logs == 1.0) & (self.powers < 2)):
+            raise ValueError("log terms need m >= 2")
+        polynomial = (self.freqs <= self.powers) & ((self.powers - self.freqs) % 2 == 0)
+        if np.any((self.powers < 2) & ~polynomial):
+            raise ValueError("terms with m < 2 must satisfy m >= k with m - k even")
 
     @property
     def n(self) -> int:
         return self.powers.size
 
-    def describe(self) -> list[str]:
-        out = []
-        for m, k, kind in zip(self.powers, self.freqs, self.kinds):
-            trig = "cos" if kind == COS else "sin"
-            out.append(f"r^{int(m)} {trig}({int(k)}t)")
-        return out
-
-    # -- raw trig blocks ----------------------------------------------------
-
-    def _trig(self, theta):
-        ang = np.multiply.outer(theta, self.freqs)
-        return np.where(self.kinds == COS, np.cos(ang), np.sin(ang))
-
-    def _trig_d(self, theta):
-        """d/dtheta of the trig factor (includes the k factor)."""
-        ang = np.multiply.outer(theta, self.freqs)
-        return np.where(
-            self.kinds == COS,
-            -self.freqs * np.sin(ang),
-            self.freqs * np.cos(ang),
-        )
+    # -- radial and angular factors -------------------------------------------
 
     def _pow(self, r, shift: int):
         expo = np.maximum(self.powers - shift, 0.0)
         return np.asarray(r, dtype=float)[:, None] ** expo
 
-    # -- evaluations, all shaped (N, n) -------------------------------------
+    def _log(self, r):
+        """l per point and term; the scalar 1 for tables without log terms."""
+        if not self.logs.any():
+            return 1.0
+        # finite stand-in at r = 0; every use is multiplied by r^{m-2} >= r^0
+        lg = np.log(np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny))
+        return np.where(self.logs == 1.0, lg[:, None], 1.0)
+
+    def _trig(self, theta, derivative: bool = False):
+        """T, or (T, T') taken from the same cos/sin outer product."""
+        ang = np.multiply.outer(theta, self.freqs)
+        c, s = np.cos(ang), np.sin(ang)
+        on_cos = self.kinds == COS
+        t = np.where(on_cos, c, s)
+        if not derivative:
+            return t
+        k = self.freqs
+        return t, np.where(on_cos, -k * s, k * c)
+
+    @staticmethod
+    def _closed_form(power, trig, lg, a, *addends):
+        """power (a l + addends) trig, summed left to right, in one temporary.
+
+        ``a`` and ``addends`` are per-term coefficient vectors of the formula
+        table; with l the scalar 1 the sum stays a vector.
+        """
+        coeff = a * lg
+        for b in addends:
+            coeff += b
+        out = power * coeff
+        out *= trig
+        return out
+
+    # -- evaluations ------------------------------------------------------------
 
     def values(self, r, theta):
-        return self._pow(r, 0) * self._trig(theta)
+        t = self._trig(theta)
+        return self._closed_form(self._pow(r, 0), t, self._log(r), 1.0)
 
     def radial_derivative(self, r, theta):
-        return self.powers * self._pow(r, 1) * self._trig(theta)
+        t = self._trig(theta)
+        p1, lg = self._pow(r, 1), self._log(r)
+        return self._closed_form(p1, t, lg, self.powers, self.logs)
 
     def angular_over_r(self, r, theta):
         """(1/r) d/dtheta, the thetahat gradient component."""
-        return self._pow(r, 1) * self._trig_d(theta)
+        _, td = self._trig(theta, derivative=True)
+        return self._closed_form(self._pow(r, 1), td, self._log(r), 1.0)
 
     def gradients(self, r, theta):
         """Cartesian gradients, shape (N, n, 2)."""
-        fr = self.radial_derivative(r, theta)
-        ftr = self.angular_over_r(r, theta)
+        t, td = self._trig(theta, derivative=True)
+        p1, lg = self._pow(r, 1), self._log(r)
+        fr = self._closed_form(p1, t, lg, self.powers, self.logs)
+        ftr = self._closed_form(p1, td, lg, 1.0)
         ct = np.cos(theta)[:, None]
         st = np.sin(theta)[:, None]
         return np.stack([fr * ct - ftr * st, fr * st + ftr * ct], axis=2)
 
     def hessian_frame(self, r, theta):
         """(H_rr, H_rtheta, H_thetatheta), each (N, n)."""
-        p2 = self._pow(r, 2)
-        t = self._trig(theta)
-        td = self._trig_d(theta)
-        m = self.powers
-        k = self.freqs
+        t, td = self._trig(theta, derivative=True)
+        m, k, w = self.powers, self.freqs, self.logs
+        p2, lg = self._pow(r, 2), self._log(r)
+        hrt = self._closed_form(p2, td, lg, m - 1.0, w)
+        del td  # lowers the peak memory of the two T components below
         return (
-            m * (m - 1.0) * p2 * t,
-            (m - 1.0) * p2 * td,
-            (m - k * k) * p2 * t,
+            self._closed_form(p2, t, lg, m * (m - 1.0), 2.0 * m * w, -w),
+            hrt,
+            self._closed_form(p2, t, lg, m - k * k, w),
         )
 
     def hessians(self, r, theta):
@@ -122,9 +167,21 @@ class PolarBasis:
         return out
 
     def laplacians(self, r, theta):
-        m = self.powers
-        k = self.freqs
-        return (m * m - k * k) * self._pow(r, 2) * self._trig(theta)
+        t = self._trig(theta)
+        m, k = self.powers, self.freqs
+        return self._closed_form(
+            self._pow(r, 2), t, self._log(r), m * m - k * k, 2.0 * m * self.logs
+        )
+
+
+def concat(*parts: PolarBasis) -> PolarBasis:
+    """One table holding the terms of ``parts`` in order."""
+    return PolarBasis(
+        *(
+            np.concatenate([getattr(p, col) for p in parts])
+            for col in ("powers", "freqs", "kinds", "logs")
+        )
+    )
 
 
 def harmonic_basis(order: int, include_constant: bool = False) -> PolarBasis:
@@ -161,128 +218,24 @@ def full_basis(order: int, include_constant: bool = False) -> PolarBasis:
     return PolarBasis(powers, freqs, kinds)
 
 
-class LoosePolarBasis(PolarBasis):
-    """Terms r^m trig(k theta) with m >= 2 and unrestricted frequency.
-
-    Dropping the polynomial parity rule admits the low-power,
-    high-frequency pairs that an angle-dependent coefficient excites;
-    with m >= 2 every member keeps a continuous gradient and a bounded
-    Hessian at the origin, so all evaluation formulas stay finite.
-    """
-
-    def _validate(self):
-        if np.any(self.powers < 2):
-            raise ValueError("loose terms need m >= 2")
+# The three constructors below name the term families of ``cascade_basis``;
+# perfbench/spans.py also looks them up by name.
 
 
-class LogPolarBasis(PolarBasis):
-    """Terms r^m log(r) trig(k theta) with m >= 2.
-
-    The plain power family cannot produce a Laplacian proportional to
-    r^{k-2} trig(k theta): the factor m^2 - k^2 vanishes exactly on the
-    needed power m = k.  The log-weighted term fills that hole,
-
-        Laplacian r^m log r trig = r^{m-2} ((m^2 - k^2) log r + 2 m) trig,
-
-    so the resonant members (m = k) have purely polynomial Laplacians.
-    Values and gradients vanish at the origin for every member; Hessian
-    components of the m = 2 members diverge like log r there, which stays
-    square integrable on the disk.
-    """
-
-    def _validate(self):
-        if np.any(self.powers < 2):
-            raise ValueError("log terms need m >= 2")
-
-    def describe(self) -> list[str]:
-        out = []
-        for m, k, kind in zip(self.powers, self.freqs, self.kinds):
-            trig = "cos" if kind == COS else "sin"
-            out.append(f"r^{int(m)} log(r) {trig}({int(k)}t)")
-        return out
-
-    @staticmethod
-    def _logr(r):
-        # finite stand-in at r = 0; every use is multiplied by r^{m-2} >= r^0
-        r = np.asarray(r, dtype=float)
-        return np.log(np.maximum(r, np.finfo(float).tiny))[:, None]
-
-    def values(self, r, theta):
-        return self._pow(r, 0) * self._logr(r) * self._trig(theta)
-
-    def radial_derivative(self, r, theta):
-        lg = self._logr(r)
-        return self._pow(r, 1) * (self.powers * lg + 1.0) * self._trig(theta)
-
-    def angular_over_r(self, r, theta):
-        return self._pow(r, 1) * self._logr(r) * self._trig_d(theta)
-
-    def hessian_frame(self, r, theta):
-        p2 = self._pow(r, 2)
-        lg = self._logr(r)
-        t = self._trig(theta)
-        td = self._trig_d(theta)
-        m = self.powers
-        k = self.freqs
-        return (
-            p2 * (m * (m - 1.0) * lg + 2.0 * m - 1.0) * t,
-            p2 * ((m - 1.0) * lg + 1.0) * td,
-            p2 * ((m - k * k) * lg + 1.0) * t,
-        )
-
-    def laplacians(self, r, theta):
-        m = self.powers
-        k = self.freqs
-        lg = self._logr(r)
-        return self._pow(r, 2) * ((m * m - k * k) * lg + 2.0 * m) * self._trig(theta)
+def LoosePolarBasis(powers, freqs, kinds) -> PolarBasis:
+    """Terms r^m trig(k theta) whose frequency is unrestricted from m = 2 on."""
+    return PolarBasis(powers, freqs, kinds)
 
 
-class CompositeBasis:
-    """Concatenation of bases, exposing the same evaluation protocol."""
-
-    def __init__(self, *parts):
-        if not parts:
-            raise ValueError("need at least one part")
-        self.parts = parts
-
-    @property
-    def n(self) -> int:
-        return sum(p.n for p in self.parts)
-
-    def describe(self) -> list[str]:
-        return [line for p in self.parts for line in p.describe()]
-
-    def _cat(self, name: str, r, theta):
-        return np.concatenate(
-            [getattr(p, name)(r, theta) for p in self.parts], axis=1
-        )
-
-    def values(self, r, theta):
-        return self._cat("values", r, theta)
-
-    def radial_derivative(self, r, theta):
-        return self._cat("radial_derivative", r, theta)
-
-    def angular_over_r(self, r, theta):
-        return self._cat("angular_over_r", r, theta)
-
-    def gradients(self, r, theta):
-        return self._cat("gradients", r, theta)
-
-    def hessians(self, r, theta):
-        return self._cat("hessians", r, theta)
-
-    def hessian_frame(self, r, theta):
-        blocks = [p.hessian_frame(r, theta) for p in self.parts]
-        return tuple(
-            np.concatenate([b[i] for b in blocks], axis=1) for i in range(3)
-        )
-
-    def laplacians(self, r, theta):
-        return self._cat("laplacians", r, theta)
+def LogPolarBasis(powers, freqs, kinds) -> PolarBasis:
+    """Terms r^m log(r) trig(k theta) with m >= 2."""
+    return PolarBasis(powers, freqs, kinds, np.ones(len(powers)))
 
 
-def cascade_basis(order: int, mixed: bool = True) -> CompositeBasis:
+CompositeBasis = concat
+
+
+def cascade_basis(order: int, mixed: bool = True) -> PolarBasis:
     """Polynomial family closed under angle-coupled corrections.
 
     An interior operator whose coefficients depend on the polar angle

@@ -148,14 +148,9 @@ class RhsExpansion:
         return self.evaluate_polar(*_polar.to_polar(points))
 
     def evaluate_polar(self, r, theta) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if r.size == 0:
-            return np.zeros_like(r)
-        powers, freqs, kinds, coeffs = self._terms()
-        if not powers:
-            return np.zeros_like(r)
-        basis = _polar.PolarBasis(powers, freqs, kinds)
-        return basis.values(r, np.asarray(theta, dtype=float)) @ np.asarray(coeffs)
+        return self.field().value_polar(
+            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+        )
 
     def sup_disk(self, n_theta: int = 256, n_r: int = 65) -> float:
         """Grid estimate of sup |h| over the closed unit disk."""
@@ -262,15 +257,11 @@ def _zero_mean_shift(field_wo_const: _polar.PolarField) -> float:
     return -total / math.pi
 
 
-def _with_constant(basis, coeffs: np.ndarray, a0: float):
-    stacked = np.concatenate([[a0], coeffs])
-    if type(basis) is _polar.PolarBasis:
-        powers = np.concatenate([[0.0], basis.powers])
-        freqs = np.concatenate([[0.0], basis.freqs])
-        kinds = np.concatenate([[_polar.COS], basis.kinds])
-        return _polar.PolarField(_polar.PolarBasis(powers, freqs, kinds), stacked)
+def _with_constant(basis: _polar.PolarBasis, coeffs: np.ndarray, a0: float):
     const = _polar.PolarBasis([0.0], [0.0], [_polar.COS])
-    return _polar.PolarField(_polar.CompositeBasis(const, basis), stacked)
+    return _polar.PolarField(
+        _polar.concat(const, basis), np.concatenate([[a0], coeffs])
+    )
 
 
 def _mean_domain(domain: StarDomain, h: RhsExpansion) -> float:
@@ -343,11 +334,9 @@ def solve_oblique(
     c_star = float(sol[-1])
 
     # assemble f without the constant, then pin the disk average to zero
-    powers = np.concatenate([harm.powers, part.basis.powers, [2.0]])
-    freqs = np.concatenate([harm.freqs, part.basis.freqs, [0.0]])
-    kinds = np.concatenate([harm.kinds, part.basis.kinds, [_polar.COS]])
+    sq_radius = _polar.PolarBasis([2.0], [0.0], [_polar.COS])
+    basis = _polar.concat(harm, part.basis, sq_radius)
     coeffs = np.concatenate([harm_coeffs, part.coeffs, [-c_star / 4.0]])
-    basis = _polar.PolarBasis(powers, freqs, kinds)
     a0 = _zero_mean_shift(_polar.PolarField(basis, coeffs))
     field = _with_constant(basis, coeffs, a0)
 

@@ -220,8 +220,8 @@ def stein_kernel_solve(
         lhs = float(
             wq
             @ (
-                np.einsum("nd,nd->n", g1.gradient(pts), du1)
-                + np.einsum("nd,nd->n", g2.gradient(pts), du2)
+                np.einsum("nd,nd->n", tau[:, 0], du1)
+                + np.einsum("nd,nd->n", tau[:, 1], du2)
             )
         )
 
