@@ -25,6 +25,12 @@ factor m^2 - k^2 vanishes on the needed power m = k.  The log term fills
 that hole, since its resonant members (m = k) have the purely polynomial
 Laplacian 2k r^{k-2} T.
 
+Transcendentals are computed once per distinct value, not per column:
+cos and sin of k theta over the distinct frequencies of the table, r^p
+over its distinct exponents, and log r once per point.  Precomputed gather
+indices spread them over the columns, so every entry is the same floating
+point product as a column-by-column evaluation.
+
 Negative exponents only occur where the prefactor vanishes (m <= 1 with
 the parity rule), so powers are clipped at zero and the zero multiplier
 keeps the arithmetic exact, including at r = 0.  Every term with m >= 2
@@ -68,6 +74,19 @@ class PolarBasis:
         polynomial = (self.freqs <= self.powers) & ((self.powers - self.freqs) % 2 == 0)
         if np.any((self.powers < 2) & ~polynomial):
             raise ValueError("terms with m < 2 must satisfy m >= k with m - k even")
+        # gather tables: the distinct frequencies, the columns of the
+        # [cos | sin] table holding each term's T and T', and the scale of T'
+        self._ks, k_col = np.unique(self.freqs, return_inverse=True)
+        on_cos = self.kinds == COS
+        sin_col = k_col + self._ks.size
+        self._t_cols = np.where(on_cos, k_col, sin_col)
+        self._td_cols = np.where(on_cos, sin_col, k_col)
+        self._td_scale = np.where(on_cos, -self.freqs, self.freqs)
+        # distinct exponents of r^{m - shift} and their columns, by shift
+        self._expos = tuple(
+            np.unique(np.maximum(self.powers - shift, 0.0), return_inverse=True)
+            for shift in (0, 1, 2)
+        )
 
     @property
     def n(self) -> int:
@@ -76,36 +95,39 @@ class PolarBasis:
     # -- radial and angular factors -------------------------------------------
 
     def _pow(self, r, shift: int):
-        expo = np.maximum(self.powers - shift, 0.0)
-        return np.asarray(r, dtype=float)[:, None] ** expo
+        expo, cols = self._expos[shift]
+        return np.take(np.asarray(r, dtype=float)[:, None] ** expo, cols, axis=1)
 
     def _log(self, r):
-        """l per point and term; the scalar 1 for tables without log terms."""
+        """log r per point; None for tables without log terms."""
         if not self.logs.any():
-            return 1.0
+            return None
         # finite stand-in at r = 0; every use is multiplied by r^{m-2} >= r^0
-        lg = np.log(np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny))
-        return np.where(self.logs == 1.0, lg[:, None], 1.0)
+        return np.log(np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny))
 
-    def _trig(self, theta, derivative: bool = False):
-        """T, or (T, T') taken from the same cos/sin outer product."""
-        ang = np.multiply.outer(theta, self.freqs)
-        c, s = np.cos(ang), np.sin(ang)
-        on_cos = self.kinds == COS
-        t = np.where(on_cos, c, s)
+    def _trig(self, theta, value: bool = True, derivative: bool = False):
+        """T, T' or (T, T'), gathered from one cos/sin table of the distinct
+        frequencies; T' = -k sin(k theta) on cos terms, k cos(k theta) on sin."""
+        ang = np.multiply.outer(theta, self._ks)
+        cs = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
         if not derivative:
-            return t
-        k = self.freqs
-        return t, np.where(on_cos, -k * s, k * c)
+            return np.take(cs, self._t_cols, axis=1)
+        td = np.take(cs, self._td_cols, axis=1)
+        td *= self._td_scale
+        return (np.take(cs, self._t_cols, axis=1), td) if value else td
 
-    @staticmethod
-    def _closed_form(power, trig, lg, a, *addends):
+    def _closed_form(self, power, trig, lg, a, *addends):
         """power (a l + addends) trig, summed left to right, in one temporary.
 
         ``a`` and ``addends`` are per-term coefficient vectors of the formula
-        table; with l the scalar 1 the sum stays a vector.
+        table.  l is log r on log terms and 1 elsewhere, folded in as
+        a w log r + a (1 - w); without log terms the sum stays a vector.
         """
-        coeff = a * lg
+        if lg is None:
+            coeff = a * 1.0  # a copy: the addends accumulate in place
+        else:
+            coeff = lg[:, None] * (a * self.logs)
+            coeff += a * (1.0 - self.logs)
         for b in addends:
             coeff += b
         out = power * coeff
@@ -125,7 +147,7 @@ class PolarBasis:
 
     def angular_over_r(self, r, theta):
         """(1/r) d/dtheta, the thetahat gradient component."""
-        _, td = self._trig(theta, derivative=True)
+        td = self._trig(theta, value=False, derivative=True)
         return self._closed_form(self._pow(r, 1), td, self._log(r), 1.0)
 
     def gradients(self, r, theta):
@@ -136,15 +158,27 @@ class PolarBasis:
         ftr = self._closed_form(p1, td, lg, 1.0)
         ct = np.cos(theta)[:, None]
         st = np.sin(theta)[:, None]
-        return np.stack([fr * ct - ftr * st, fr * st + ftr * ct], axis=2)
+        out = np.empty(fr.shape + (2,))
+        a, b = fr * ct, ftr * st
+        np.subtract(a, b, out=out[..., 0])
+        np.multiply(fr, st, out=a)
+        np.multiply(ftr, ct, out=b)
+        np.add(a, b, out=out[..., 1])
+        return out
+
+    def hessian_rtheta(self, r, theta):
+        """H_rtheta alone, (N, n): the middle component of ``hessian_frame``."""
+        td = self._trig(theta, value=False, derivative=True)
+        return self._closed_form(
+            self._pow(r, 2), td, self._log(r), self.powers - 1.0, self.logs
+        )
 
     def hessian_frame(self, r, theta):
         """(H_rr, H_rtheta, H_thetatheta), each (N, n)."""
-        t, td = self._trig(theta, derivative=True)
+        hrt = self.hessian_rtheta(r, theta)
+        t = self._trig(theta)
         m, k, w = self.powers, self.freqs, self.logs
         p2, lg = self._pow(r, 2), self._log(r)
-        hrt = self._closed_form(p2, td, lg, m - 1.0, w)
-        del td  # lowers the peak memory of the two T components below
         return (
             self._closed_form(p2, t, lg, m * (m - 1.0), 2.0 * m * w, -w),
             hrt,
@@ -280,6 +314,16 @@ def cascade_basis(order: int, mixed: bool = True) -> PolarBasis:
 def to_polar(points) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(points, dtype=float)
     return np.hypot(p[..., 0], p[..., 1]), np.arctan2(p[..., 1], p[..., 0])
+
+
+def gradients_of(fields, points) -> list[np.ndarray]:
+    """Gradients of fields over one shared basis, from a single evaluation of
+    that basis; each equals ``field.gradient(points)`` bit for bit."""
+    basis = fields[0].basis
+    if any(f.basis is not basis for f in fields):
+        raise ValueError("fields must share one basis")
+    grads = basis.gradients(*to_polar(points))
+    return [np.einsum("njd,j->nd", grads, f.coeffs) for f in fields]
 
 
 @dataclass(frozen=True)

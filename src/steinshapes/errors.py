@@ -17,7 +17,8 @@ class SteinShapesError(Exception):
 
 
 class NonPositiveRadius(SteinShapesError):
-    """Radius function takes a value <= 0 somewhere on the circle."""
+    """Radius function takes a value <= 0 somewhere on the circle, or its
+    positivity cannot be certified."""
 
 
 class NotStarShaped(SteinShapesError):

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, minimize
 
 from .errors import GridTooCoarse, NoConvergence, SolverStall
 from .shapes import (
@@ -121,6 +119,8 @@ def fraenkel_asymmetry(
         return float(np.abs(cov_domain - cov_ball).sum() * cell)
 
     if search:
+        from scipy.optimize import minimize  # deferred: keeps the package import light
+
         result = minimize(
             sym_diff,
             np.asarray(fun.barycenter),
@@ -292,6 +292,9 @@ def zolotarev_lp(
     (McShane extension clipped at the sup bound), so the optimum is the
     exact shape distance of the discretized pair of measures.
     """
+    from scipy import sparse  # deferred: keeps the package import light
+    from scipy.optimize import linprog
+
     pts = np.asarray(points, dtype=float)
     g = np.asarray(gap, dtype=float)
     n = pts.shape[0]

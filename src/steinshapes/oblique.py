@@ -433,7 +433,7 @@ def solve_oblique_kernel_variant(
     r_ang = domain.radius(th_int)
     rp_ang = domain.radius_prime(th_int)
     lap = basis.laplacians(r_int, th_int)
-    hrt = basis.hessian_frame(r_int, th_int)[1]
+    hrt = basis.hessian_rtheta(r_int, th_int)
     sq_int = np.sqrt(w_int)
     rows_int = sq_int[:, None] * (
         r_ang[:, None] * lap - rp_ang[:, None] * hrt
@@ -464,9 +464,7 @@ def solve_oblique_kernel_variant(
     pts_f, w_f = disk_grid(2 * n_theta, 2 * n_r)
     r_f, th_f = _polar.to_polar(pts_f)
     lap_f = field.laplacian_polar(r_f, th_f)
-    hrt_f = np.einsum(
-        "nj,j->n", field.basis.hessian_frame(r_f, th_f)[1], field.coeffs
-    )
+    hrt_f = np.einsum("nj,j->n", field.basis.hessian_rtheta(r_f, th_f), field.coeffs)
     resid_f = (
         domain.radius(th_f) * lap_f
         - domain.radius_prime(th_f) * hrt_f

@@ -44,6 +44,7 @@ BALL_VOLUME = math.pi        # |B_1| in d = 2
 BALL_PERIMETER = TWO_PI      # |dB_1| in d = 2
 
 VALIDATION_GRID = 4096
+VALIDATION_CAP = 2 ** 20
 QUAD_TOL = 1e-12
 QUAD_START = 128
 QUAD_CAP = 2 ** 16
@@ -343,15 +344,52 @@ def disk_grid(n_theta: int = 256, n_r: int = 64) -> tuple[np.ndarray, np.ndarray
 # construction and validation
 
 
+def _radius_samples(domain: StarDomain, m: int) -> np.ndarray:
+    """R on ``circle_grid(m)`` by one FFT; frequencies above m/2 fold onto
+    their aliases, so the samples hold for any order at O(m log m) cost."""
+    a, b, k = domain._packed
+    spectrum = np.zeros(m, dtype=complex)
+    freq = k.astype(np.int64)
+    np.add.at(spectrum, freq % m, 0.5 * (a - 1j * b))
+    np.add.at(spectrum, -freq % m, 0.5 * (a + 1j * b))
+    spectrum[0] += domain.base_radius
+    return np.fft.ifft(spectrum, norm="forward").real
+
+
 def _validate(domain: StarDomain, grid: int = VALIDATION_GRID) -> None:
+    """Certify min R > 0, then check kappa on the ``grid``-point circle.
+
+    Every angle lies within pi/M of a node of the M-point grid and
+    |R'| <= L = sum_k k (|a_k| + |b_k|), so
+
+        min R >= min_j R(theta_j) - (pi/M) L - (FFT rounding allowance).
+
+    M doubles from ``grid`` while that bound is inconclusive, up to
+    VALIDATION_CAP; a non-positive sample rejects the domain at once.
+    """
+    a, b, k = domain._packed
+    slope = float(k @ (np.abs(a) + np.abs(b)))
+    amplitude = abs(domain.base_radius) + float(np.abs(a).sum() + np.abs(b).sum())
+    m = grid
+    while True:
+        r = _radius_samples(domain, m)
+        if not (np.all(np.isfinite(r)) and math.isfinite(slope)):
+            raise NonPositiveRadius("radius function is not finite on the check grid")
+        low = float(r.min())
+        if low <= 0.0:
+            raise NonPositiveRadius(f"min R = {low:.6g} <= 0 on the {m}-point check grid")
+        # Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2
+        rounding = 8.0 * np.finfo(float).eps * math.log2(m) * math.sqrt(m) * amplitude
+        if low - math.pi / m * slope - rounding > 0.0:
+            break
+        if m >= VALIDATION_CAP:
+            raise NonPositiveRadius(
+                f"cannot certify R > 0: min R >= {low:.6g} - {math.pi / m * slope:.3g} "
+                f"on the {m}-point grid"
+            )
+        m *= 2
     theta, _ = circle_grid(grid)
     r = domain.radius(theta)
-    if not np.all(np.isfinite(r)):
-        raise NonPositiveRadius("radius function is not finite on the check grid")
-    if r.min() <= 0.0:
-        raise NonPositiveRadius(
-            f"min R = {r.min():.6g} <= 0 on the {grid}-point check grid"
-        )
     rp = domain.radius_prime(theta)
     kappa = (r / np.sqrt(r * r + rp * rp)).min()
     if kappa <= 0.0:
@@ -392,9 +430,10 @@ def load_shape_spec(path) -> ShapeSpec:
 def build_domain(spec, check_grid: int = VALIDATION_GRID) -> StarDomain:
     """Construct and validate a StarDomain from a spec, mapping, or path.
 
-    Validation evaluates R and kappa on a uniform check grid; the
-    normalization flags of the spec are applied in the order recenter,
-    then volume (rescaling about the origin preserves a zero barycenter).
+    Validation certifies R > 0 (see ``_validate``) and checks kappa on a
+    uniform check grid; the normalization flags of the spec are applied in
+    the order recenter, then volume (rescaling about the origin preserves a
+    zero barycenter).
     """
     if isinstance(spec, (str,)) or hasattr(spec, "__fspath__"):
         spec = load_shape_spec(spec)

@@ -196,7 +196,7 @@ def stein_kernel_solve(
     g2 = _polar.PolarField(basis, coeffs[:, 1].copy())
 
     pts, wq = bulk_grid(domain, *bulk)
-    tau = np.stack([g1.gradient(pts), g2.gradient(pts)], axis=1)
+    tau = np.stack(_polar.gradients_of((g1, g2), pts), axis=1)
     gap = np.eye(2) - tau
     gap2 = np.einsum("nab,nab->n", gap, gap)
     disc1 = float(wq @ np.sqrt(gap2))
@@ -204,8 +204,10 @@ def stein_kernel_solve(
     energy = float(wq @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
-    res1 = np.einsum("nd,nd->n", g1.gradient(frame_f.points), frame_f.normals)
-    res2 = np.einsum("nd,nd->n", g2.gradient(frame_f.points), frame_f.normals)
+    res1, res2 = (
+        np.einsum("nd,nd->n", grad, frame_f.normals)
+        for grad in _polar.gradients_of((g1, g2), frame_f.points)
+    )
     neumann = float(
         max(
             np.abs(res1 - frame_f.points[:, 0]).max(),
@@ -214,9 +216,13 @@ def stein_kernel_solve(
     )
 
     panel = []
-    for label, (u1, u2) in _quadratic_test_panel():
-        du1 = u1.gradient(pts)
-        du2 = u2.gradient(pts)
+    test_panel = _quadratic_test_panel()
+    # every test field lives on one basis, evaluated once on the bulk grid
+    test_grads = iter(
+        _polar.gradients_of([u for _, pair in test_panel for u in pair], pts)
+    )
+    for label, (u1, u2) in test_panel:
+        du1, du2 = next(test_grads), next(test_grads)
         lhs = float(
             wq
             @ (
@@ -270,8 +276,7 @@ def stein_discrepancy(
         return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
     nt, nr = result.bulk_shape
     pts, wq = bulk_grid(result.domain, 2 * nt, 2 * nr)
-    g1, g2 = result.potentials
-    tau = np.stack([g1.gradient(pts), g2.gradient(pts)], axis=1)
+    tau = np.stack(_polar.gradients_of(result.potentials, pts), axis=1)
     gap = np.eye(2) - tau
     gap2 = np.einsum("nab,nab->n", gap, gap)
     return float(wq @ np.sqrt(gap2)) if order == 1 else float(wq @ gap2)

@@ -9,6 +9,16 @@ from steinshapes import _polar
 from steinshapes._polar import COS, SIN, PolarBasis
 
 STEP = 1e-5
+METHODS = (
+    "values",
+    "radial_derivative",
+    "angular_over_r",
+    "gradients",
+    "hessian_rtheta",
+    "hessian_frame",
+    "hessians",
+    "laplacians",
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +102,7 @@ def test_resonant_log_terms_have_polynomial_laplacians(points, kind):
 def test_every_method_is_finite_at_the_origin(basis):
     theta = np.linspace(-np.pi, np.pi, 9)
     r = np.zeros_like(theta)
-    for method in (
-        "values",
-        "radial_derivative",
-        "angular_over_r",
-        "gradients",
-        "hessian_frame",
-        "hessians",
-        "laplacians",
-    ):
+    for method in METHODS:
         out = getattr(basis, method)(r, theta)
         for block in out if isinstance(out, tuple) else (out,):
             assert np.isfinite(block).all(), method
@@ -112,6 +114,33 @@ def test_concat_keeps_each_part_columnwise(basis, points):
     for method in ("values", "laplacians", "gradients"):
         joined = np.concatenate([getattr(p, method)(r, theta) for p in parts], axis=1)
         np.testing.assert_array_equal(getattr(basis, method)(r, theta), joined)
+
+
+def test_concat_with_itself_duplicates_every_column(basis, points):
+    # the doubled table repeats every frequency and exponent, so this checks
+    # that the gather indices send each column its own transcendentals
+    r, theta = _polar.to_polar(points)
+    doubled = _polar.concat(basis, basis)
+    for method in METHODS:
+        once = getattr(basis, method)(r, theta)
+        twice = getattr(doubled, method)(r, theta)
+        for a, b in zip(once, twice) if isinstance(once, tuple) else ((once, twice),):
+            assert np.array_equal(np.concatenate([a, a], axis=1), b), method
+
+
+def test_hessian_rtheta_is_the_frame_component(basis, points):
+    r, theta = _polar.to_polar(points)
+    assert np.array_equal(basis.hessian_rtheta(r, theta), basis.hessian_frame(r, theta)[1])
+
+
+def test_gradients_of_matches_each_field(basis, points):
+    rng = np.random.default_rng(3)
+    fields = [_polar.PolarField(basis, rng.standard_normal(basis.n)) for _ in range(3)]
+    for field, grad in zip(fields, _polar.gradients_of(fields, points)):
+        assert np.array_equal(grad, field.gradient(points))
+    other = _polar.PolarField(_polar.harmonic_basis(2), np.ones(4))
+    with pytest.raises(ValueError, match="share one basis"):
+        _polar.gradients_of([fields[0], other], points)
 
 
 @pytest.mark.parametrize(

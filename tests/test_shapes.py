@@ -26,6 +26,8 @@ from steinshapes.shapes import (
     regularity_params,
     segmented_circle_quadrature,
     trig_zeros,
+    _radius_samples,
+    _validate,
 )
 
 # R = 1 + 0.1 cos 2theta, quadrature-exact references
@@ -70,6 +72,28 @@ def test_build_domain_rejects_nonpositive_base():
 def test_build_domain_rejects_vanishing_radius():
     with pytest.raises(NonPositiveRadius):
         build_domain({"base_radius": 1.0, "fourier_cos": [1.2]})
+
+
+def test_build_domain_rejects_radius_hidden_between_samples():
+    # sin(4096 theta) vanishes on the 4096- and 8192-point grids, yet
+    # R = 1 + 1.5 sin(4096 theta) reaches -0.5 at theta = 3 pi / 8192
+    spec = {"base_radius": 1.0, "fourier_sin": [0.0] * 4095 + [1.5]}
+    with pytest.raises(NonPositiveRadius):
+        build_domain(spec)
+    with pytest.raises(NonPositiveRadius):
+        _validate(StarDomain(1.0, (), (0.0,) * 4095 + (1.5,)))
+
+
+def test_validation_rejects_a_radius_too_thin_to_certify():
+    # min R = 1e-9 > 0 would need about 3e9 samples to certify
+    with pytest.raises(NonPositiveRadius, match="cannot certify"):
+        _validate(StarDomain(1.0, (-(1.0 - 1e-9),)))
+
+
+def test_radius_samples_fold_high_frequencies():
+    dom = StarDomain(0.5, (0.0,) * 40 + (0.2,), (0.0,) * 50 + (0.1,))
+    theta = np.arange(64) * (2.0 * np.pi / 64)
+    np.testing.assert_allclose(_radius_samples(dom, 64), dom.radius(theta), atol=1e-14)
 
 
 def test_parse_shape_spec_rejects_unknown_keys():

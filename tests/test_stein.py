@@ -82,6 +82,14 @@ def test_bump_kernel_frozen():
     assert res.neumann_residual < 1e-6
 
 
+def test_kernel_is_the_gradient_of_its_potentials():
+    # tau comes from one shared basis evaluation; it must equal the fields'
+    # own gradients bit for bit
+    res = stein_kernel_solve(bump_vn())
+    each = np.stack([g.gradient(res.grid_points) for g in res.potentials], 1)
+    assert np.array_equal(res.tau, each)
+
+
 def test_trace_integral_matches_momentum():
     # pairing the kernel with the identity field integrates tr tau, which
     # the defining identity sends to the boundary momentum integral
