@@ -9,6 +9,7 @@ from .errors import (
     GridTooCoarse,
     IdentityViolated,
     IllConditioned,
+    InputError,
     IoFailure,
     NoConvergence,
     NonPositiveRadius,

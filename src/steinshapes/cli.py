@@ -2,6 +2,9 @@
 
 Verbs: analyze, verify, sweep, expansion, mc.  Exit codes: 0 pass,
 1 inequality-direction violation, 2 solver gate failure, 3 input error.
+The exception class decides between 2 and 3: any ``InputError`` exits 3,
+any other ``SteinShapesError`` exits 2, and everything else propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -13,54 +16,8 @@ import sys
 import numpy as np
 
 from . import experiments, oblique, rbm
-from .errors import (
-    DegenerateBasis,
-    IdentityViolated,
-    IllConditioned,
-    IoFailure,
-    NoConvergence,
-    NonPositiveRadius,
-    NormalizationMissing,
-    NotApplicable,
-    NotCentered,
-    NotConverged,
-    NotElliptic,
-    NotOblique,
-    NotStarShaped,
-    RecenterFailed,
-    ReflectionFailed,
-    ResidualTooLarge,
-    SolverStall,
-    GridTooCoarse,
-    SteinShapesError,
-)
+from .errors import InputError, IoFailure, SteinShapesError
 from .shapes import build_domain
-
-INPUT_ERRORS = (
-    IoFailure,
-    NonPositiveRadius,
-    NotStarShaped,
-    GridTooCoarse,
-    NormalizationMissing,
-    NotApplicable,
-    ValueError,
-    TypeError,
-    FileNotFoundError,
-)
-SOLVER_ERRORS = (
-    NoConvergence,
-    RecenterFailed,
-    IllConditioned,
-    NotOblique,
-    NotElliptic,
-    ResidualTooLarge,
-    NotCentered,
-    IdentityViolated,
-    NotConverged,
-    DegenerateBasis,
-    SolverStall,
-    ReflectionFailed,
-)
 
 
 def _load_json(path: str) -> dict:
@@ -73,13 +30,14 @@ def _load_json(path: str) -> dict:
 
 def _parse_eps(text: str) -> tuple[float, ...]:
     """start:stop:count linspace, or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise IoFailure(f"eps range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return tuple(float(e) for e in np.linspace(start, stop, count))
-    return tuple(float(tok) for tok in text.split(","))
+    try:
+        if ":" not in text:
+            return tuple(float(tok) for tok in text.split(","))
+        start, stop, count = text.split(":")
+        grid = np.linspace(float(start), float(stop), int(count))
+    except ValueError as exc:
+        raise IoFailure(f"eps must be start:stop:count or a list, got {text!r}") from exc
+    return tuple(float(e) for e in grid)
 
 
 def _family_from_path(path: str, alpha: float | None) -> experiments.PerturbationFamily | list:
@@ -88,16 +46,25 @@ def _family_from_path(path: str, alpha: float | None) -> experiments.Perturbatio
             alpha=1.0 if alpha is None else alpha
         )
     data = _load_json(path)
-    if "amplitudes" in data or "eps" in data:
-        amps = data.get("amplitudes", data.get("eps"))
-        return experiments.PerturbationFamily(
-            k=int(data.get("k", 2)),
-            amplitudes=tuple(float(e) for e in amps),
-            normalization=str(data.get("normalization", "volume")),
-            alpha=float(data.get("alpha", 1.0 if alpha is None else alpha)),
-            base_radius=float(data.get("base_radius", 1.0)),
-        )
-    return [build_domain(data)]
+    if not isinstance(data, dict):
+        raise IoFailure(f"family config {path} is not a JSON object")
+    if "amplitudes" not in data and "eps" not in data:
+        return [build_domain(data)]
+    try:
+        k = int(data.get("k", 2))
+        amplitudes = tuple(float(e) for e in data.get("amplitudes", data.get("eps")))
+        normalization = str(data.get("normalization", "volume"))
+        alpha = float(data.get("alpha", 1.0 if alpha is None else alpha))
+        base_radius = float(data.get("base_radius", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise IoFailure(f"malformed family config value: {exc}") from exc
+    return experiments.PerturbationFamily(
+        k=k,
+        amplitudes=amplitudes,
+        normalization=normalization,
+        alpha=alpha,
+        base_radius=base_radius,
+    )
 
 
 def _cmd_analyze(args) -> int:
@@ -124,8 +91,11 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     quantities = tuple(args.quantities.split(","))
     eps = _parse_eps(args.eps)
-    status = 0
-    for k in (int(tok) for tok in args.k.split(",")):
+    try:
+        modes = [int(tok) for tok in args.k.split(",")]
+    except ValueError as exc:
+        raise IoFailure(f"--k must be a list of modes, got {args.k!r}") from exc
+    for k in modes:
         family = experiments.PerturbationFamily(
             k=k, amplitudes=eps, alpha=args.alpha
         )
@@ -140,7 +110,7 @@ def _cmd_sweep(args) -> int:
             print(f"wrote {target}")
         else:
             sys.stdout.write(experiments.emit_report(result, format="csv"))
-    return status
+    return 0
 
 
 def _cmd_expansion(args) -> int:
@@ -163,7 +133,7 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    domain = build_domain(_load_json(args.config))
+    domain = build_domain(args.config)
     config = rbm.PathConfig(
         dt=args.dt, horizon=args.T, burn_in=args.burn_in, seed=args.seed
     )
@@ -246,14 +216,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SOLVER_ERRORS as exc:
-        print(f"solver gate failure: {exc}", file=sys.stderr)
-        return 2
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except SteinShapesError as exc:
-        # anything else from the package is a solver-side gate
         print(f"solver gate failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,10 @@
 """Exception taxonomy.
 
-Every raise in the package goes through one of these classes so callers can
-sort failures into input problems, geometry violations, and solver gates
-without string matching.
+Every failure the package reports goes through one of these classes, and
+the class alone sorts it: an ``InputError`` means the caller's input or
+config is at fault (CLI exit 3); any other ``SteinShapesError`` is a solver
+or geometry gate (CLI exit 2).  ``InputError`` is also a ``ValueError``, so
+argument checks keep the builtin contract.
 """
 
 from __future__ import annotations
@@ -12,20 +14,24 @@ class SteinShapesError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(SteinShapesError, ValueError):
+    """The caller's argument or config is invalid or out of scope."""
+
+
 # ---------------------------------------------------------------------------
 # geometry / domain construction
 
 
-class NonPositiveRadius(SteinShapesError):
+class NonPositiveRadius(InputError):
     """Radius function takes a value <= 0 somewhere on the circle, or its
     positivity cannot be certified."""
 
 
-class NotStarShaped(SteinShapesError):
+class NotStarShaped(InputError):
     """Radial graph condition fails: kappa = min R / sqrt(R^2 + R'^2) <= 0."""
 
 
-class GridTooCoarse(SteinShapesError):
+class GridTooCoarse(InputError):
     """Requested quadrature or raster grid cannot resolve the shape."""
 
 
@@ -97,13 +103,13 @@ class ReflectionFailed(SteinShapesError):
 # reporting / IO
 
 
-class NormalizationMissing(SteinShapesError):
+class NormalizationMissing(InputError):
     """Operation requires a volume- or barycenter-normalized domain."""
 
 
-class NotApplicable(SteinShapesError):
+class NotApplicable(InputError):
     """Requested check is outside its validity regime."""
 
 
-class IoFailure(SteinShapesError):
+class IoFailure(InputError):
     """Config or report file could not be read, parsed, or written."""

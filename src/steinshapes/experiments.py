@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import metrics, stein, steklov
-from .errors import IoFailure, NormalizationMissing, NotApplicable
+from .errors import InputError, IoFailure, NormalizationMissing, NotApplicable
 from .shapes import (
     BALL_VOLUME,
     StarDomain,
@@ -63,15 +63,15 @@ class PerturbationFamily:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"mode k must be >= 1, got {self.k}")
+            raise InputError(f"mode k must be >= 1, got {self.k}")
         if len(self.amplitudes) == 0:
-            raise ValueError("need at least one amplitude")
+            raise InputError("need at least one amplitude")
         if any(b <= a for a, b in zip(self.amplitudes, self.amplitudes[1:])):
-            raise ValueError("amplitudes must be strictly increasing")
+            raise InputError("amplitudes must be strictly increasing")
         if self.normalization not in ("volume", "recenter", "both"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise InputError(f"unknown normalization {self.normalization!r}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     def members(self) -> tuple[StarDomain, ...]:
         out = []
@@ -209,7 +209,7 @@ def _z_lower(domain: StarDomain, alpha: float, method: str) -> float:
         return metrics.zolotarev_lower(domain, alpha).lower_bound
     if method == "lp-oracle":
         return metrics.zolotarev_oracle(domain, alpha).lower_bound
-    raise ValueError(f"unknown Z method {method!r}")
+    raise InputError(f"unknown Z method {method!r}")
 
 
 def verify_inequality(
@@ -232,7 +232,7 @@ def verify_inequality(
     stability of C_emp under refinement is itself testable.
     """
     if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+        raise InputError(f"unknown theorem id {theorem!r}")
     members, alpha, declared = _members_and_alpha(family, alpha)
     _require_normalization(theorem, members, declared)
     labels = tuple(dom.label or f"domain-{i}" for i, dom in enumerate(members))
@@ -268,7 +268,7 @@ def verify_inequality(
             )
             fun = geometric_functionals(dom)
             z = _z_lower(dom, alpha, z_method)
-            d_vol = dom.dimension * fun.volume
+            d_vol = 2.0 * fun.volume
             lhs.append(spec.c_bw - 1.0)
             core.append(z * z / d_vol)
             extras.setdefault("sigma1", []).append(spec.sigma1)
@@ -372,17 +372,17 @@ def _quantity_value(name: str, dom: StarDomain, alpha: float) -> float:
         return getattr(geometric_functionals(dom), name)
     if name == "fraenkel":
         return metrics.fraenkel_asymmetry(dom, n=256, search=False).value
-    raise ValueError(f"unknown sweep quantity {name!r}")
+    raise InputError(f"unknown sweep quantity {name!r}")
 
 
 def family_sweep(family: PerturbationFamily, quantities=("one_minus_sigma1", "d2")) -> SweepResult:
     """Per-amplitude values of the selected quantities with log-log slopes."""
     if len(family.amplitudes) < 4:
-        raise ValueError("slope fits need >= 4 amplitudes")
+        raise InputError("slope fits need >= 4 amplitudes")
     quantities = tuple(quantities)
     for name in quantities:
         if name not in SWEEP_QUANTITIES:
-            raise ValueError(f"unknown sweep quantity {name!r}")
+            raise InputError(f"unknown sweep quantity {name!r}")
     members = family.members()
     table = []
     slopes = []
@@ -407,22 +407,20 @@ def family_sweep(family: PerturbationFamily, quantities=("one_minus_sigma1", "d2
 # order-2 expansion validation
 
 
-def expansion_validator(k: int, amplitudes, dimension: int = 2) -> tuple[ExpansionReport, ...]:
+def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
     """Order-2 predictions against exact quadrature for the volume-preserving
-    cosine family R = 1 + e cos(k theta) + c0, c0 = -(d-1) e^2 / 4.
+    cosine family R = 1 + e cos(k theta) + c0, c0 = -e^2 / 4.
 
-    The c0 shift makes int eps = -(d-1)/2 int eps^2 hold exactly, which is
-    the order-2 volume-preservation constraint.  In d = 2 the volume
-    formula is itself exact, so its residuals sit at machine zero and the
-    slope is reported as inf.
+    The c0 shift makes int eps = -1/2 int eps^2 hold exactly, which is the
+    order-2 volume-preservation constraint.  The d = 2 volume formula is
+    itself exact, so its residuals sit at machine zero and the slope is
+    reported as inf.
     """
-    if dimension != 2:
-        raise ValueError("only d = 2 is computable")
     if k < 1:
-        raise ValueError(f"mode k must be >= 1, got {k}")
+        raise InputError(f"mode k must be >= 1, got {k}")
     eps = tuple(float(e) for e in amplitudes)
     if any(e < 0.0 or e > 0.1 for e in eps):
-        raise ValueError("amplitudes must lie in [0, 0.1]")
+        raise InputError("amplitudes must lie in [0, 0.1]")
 
     exact = {"volume": [], "perimeter": [], "momentum": [], "difference": []}
     predicted = {"volume": [], "perimeter": [], "momentum": [], "difference": []}
@@ -492,7 +490,7 @@ def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = 16) -> dict:
     return {
         "schema_version": 1,
         "domain_spec": {
-            "dimension": domain.dimension,
+            "dimension": 2,
             "base_radius": domain.base_radius,
             "fourier_cos": list(domain.cos_coeffs),
             "fourier_sin": list(domain.sin_coeffs),

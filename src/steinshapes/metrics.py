@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence, SolverStall
+from .errors import GridTooCoarse, InputError, NoConvergence, SolverStall
 from .shapes import (
     TWO_PI,
     BALL_VOLUME,
@@ -220,9 +220,9 @@ def zolotarev_lower(
       * cusp bumps min(1, |x - x0|^alpha) centered on the unit circle.
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     if size < 1:
-        raise ValueError(f"dictionary size must be >= 1, got {size}")
+        raise InputError(f"dictionary size must be >= 1, got {size}")
     fun = geometric_functionals(domain)
     ratio = BALL_VOLUME / fun.volume
     rho = max(_sup_radius(domain), 1.0)
@@ -299,7 +299,7 @@ def zolotarev_lp(
     g = np.asarray(gap, dtype=float)
     n = pts.shape[0]
     if n < 2:
-        raise ValueError("LP needs >= 2 nodes")
+        raise InputError("LP needs >= 2 nodes")
     ii, jj = np.triu_indices(n, k=1)
     dist = np.hypot(*(pts[ii] - pts[jj]).T) ** alpha
     p = ii.size
@@ -358,9 +358,9 @@ def zolotarev_oracle(
     within error_bound of the LP optimum.
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     if n_g > LP_NODE_CAP:
-        raise ValueError(f"dense LP is capped at {LP_NODE_CAP} nodes, got {n_g}")
+        raise InputError(f"dense LP is capped at {LP_NODE_CAP} nodes, got {n_g}")
     if n_g < 16:
         raise GridTooCoarse(f"need >= 16 LP nodes, got {n_g}")
     fun = geometric_functionals(domain)

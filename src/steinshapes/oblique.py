@@ -33,6 +33,7 @@ from . import _polar
 from .errors import (
     GridTooCoarse,
     IllConditioned,
+    InputError,
     NotElliptic,
     NotOblique,
     ResidualTooLarge,
@@ -200,7 +201,7 @@ def parse_rhs(token: str) -> RhsExpansion:
     try:
         return _RHS_TOKENS[token]()
     except KeyError:
-        raise ValueError(
+        raise InputError(
             f"unknown rhs token {token!r}; choose from {sorted(_RHS_TOKENS)}"
         ) from None
 
@@ -282,7 +283,7 @@ def _boundary_flux(field: _polar.PolarField) -> float:
     rows = np.abs(field.basis.radial_derivative(np.ones_like(probe), probe))
     cancel = float((rows @ np.abs(field.coeffs)).max())
     tol = max(1e-13, 64.0 * np.finfo(float).eps * cancel)
-    value, _ = doubling_quadrature(integrand, tol=tol, start=128)
+    value, _ = doubling_quadrature(integrand, tol=tol)
     return float(value)
 
 
@@ -308,7 +309,7 @@ def solve_oblique(
         if the equilibrated collocation system exceeds condition 1e12.
     """
     if kf < 1 or kf > 48:
-        raise ValueError(f"harmonic truncation must lie in [1, 48], got {kf}")
+        raise InputError(f"harmonic truncation must lie in [1, 48], got {kf}")
     if m < 2 * kf + 1:
         raise GridTooCoarse(f"need m >= 2*kf + 1 = {2 * kf + 1}, got {m}")
     theta, _ = circle_grid(m)
@@ -413,7 +414,7 @@ def solve_oblique_kernel_variant(
     requires the interior one to be <= 1e-6 sup|h|.
     """
     if kf < 2 or kf > 48:
-        raise ValueError(f"truncation must lie in [2, 48], got {kf}")
+        raise InputError(f"truncation must lie in [2, 48], got {kf}")
     margin = ellipticity_margin(domain)
     if margin <= 0.0:
         raise NotElliptic(
@@ -531,7 +532,7 @@ def schauder_probe(
     for h in probes:
         den = holder_norm(pts, h.evaluate(pts), alpha)
         if den <= 0.0:
-            raise ValueError(f"probe {h.label or h} has zero grid norm")
+            raise InputError(f"probe {h.label or h} has zero grid norm")
         sol = solve_oblique(domain, h, kf=kf, m=m)
         hess = sol.field.hessian(pts)
         sup = float(np.sqrt(np.einsum("nab,nab->n", hess, hess)).max())

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from . import _kernels
-from .errors import ReflectionFailed, ResidualTooLarge
+from .errors import InputError, ReflectionFailed, ResidualTooLarge
 from .oblique import ObliqueSolution, RhsExpansion
 from .shapes import StarDomain, _validate
 
@@ -41,13 +41,13 @@ class PathConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dt <= 1e-3:
-            raise ValueError(f"dt must lie in (0, 1e-3], got {self.dt}")
+            raise InputError(f"dt must lie in (0, 1e-3], got {self.dt}")
         if self.burn_in < 1.0:
-            raise ValueError(f"burn-in must be >= 1, got {self.burn_in}")
+            raise InputError(f"burn-in must be >= 1, got {self.burn_in}")
         if self.horizon <= self.burn_in:
-            raise ValueError("horizon must exceed the burn-in")
+            raise InputError("horizon must exceed the burn-in")
         if math.hypot(*self.start) >= 1.0:
-            raise ValueError("start point must lie strictly inside the disk")
+            raise InputError("start point must lie strictly inside the disk")
 
     @property
     def n_steps(self) -> int:
@@ -100,7 +100,7 @@ def path(
     else:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n, 2):
-            raise ValueError(f"increments must have shape ({n}, 2)")
+            raise InputError(f"increments must have shape ({n}, 2)")
     a, b, _ = domain._packed
     xs, ys, n_reflect, fail = _kernels.reflect_path(
         float(config.start[0]),
@@ -144,7 +144,7 @@ def stationary_mean(
     samples = _evaluate_forcing(h, positions[config.n_burn + 1 :])
     n = samples.size
     if n < BATCHES:
-        raise ValueError(f"horizon leaves {n} samples, need >= {BATCHES}")
+        raise InputError(f"horizon leaves {n} samples, need >= {BATCHES}")
     width = n // BATCHES
     trimmed = samples[: width * BATCHES].reshape(BATCHES, width)
     batch_means = trimmed.mean(axis=1)
@@ -206,7 +206,7 @@ def radial_uniformity_chi2(
     kept = positions[config.n_burn + 1 :: stride]
     r_sq = kept[:, 0] ** 2 + kept[:, 1] ** 2
     if r_sq.size < 5 * bins:
-        raise ValueError(f"{r_sq.size} subsamples is too few for {bins} bins")
+        raise InputError(f"{r_sq.size} subsamples is too few for {bins} bins")
     counts, _ = np.histogram(r_sq, bins=bins, range=(0.0, 1.0))
     expected = r_sq.size / bins
     stat = float(((counts - expected) ** 2 / expected).sum())

@@ -1,17 +1,16 @@
 """Star-shaped planar domains described by truncated Fourier radius functions.
 
-Conventions (d = 2 throughout the numerics; d is carried symbolically in
-formulas that have a clean dimensional form):
+Conventions (d = 2; no other dimension is computable):
 
     R(theta) = base_radius + sum_k (a_k cos k theta + b_k sin k theta)
     boundary point       x(theta) = R (cos theta, sin theta)
     outward unit normal  nu = (R rhat - R' thetahat) / sqrt(R^2 + R'^2)
-    surface Jacobian     J = R^{d-2} sqrt(R^2 + R'^2)
+    surface Jacobian     J = sqrt(R^2 + R'^2)
     signed curvature     (R^2 + 2 R'^2 - R R'') / (R^2 + R'^2)^{3/2}
 
 The transported normal field on the unit circle assigns to the angle theta
-the normal of the boundary point over that angle; in 2-D the two normal
-arrays of a frame therefore coincide pointwise.
+the normal of the boundary point over that angle; in 2-D it coincides
+pointwise with the frame's ``normals``.
 
 All circle quadratures are uniform periodic trapezoid sums (spectrally
 accurate for smooth periodic integrands) with Richardson-style doubling.
@@ -32,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     GridTooCoarse,
+    InputError,
     IoFailure,
     NoConvergence,
     NonPositiveRadius,
@@ -48,6 +48,8 @@ VALIDATION_CAP = 2 ** 20
 QUAD_TOL = 1e-12
 QUAD_START = 128
 QUAD_CAP = 2 ** 16
+SEGMENT_START = 64
+SEGMENT_CAP = 4096
 RECENTER_TOL = 1e-10
 
 
@@ -66,7 +68,6 @@ class StarDomain:
     base_radius: float
     cos_coeffs: tuple[float, ...] = ()
     sin_coeffs: tuple[float, ...] = ()
-    dimension: int = 2
     label: str = ""
 
     @cached_property
@@ -137,14 +138,9 @@ class BoundaryFrame:
     radius_prime: np.ndarray
     points: np.ndarray            # (M, 2)
     normals: np.ndarray           # (M, 2) unit outward
-    normals_transported: np.ndarray  # field on the unit circle, same values
-    jacobian: np.ndarray          # R^{d-2} sqrt(R^2 + R'^2)
+    jacobian: np.ndarray          # sqrt(R^2 + R'^2)
     curvature: np.ndarray         # signed curvature of the boundary curve
     dtheta: float
-
-    @property
-    def speed(self) -> np.ndarray:
-        return self.jacobian  # d = 2: J = sqrt(R^2 + R'^2)
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,9 @@ class GeometricFunctionals:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Parsed shape config; mirrors the config file keys one-to-one."""
+    """Parsed shape config; mirrors the config file keys one-to-one, except
+    ``dimension``, which is checked on parsing and must be 2."""
 
-    dimension: int = 2
     base_radius: float = 1.0
     fourier_cos: tuple[float, ...] = ()
     fourier_sin: tuple[float, ...] = ()
@@ -280,8 +276,6 @@ def segmented_circle_quadrature(
     integrand: Callable[[np.ndarray], np.ndarray],
     breaks,
     tol: float = QUAD_TOL,
-    nodes: int = 64,
-    max_nodes: int = 4096,
 ) -> tuple[np.ndarray, int]:
     """Composite Gauss-Legendre quadrature over [0, 2 pi) split at the given
     break angles, for integrands that are analytic between breaks but only
@@ -292,8 +286,8 @@ def segmented_circle_quadrature(
         return doubling_quadrature(integrand, tol=tol)
     edges = np.concatenate([breaks, [breaks[0] + TWO_PI]])
     prev = None
-    n = nodes
-    while n <= max_nodes:
+    n = SEGMENT_START
+    while n <= SEGMENT_CAP:
         x, w = np.polynomial.legendre.leggauss(n)
         total = None
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -309,7 +303,7 @@ def segmented_circle_quadrature(
         prev = total
         n *= 2
     raise NoConvergence(
-        f"segmented quadrature did not reach {tol:g} by {max_nodes} nodes per panel"
+        f"segmented quadrature did not reach {tol:g} by {SEGMENT_CAP} nodes per panel"
     )
 
 
@@ -356,21 +350,21 @@ def _radius_samples(domain: StarDomain, m: int) -> np.ndarray:
     return np.fft.ifft(spectrum, norm="forward").real
 
 
-def _validate(domain: StarDomain, grid: int = VALIDATION_GRID) -> None:
-    """Certify min R > 0, then check kappa on the ``grid``-point circle.
+def _validate(domain: StarDomain) -> None:
+    """Certify min R > 0, then check kappa on the VALIDATION_GRID circle.
 
     Every angle lies within pi/M of a node of the M-point grid and
     |R'| <= L = sum_k k (|a_k| + |b_k|), so
 
         min R >= min_j R(theta_j) - (pi/M) L - (FFT rounding allowance).
 
-    M doubles from ``grid`` while that bound is inconclusive, up to
+    M doubles from VALIDATION_GRID while that bound is inconclusive, up to
     VALIDATION_CAP; a non-positive sample rejects the domain at once.
     """
     a, b, k = domain._packed
     slope = float(k @ (np.abs(a) + np.abs(b)))
     amplitude = abs(domain.base_radius) + float(np.abs(a).sum() + np.abs(b).sum())
-    m = grid
+    m = VALIDATION_GRID
     while True:
         r = _radius_samples(domain, m)
         if not (np.all(np.isfinite(r)) and math.isfinite(slope)):
@@ -388,7 +382,7 @@ def _validate(domain: StarDomain, grid: int = VALIDATION_GRID) -> None:
                 f"on the {m}-point grid"
             )
         m *= 2
-    theta, _ = circle_grid(grid)
+    theta, _ = circle_grid(VALIDATION_GRID)
     r = domain.radius(theta)
     rp = domain.radius_prime(theta)
     kappa = (r / np.sqrt(r * r + rp * rp)).min()
@@ -402,8 +396,8 @@ def parse_shape_spec(data: Mapping) -> ShapeSpec:
     if unknown:
         raise IoFailure(f"unknown shape config keys: {sorted(unknown)}")
     try:
-        return ShapeSpec(
-            dimension=int(data.get("dimension", 2)),
+        dimension = int(data.get("dimension", 2))
+        spec = ShapeSpec(
             base_radius=float(data.get("base_radius", 1.0)),
             fourier_cos=tuple(float(v) for v in data.get("fourier_cos", ())),
             fourier_sin=tuple(float(v) for v in data.get("fourier_sin", ())),
@@ -413,6 +407,9 @@ def parse_shape_spec(data: Mapping) -> ShapeSpec:
         )
     except (TypeError, ValueError) as exc:
         raise IoFailure(f"malformed shape config value: {exc}") from exc
+    if dimension != 2:
+        raise IoFailure("only dimension = 2 is computable")
+    return spec
 
 
 def load_shape_spec(path) -> ShapeSpec:
@@ -427,7 +424,7 @@ def load_shape_spec(path) -> ShapeSpec:
     return parse_shape_spec(data)
 
 
-def build_domain(spec, check_grid: int = VALIDATION_GRID) -> StarDomain:
+def build_domain(spec) -> StarDomain:
     """Construct and validate a StarDomain from a spec, mapping, or path.
 
     Validation certifies R > 0 (see ``_validate``) and checks kappa on a
@@ -441,8 +438,6 @@ def build_domain(spec, check_grid: int = VALIDATION_GRID) -> StarDomain:
         spec = parse_shape_spec(spec)
     if not isinstance(spec, ShapeSpec):
         raise IoFailure(f"cannot build a domain from {type(spec).__name__}")
-    if spec.dimension != 2:
-        raise IoFailure("only dimension = 2 is computable")
     if not math.isfinite(spec.base_radius) or spec.base_radius <= 0:
         raise NonPositiveRadius(f"base_radius = {spec.base_radius!r}")
     domain = StarDomain(
@@ -451,7 +446,7 @@ def build_domain(spec, check_grid: int = VALIDATION_GRID) -> StarDomain:
         sin_coeffs=spec.fourier_sin,
         label=spec.label,
     )
-    _validate(domain, check_grid)
+    _validate(domain)
     if spec.recenter:
         domain = normalize(domain, "recenter")
     if spec.normalize_volume:
@@ -479,7 +474,6 @@ def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
     normals = np.stack(
         [(r * ct + rp * st) / speed, (r * st - rp * ct) / speed], axis=1
     )
-    jac = r ** (domain.dimension - 2) * speed
     curvature = (r * r + 2.0 * rp * rp - r * rpp) / speed ** 3
     return BoundaryFrame(
         theta=theta,
@@ -487,8 +481,7 @@ def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
         radius_prime=rp,
         points=points,
         normals=normals,
-        normals_transported=normals.copy(),
-        jacobian=jac,
+        jacobian=speed,
         curvature=curvature,
         dtheta=dtheta,
     )
@@ -517,7 +510,7 @@ def regularity_params(
     pairs at geodesic circle separations in [2 pi / M, pi].
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     if m < 64:
         raise GridTooCoarse(f"regularity grid must be >= 64, got {m}")
     theta, _ = circle_grid(m)
@@ -536,17 +529,12 @@ def regularity_params(
     )
 
 
-def geometric_functionals(
-    domain: StarDomain,
-    tol: float = QUAD_TOL,
-    start: int = QUAD_START,
-    cap: int = QUAD_CAP,
-) -> GeometricFunctionals:
+def geometric_functionals(domain: StarDomain) -> GeometricFunctionals:
     """Volume, perimeter, boundary momentum, and boundary barycenter.
 
     d = 2 formulas: |Omega| = int R^2/2, |dOmega| = int sqrt(R^2 + R'^2),
     momentum = int R^2 sqrt(R^2 + R'^2); quadrature doubles until all
-    components agree to ``tol``.
+    components agree to QUAD_TOL.
     """
 
     def integrand(theta: np.ndarray) -> np.ndarray:
@@ -564,7 +552,7 @@ def geometric_functionals(
             axis=1,
         )
 
-    vals, grid = doubling_quadrature(integrand, tol=tol, start=start, cap=cap)
+    vals, grid = doubling_quadrature(integrand)
     volume, perimeter, momentum, bx, by = (float(v) for v in vals)
     return GeometricFunctionals(
         volume=volume,
@@ -633,19 +621,19 @@ def _ray_radii(domain: StarDomain, center: np.ndarray, m: int) -> np.ndarray:
 def normalize(domain: StarDomain, mode: str) -> StarDomain:
     """Rescale to unit-ball volume or translate the boundary barycenter to 0.
 
-    volume:   R <- (|B_1|/|Omega|)^{1/d} R.
+    volume:   R <- (|B_1|/|Omega|)^{1/2} R.
     recenter: ray-shooting from the current boundary barycenter with a
     Fourier refit of order >= 2K to tolerance 1e-10, iterated until the
     barycenter magnitude drops below 1e-9; the result is re-validated.
     """
     if mode == "volume":
         fun = geometric_functionals(domain)
-        factor = (BALL_VOLUME / fun.volume) ** (1.0 / domain.dimension)
+        factor = (BALL_VOLUME / fun.volume) ** 0.5
         scaled = domain.scaled(factor)
         _validate(scaled)
         return scaled
     if mode != "recenter":
-        raise ValueError(f"unknown normalization mode {mode!r}")
+        raise InputError(f"unknown normalization mode {mode!r}")
 
     current = domain
     for _ in range(12):
@@ -663,7 +651,6 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
                 base_radius=base,
                 cos_coeffs=tuple(a),
                 sin_coeffs=tuple(b),
-                dimension=current.dimension,
                 label=current.label,
             )
             phi, _ = circle_grid(m_fit)
@@ -691,13 +678,13 @@ def holder_norm(points, values, alpha: float) -> float:
     holds h at those points.
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     vals = np.asarray(values, dtype=float)
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
-        raise ValueError("need >= 2 located samples")
+        raise InputError("need >= 2 located samples")
     semi = _kernels.pair_seminorm(
         np.ascontiguousarray(pts), np.ascontiguousarray(vals), float(alpha)
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import IdentityViolated, IllConditioned, NotCentered
+from .errors import IdentityViolated, IllConditioned, InputError, NotCentered
 from .shapes import (
     StarDomain,
     boundary_frame,
@@ -52,7 +52,7 @@ class DeficitReport:
     d2: float
     osc_l1: float
     osc_l2: float
-    identity_residual: float   # |d2 - (perimeter - 2 d volume + momentum)|
+    identity_residual: float   # |d2 - (perimeter - 4 volume + momentum)|
     grid: int
 
 
@@ -87,8 +87,7 @@ def boundary_deficits(domain: StarDomain, tol: float = 1e-10) -> DeficitReport:
     )
     osc1 = float(osc1_val)
     fun = geometric_functionals(domain)
-    d = domain.dimension
-    algebraic = fun.perimeter - 2.0 * d * fun.volume + fun.momentum
+    algebraic = fun.perimeter - 4.0 * fun.volume + fun.momentum
     return DeficitReport(
         d1=d1,
         d2=d2,
@@ -271,7 +270,7 @@ def stein_discrepancy(
     """Stored discrepancy of the constructed kernel (an upper bound of the
     infimum over all kernels); optionally re-integrated on a doubled grid."""
     if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+        raise InputError(f"order must be 1 or 2, got {order}")
     if not requadrature:
         return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
     nt, nr = result.bulk_shape

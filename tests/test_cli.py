@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from steinshapes.cli import build_parser, main
@@ -22,6 +23,11 @@ def configs(tmp_path):
         "spiky": {"base_radius": 1.0, "fourier_cos": [0.0] * 9 + [0.3]},
         "negative": {"base_radius": -1.0},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
+        "scalar_amplitudes": {"amplitudes": 0.04},
+        "word_mode": {"k": "two", "amplitudes": [0.04, 0.08]},
+        "json_string": "eps",
+        "json_number": 3,
+        "json_path": str(tmp_path / "ball.json"),
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -178,3 +184,38 @@ class TestArgparseContract:
         args = parser.parse_args(["sweep", "--k", "3"])
         assert args.verb == "sweep"
         assert args.k == "3"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--eps", "0.1,abc"],
+            ["sweep", "--k", "x"],
+            ["sweep", "--quantities", "bogus"],
+            ["mc", "{bump}", "--dt", "0.01"],
+            ["mc", "{bump}", "--h", "bogus"],
+            ["mc", "{bump}", "--T", "1.001", "--dt", "0.001"],
+            ["expansion", "--eps", "0.2,0.3"],
+            ["expansion", "--k", "0"],
+            ["analyze", "{bump}", "--alpha", "2"],
+            ["verify", "{scalar_amplitudes}", "--theorem", "thm-main"],
+            ["verify", "{word_mode}", "--theorem", "thm-main"],
+            ["verify", "{json_string}", "--theorem", "thm-main"],
+            ["verify", "{json_number}", "--theorem", "thm-main"],
+            ["mc", "{json_path}"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_exits_three(self, argv, configs, capsys):
+        assert main([tok.format(**configs) for tok in argv]) == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_numerical_library_failure_propagates(self, configs, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["analyze", configs["ball"]])
+        assert "input error" not in capsys.readouterr().err

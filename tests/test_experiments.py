@@ -266,8 +266,6 @@ class TestExpansionValidator:
         assert ratio == pytest.approx(-2.0 * math.pi, abs=5e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            ex.expansion_validator(2, (0.02,), dimension=3)
         with pytest.raises(ValueError, match="mode k"):
             ex.expansion_validator(0, (0.02,))
         with pytest.raises(ValueError, match="amplitudes"):

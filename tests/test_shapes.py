@@ -9,6 +9,7 @@ from steinshapes import (
     IoFailure,
     NoConvergence,
     NonPositiveRadius,
+    NotStarShaped,
     StarDomain,
     build_domain,
     geometric_functionals,
@@ -90,6 +91,13 @@ def test_validation_rejects_a_radius_too_thin_to_certify():
         _validate(StarDomain(1.0, (-(1.0 - 1e-9),)))
 
 
+def test_validation_rejects_an_overflowing_slope():
+    # R^2 + R'^2 overflows, so kappa = R / inf = 0 on the check grid
+    with np.errstate(over="ignore"):
+        with pytest.raises(NotStarShaped):
+            _validate(StarDomain(1e160, (1e159,)))
+
+
 def test_radius_samples_fold_high_frequencies():
     dom = StarDomain(0.5, (0.0,) * 40 + (0.2,), (0.0,) * 50 + (0.1,))
     theta = np.arange(64) * (2.0 * np.pi / 64)
@@ -99,6 +107,12 @@ def test_radius_samples_fold_high_frequencies():
 def test_parse_shape_spec_rejects_unknown_keys():
     with pytest.raises(IoFailure):
         parse_shape_spec({"base_radius": 1.0, "bogus": 2})
+
+
+def test_parse_shape_spec_accepts_only_dimension_two():
+    assert parse_shape_spec({"dimension": 2}) == parse_shape_spec({})
+    with pytest.raises(IoFailure, match="dimension"):
+        parse_shape_spec({"dimension": 3})
 
 
 def test_load_shape_spec_round_trip(tmp_path):
