@@ -146,6 +146,9 @@ def circle_lag_seminorm(vals, alpha):
 def reflect_path(x0, y0, dx, dy, base, cosc, sinc):
     # Pull-back reflection: on exit from the unit ball, march back along the
     # transported normal of the star-shaped domain until |X| = 1 again.
+    # R, R' and the normal are evaluated here in scalar form rather than by
+    # shapes.frame_at: they are needed at one angle per reflection inside
+    # this sequential loop, and the frozen trajectory hash pins their bits.
     n = dx.shape[0]
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)

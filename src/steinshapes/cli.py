@@ -115,6 +115,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_expansion(args) -> int:
     eps = _parse_eps(args.eps)
+    if len(eps) < 2:
+        # a single amplitude has no residual slope to judge
+        raise InputError("slope fits need >= 2 amplitudes")
     reports = experiments.expansion_validator(args.k, eps)
     status = 0
     for rep in reports:
@@ -138,19 +141,20 @@ def _cmd_mc(args) -> int:
         dt=args.dt, horizon=args.T, burn_in=args.burn_in, seed=args.seed
     )
     h = oblique.parse_rhs(args.h)
-    stats = rbm.simulate(domain, config)
-    estimate = rbm.stationary_mean(domain, h, config)
+    if args.fk:
+        fk = rbm.feynman_kac_check(domain, h, oblique.solve_oblique(domain, h), config)
+        estimate = fk.estimate
+    else:
+        estimate = rbm.stationary_mean(domain, h, config)
     print(
-        f"steps={stats.steps} reflections={stats.reflections} "
-        f"fraction={stats.reflected_fraction:.4f}"
+        f"steps={config.n_steps} reflections={estimate.reflections} "
+        f"fraction={estimate.reflected_fraction:.4f}"
     )
     print(
         f"occupation mean of {args.h}: {estimate.mean:.8f} "
         f"+- {estimate.standard_error:.2e} ({estimate.batches} batches)"
     )
     if args.fk:
-        solution = oblique.solve_oblique(domain, h)
-        fk = rbm.feynman_kac_check(domain, h, solution, config)
         print(
             f"c_star={fk.c_star:.8f} gap={fk.gap:+.3e} "
             f"({fk.gap_sigma:.2f} standard errors)"

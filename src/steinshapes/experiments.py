@@ -548,51 +548,25 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # JSON has no literal for these; a tagged string keeps the file valid
+        return format_float(obj)
     return obj
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            # JSON has no literal for these; a tagged string keeps the file valid
-            return json.dumps("inf" if obj > 0 else ("-inf" if obj < 0 else "nan"))
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
 
 
 def emit_report(results, format: str = "json", path=None) -> str:
     """Serialize results deterministically; writes to ``path`` if given.
 
-    json: any report object (dataclasses serialize in field order,
-    floats with 17 significant digits).  csv: a SweepResult, one row per
-    (amplitude, quantity).
+    json: any report object, two-space indented (dataclasses serialize in
+    field order, floats as their shortest round-trip repr, non-finite
+    floats as the strings "inf", "-inf" and "nan").  csv: a SweepResult,
+    one row per (amplitude, quantity), floats with 17 significant digits.
     """
     if results is None or (isinstance(results, (list, tuple, dict)) and not results):
         raise IoFailure("refusing to emit an empty report")
     if format == "json":
-        text = _json_text(_jsonable(results)) + "\n"
+        text = json.dumps(_jsonable(results), indent=2, allow_nan=False) + "\n"
     elif format == "csv":
         if not isinstance(results, SweepResult):
             raise IoFailure("csv emission needs a SweepResult")

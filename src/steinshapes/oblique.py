@@ -44,6 +44,7 @@ from .shapes import (
     circle_grid,
     disk_grid,
     doubling_quadrature,
+    frame_at,
     geometric_functionals,
     holder_norm,
     matrix_holder_seminorm,
@@ -231,14 +232,6 @@ class ObliqueSolution:
     grid_interior: int
 
 
-def _transported_normal_components(domain: StarDomain, theta: np.ndarray):
-    """(nu_r, nu_theta) of the transported normal field at given angles."""
-    r = domain.radius(theta)
-    rp = domain.radius_prime(theta)
-    speed = np.sqrt(r * r + rp * rp)
-    return r / speed, -rp / speed
-
-
 def _scaled_lstsq(matrix: np.ndarray, rhs: np.ndarray):
     """Column-equilibrated least squares; returns solution and condition."""
     norms = np.linalg.norm(matrix, axis=0)
@@ -313,7 +306,10 @@ def solve_oblique(
     if m < 2 * kf + 1:
         raise GridTooCoarse(f"need m >= 2*kf + 1 = {2 * kf + 1}, got {m}")
     theta, _ = circle_grid(m)
-    nu_r, nu_t = _transported_normal_components(domain, theta)
+    # (nu_r, nu_theta): the transported normal in the polar frame
+    frame = frame_at(domain, theta)
+    nu_r = frame.radius / frame.jacobian
+    nu_t = -frame.radius_prime / frame.jacobian
     if nu_r.min() <= 0.0:
         raise NotOblique("transported normal has a non-positive radial part")
 
@@ -349,8 +345,10 @@ def solve_oblique(
         ).max()
     )
     theta_f, _ = circle_grid(4 * m)
+    frame_f = frame_at(domain, theta_f)
     ones_f = np.ones(theta_f.size)
-    nu_rf, nu_tf = _transported_normal_components(domain, theta_f)
+    nu_rf = frame_f.radius / frame_f.jacobian
+    nu_tf = -frame_f.radius_prime / frame_f.jacobian
     bres = float(
         np.abs(
             field.radial_derivative(ones_f, theta_f) * nu_rf
@@ -386,9 +384,7 @@ def ellipticity_margin(domain: StarDomain, m: int = 2048) -> float:
     min over angles of R - |R'|/2; this is the operational reading of the
     smallness condition on the boundary perturbation.
     """
-    theta, _ = circle_grid(m)
-    r = domain.radius(theta)
-    rp = domain.radius_prime(theta)
+    r, rp = domain.radius_derivatives(circle_grid(m)[0])
     return float((r - 0.5 * np.abs(rp)).min())
 
 
@@ -431,8 +427,7 @@ def solve_oblique_kernel_variant(
             f"{r_int.size + m} collocation rows for {basis.n + 1} unknowns; "
             "raise m_int"
         )
-    r_ang = domain.radius(th_int)
-    rp_ang = domain.radius_prime(th_int)
+    r_ang, rp_ang = domain.radius_derivatives(th_int)
     lap = basis.laplacians(r_int, th_int)
     hrt = basis.hessian_rtheta(r_int, th_int)
     sq_int = np.sqrt(w_int)
@@ -466,9 +461,10 @@ def solve_oblique_kernel_variant(
     r_f, th_f = _polar.to_polar(pts_f)
     lap_f = field.laplacian_polar(r_f, th_f)
     hrt_f = np.einsum("nj,j->n", field.basis.hessian_rtheta(r_f, th_f), field.coeffs)
+    r_ang_f, rp_ang_f = domain.radius_derivatives(th_f)
     resid_f = (
-        domain.radius(th_f) * lap_f
-        - domain.radius_prime(th_f) * hrt_f
+        r_ang_f * lap_f
+        - rp_ang_f * hrt_f
         - (h.evaluate_polar(r_f, th_f) - c_star)
     )
     interior = float(math.sqrt((w_f @ resid_f**2) / w_f.sum()))

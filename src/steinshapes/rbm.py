@@ -70,6 +70,7 @@ class PathStats:
 class OccupationEstimate:
     mean: float
     standard_error: float   # batch means; exactly 0 for constant forcing
+    reflections: int
     reflected_fraction: float
     batches: int
     samples: int
@@ -152,6 +153,7 @@ def stationary_mean(
     return OccupationEstimate(
         mean=float(batch_means.mean()),
         standard_error=se,
+        reflections=n_reflect,
         reflected_fraction=n_reflect / config.n_steps,
         batches=BATCHES,
         samples=n,

@@ -7,10 +7,19 @@ Conventions (d = 2; no other dimension is computable):
     outward unit normal  nu = (R rhat - R' thetahat) / sqrt(R^2 + R'^2)
     surface Jacobian     J = sqrt(R^2 + R'^2)
     signed curvature     (R^2 + 2 R'^2 - R R'') / (R^2 + R'^2)^{3/2}
+    star-shape parameter kappa = min R / J
+
+This module is the one place these formulas live.
+``StarDomain.radius_derivatives`` evaluates R, R' and R'' from one cos/sin
+table per angle set, and ``frame_at`` turns them into a ``BoundaryFrame``
+at any angles (``boundary_frame`` on a uniform grid).  Other modules read
+the geometry from a frame and do not re-derive it; only the scalar
+reflection stepper in ``_kernels`` keeps its own copy.
 
 The transported normal field on the unit circle assigns to the angle theta
 the normal of the boundary point over that angle; in 2-D it coincides
-pointwise with the frame's ``normals``.
+pointwise with the frame's ``normals``, and its polar components are
+(R / J, -R' / J).
 
 All circle quadratures are uniform periodic trapezoid sums (spectrally
 accurate for smooth periodic integrands) with Richardson-style doubling.
@@ -83,31 +92,33 @@ class StarDomain:
     def order(self) -> int:
         return self._packed[0].size
 
-    def _eval(self, theta, deriv: int):
+    def radius_derivatives(self, theta, order: int = 1) -> tuple[np.ndarray, ...]:
+        """R, R', R'' at ``theta`` up to ``order`` (at most 2), all from one
+        cos/sin table."""
         a, b, k = self._packed
         th = np.asarray(theta, dtype=float)
         if k.size == 0:
-            base = self.base_radius if deriv == 0 else 0.0
-            return np.full_like(th, base)
+            return (np.full_like(th, self.base_radius),) + tuple(
+                np.zeros_like(th) for _ in range(order)
+            )
         ang = np.multiply.outer(th, k)
         c = np.cos(ang)
         s = np.sin(ang)
-        if deriv == 0:
-            return self.base_radius + c @ a + s @ b
-        if deriv == 1:
-            return c @ (k * b) - s @ (k * a)
-        if deriv == 2:
-            return -(c @ (k * k * a)) - s @ (k * k * b)
-        raise ValueError(f"unsupported derivative order {deriv}")
+        derivatives = [self.base_radius + c @ a + s @ b]
+        if order >= 1:
+            derivatives.append(c @ (k * b) - s @ (k * a))
+        if order >= 2:
+            derivatives.append(-(c @ (k * k * a)) - s @ (k * k * b))
+        return tuple(derivatives)
 
     def radius(self, theta):
-        return self._eval(theta, 0)
+        return self.radius_derivatives(theta, 0)[0]
 
     def radius_prime(self, theta):
-        return self._eval(theta, 1)
+        return self.radius_derivatives(theta, 1)[1]
 
     def radius_second(self, theta):
-        return self._eval(theta, 2)
+        return self.radius_derivatives(theta, 2)[2]
 
     def scaled(self, factor: float) -> "StarDomain":
         return replace(
@@ -131,16 +142,50 @@ class StarDomain:
 
 @dataclass(frozen=True)
 class BoundaryFrame:
-    """Per-grid-point boundary geometry on M uniform angles."""
+    """Boundary geometry at a set of angles, built by ``frame_at``.
+
+    ``points``, ``normals`` and ``curvature`` are computed on first use, so
+    a caller that reads only R, R' and the Jacobian pays for nothing more,
+    and kappa never evaluates a curvature that R^2 + R'^2 may overflow.
+    """
 
     theta: np.ndarray
     radius: np.ndarray
     radius_prime: np.ndarray
-    points: np.ndarray            # (M, 2)
-    normals: np.ndarray           # (M, 2) unit outward
+    radius_second: np.ndarray
     jacobian: np.ndarray          # sqrt(R^2 + R'^2)
-    curvature: np.ndarray         # signed curvature of the boundary curve
-    dtheta: float
+    dtheta: float                 # trapezoid weight; nan off a uniform grid
+
+    @cached_property
+    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cos(self.theta), np.sin(self.theta)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(M, 2) boundary points R (cos theta, sin theta)."""
+        ct, st = self._directions
+        return np.stack([self.radius * ct, self.radius * st], axis=1)
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """(M, 2) unit outward normals."""
+        ct, st = self._directions
+        r, rp, speed = self.radius, self.radius_prime, self.jacobian
+        # nu = (R rhat - R' thetahat)/speed with rhat=(ct,st), thetahat=(-st,ct)
+        return np.stack(
+            [(r * ct + rp * st) / speed, (r * st - rp * ct) / speed], axis=1
+        )
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Signed curvature of the boundary curve."""
+        r, rp = self.radius, self.radius_prime
+        return (r * r + 2.0 * rp * rp - r * self.radius_second) / self.jacobian ** 3
+
+    @property
+    def kappa(self) -> float:
+        """min R / sqrt(R^2 + R'^2): the uniform star-shape parameter."""
+        return float((self.radius / self.jacobian).min())
 
 
 @dataclass(frozen=True)
@@ -236,13 +281,15 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     circle, refined by Newton.  An identically-constant input returns an
     empty array (no isolated zeros).
     """
-    a = np.asarray(cos_coeffs, dtype=float)
-    b = np.asarray(sin_coeffs, dtype=float)
-    order = max(a.size, b.size)
-    if order == 0 or max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) == 0.0:
+    series = StarDomain(base, tuple(cos_coeffs), tuple(sin_coeffs))
+    a, b, _ = series._packed
+    scale = abs(base) + np.abs(a).sum() + np.abs(b).sum()
+    # a top coefficient below the rounding of the others sends np.roots off
+    # the unit circle, so the seeds drop those terms; Newton keeps them all
+    live = np.flatnonzero(np.abs(a) + np.abs(b) > np.finfo(float).eps * scale)
+    if live.size == 0:
         return np.empty(0)
-    a = np.pad(a, (0, order - a.size))
-    b = np.pad(b, (0, order - b.size))
+    order = int(live[-1]) + 1
     gamma = np.zeros(2 * order + 1, dtype=complex)
     gamma[order] = base
     for j in range(1, order + 1):
@@ -252,19 +299,14 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     angles = np.sort(np.mod(np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6]), TWO_PI))
     if angles.size == 0:
         return angles
-    k = np.arange(1, order + 1, dtype=float)
-    scale = abs(base) + np.abs(a).sum() + np.abs(b).sum()
     for _ in range(40):
-        ang = np.multiply.outer(angles, k)
-        f = base + np.cos(ang) @ a + np.sin(ang) @ b
-        fp = np.cos(ang) @ (k * b) - np.sin(ang) @ (k * a)
+        f, fp = series.radius_derivatives(angles)
         step = np.where(np.abs(fp) > 1e-30, f / np.where(fp == 0.0, 1.0, fp), 0.0)
         step = np.clip(step, -1e-2, 1e-2)
         angles = angles - step
         if np.abs(step).max() < 1e-15:
             break
-    ang = np.multiply.outer(angles, k)
-    f = base + np.cos(ang) @ a + np.sin(ang) @ b
+    f = series.radius(angles)
     angles = np.sort(np.mod(angles[np.abs(f) <= 1e-9 * max(scale, 1.0)], TWO_PI))
     if angles.size > 1:
         keep = np.concatenate([[True], np.diff(angles) > 1e-10])
@@ -382,10 +424,7 @@ def _validate(domain: StarDomain) -> None:
                 f"on the {m}-point grid"
             )
         m *= 2
-    theta, _ = circle_grid(VALIDATION_GRID)
-    r = domain.radius(theta)
-    rp = domain.radius_prime(theta)
-    kappa = (r / np.sqrt(r * r + rp * rp)).min()
+    kappa = frame_at(domain, *circle_grid(VALIDATION_GRID)).kappa
     if kappa <= 0.0:
         raise NotStarShaped(f"kappa = {kappa:.6g} <= 0 on the check grid")
 
@@ -458,33 +497,24 @@ def build_domain(spec) -> StarDomain:
 # boundary geometry
 
 
-def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
-    """Boundary geometry on M uniform angles; derivatives are analytic."""
-    if m < 8 or m % 2:
-        raise GridTooCoarse(f"boundary grid must be even and >= 8, got {m}")
-    theta, dtheta = circle_grid(m)
-    r = domain.radius(theta)
-    rp = domain.radius_prime(theta)
-    rpp = domain.radius_second(theta)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    points = np.stack([r * ct, r * st], axis=1)
-    speed = np.sqrt(r * r + rp * rp)
-    # nu = (R rhat - R' thetahat)/speed with rhat=(ct,st), thetahat=(-st,ct)
-    normals = np.stack(
-        [(r * ct + rp * st) / speed, (r * st - rp * ct) / speed], axis=1
-    )
-    curvature = (r * r + 2.0 * rp * rp - r * rpp) / speed ** 3
+def frame_at(domain: StarDomain, theta, dtheta: float = math.nan) -> BoundaryFrame:
+    """Boundary geometry at any angles; derivatives are analytic."""
+    r, rp, rpp = domain.radius_derivatives(theta, 2)
     return BoundaryFrame(
         theta=theta,
         radius=r,
         radius_prime=rp,
-        points=points,
-        normals=normals,
-        jacobian=speed,
-        curvature=curvature,
+        radius_second=rpp,
+        jacobian=np.sqrt(r * r + rp * rp),
         dtheta=dtheta,
     )
+
+
+def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
+    """Boundary geometry on M uniform angles."""
+    if m < 8 or m % 2:
+        raise GridTooCoarse(f"boundary grid must be even and >= 8, got {m}")
+    return frame_at(domain, *circle_grid(m))
 
 
 def bulk_map(domain: StarDomain, points) -> np.ndarray:
@@ -513,19 +543,15 @@ def regularity_params(
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     if m < 64:
         raise GridTooCoarse(f"regularity grid must be >= 64, got {m}")
-    theta, _ = circle_grid(m)
-    r = domain.radius(theta)
-    rp = domain.radius_prime(theta)
-    rpp = domain.radius_second(theta)
-    kappa = float((r / np.sqrt(r * r + rp * rp)).min())
+    frame = frame_at(domain, *circle_grid(m))
+    r, rp = frame.radius, frame.radius_prime
     seminorm = float(_kernels.circle_lag_seminorm(np.ascontiguousarray(rp), alpha))
     lam = float(np.abs(r - 1.0).max() + np.abs(rp).max() + seminorm)
-    curvature = (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
     return RegularityParams(
-        kappa=kappa,
+        kappa=frame.kappa,
         alpha=alpha,
         lambda_est=lam,
-        convex=bool(curvature.min() >= -1e-10),
+        convex=bool(frame.curvature.min() >= -1e-10),
     )
 
 
@@ -538,17 +564,10 @@ def geometric_functionals(domain: StarDomain) -> GeometricFunctionals:
     """
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        r = domain.radius(theta)
-        rp = domain.radius_prime(theta)
-        speed = np.sqrt(r * r + rp * rp)
+        frame = frame_at(domain, theta)
+        r, speed, x = frame.radius, frame.jacobian, frame.points
         return np.stack(
-            [
-                0.5 * r * r,
-                speed,
-                r * r * speed,
-                r * np.cos(theta) * speed,
-                r * np.sin(theta) * speed,
-            ],
+            [0.5 * r * r, speed, r * r * speed, x[:, 0] * speed, x[:, 1] * speed],
             axis=1,
         )
 

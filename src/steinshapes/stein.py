@@ -26,6 +26,7 @@ from .shapes import (
     boundary_frame,
     bulk_grid,
     doubling_quadrature,
+    frame_at,
     geometric_functionals,
     segmented_circle_quadrature,
     trig_zeros,
@@ -58,22 +59,18 @@ class DeficitReport:
 
 def boundary_deficits(domain: StarDomain, tol: float = 1e-10) -> DeficitReport:
     def smooth_parts(theta: np.ndarray) -> np.ndarray:
-        r = domain.radius(theta)
-        rp = domain.radius_prime(theta)
-        speed = np.sqrt(r * r + rp * rp)
+        frame = frame_at(domain, theta)
+        r, jac = frame.radius, frame.jacobian
+        nx, ny = frame.normals[:, 0], frame.normals[:, 1]
         ct = np.cos(theta)
         st = np.sin(theta)
-        nx = (r * ct + rp * st) / speed
-        ny = (r * st - rp * ct) / speed
         gap2 = (ct - r * nx) ** 2 + (st - r * ny) ** 2
         osc2 = (ct - nx) ** 2 + (st - ny) ** 2
-        jac = speed  # d = 2
         return np.stack([np.sqrt(gap2) * jac, gap2 * jac, osc2 * jac], axis=1)
 
     def osc_part(theta: np.ndarray) -> np.ndarray:
-        r = domain.radius(theta)
-        rp = domain.radius_prime(theta)
-        speed = np.sqrt(r * r + rp * rp)
+        frame = frame_at(domain, theta)
+        r, speed = frame.radius, frame.jacobian
         # |theta_hat - nu|^2 = 2 (speed - R)/speed, vanishing like R'^2
         return np.sqrt(2.0 * np.maximum(speed - r, 0.0) * speed)
 
@@ -231,12 +228,10 @@ def stein_kernel_solve(
         )
 
         def boundary_integrand(theta: np.ndarray, u1=u1, u2=u2) -> np.ndarray:
-            r = domain.radius(theta)
-            rp = domain.radius_prime(theta)
-            jac = np.sqrt(r * r + rp * rp)
-            x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+            frame = frame_at(domain, theta)
+            x = frame.points
             dot = x[:, 0] * u1.value(x) + x[:, 1] * u2.value(x)
-            return dot * jac
+            return dot * frame.jacobian
 
         rhs_val, _ = doubling_quadrature(boundary_integrand, tol=1e-12)
         panel.append((label, lhs, float(rhs_val)))

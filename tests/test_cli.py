@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from steinshapes import rbm
 from steinshapes.cli import build_parser, main
 
 C_EMP_MAIN = 0.12748320740752622
@@ -145,6 +146,20 @@ class TestMc:
         assert "c_star=0.50000000" in out
         assert "standard errors" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--fk"]], ids=["plain", "fk"])
+    def test_path_is_simulated_once(self, configs, capsys, monkeypatch, extra):
+        calls = []
+        original = rbm.path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rbm, "path", counted)
+        assert main(["mc", configs["ball"], "--T", "2.0", "--seed", "7", *extra]) == 0
+        assert len(calls) == 1
+        assert "reflections=" in capsys.readouterr().out
+
     def test_reflection_failure_is_a_solver_gate(self, configs, capsys):
         code = main(
             ["mc", configs["spiky"], "--T", "2.0", "--dt", "0.001",
@@ -197,6 +212,7 @@ class TestExitCodes:
             ["mc", "{bump}", "--h", "bogus"],
             ["mc", "{bump}", "--T", "1.001", "--dt", "0.001"],
             ["expansion", "--eps", "0.2,0.3"],
+            ["expansion", "--eps", "0.05"],
             ["expansion", "--k", "0"],
             ["analyze", "{bump}", "--alpha", "2"],
             ["verify", "{scalar_amplitudes}", "--theorem", "thm-main"],

@@ -98,6 +98,14 @@ class TestPath:
         assert stats.reflected_fraction == stats.reflections / stats.steps
         assert math.hypot(*stats.endpoint) <= 1.0
 
+    def test_occupation_estimate_counts_the_same_reflections(self):
+        cfg = rbm.PathConfig(seed=5, horizon=5.0)
+        domain = StarDomain(1.0, (0.0, 0.15))
+        estimate = rbm.stationary_mean(domain, parse_rhs("r2"), cfg)
+        stats = rbm.simulate(domain, cfg)
+        assert estimate.reflections == stats.reflections
+        assert estimate.reflected_fraction == stats.reflected_fraction
+
 
 class TestStationaryMean:
     def test_ball_mean_of_r2(self):

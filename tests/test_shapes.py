@@ -98,6 +98,13 @@ def test_validation_rejects_an_overflowing_slope():
             _validate(StarDomain(1e160, (1e159,)))
 
 
+def test_trig_zeros_survive_a_negligible_top_coefficient():
+    # R' of 1 + 0.03125 sin theta + 1e-233 sin 2 theta; np.roots on the
+    # unpruned z-polynomial finds no unit-circle roots at all
+    zeros = trig_zeros(0.0, (0.03125, 2e-233), ())
+    np.testing.assert_allclose(zeros, [0.5 * np.pi, 1.5 * np.pi], atol=1e-14)
+
+
 def test_radius_samples_fold_high_frequencies():
     dom = StarDomain(0.5, (0.0,) * 40 + (0.2,), (0.0,) * 50 + (0.1,))
     theta = np.arange(64) * (2.0 * np.pi / 64)
