@@ -269,19 +269,19 @@ def LogPolarBasis(powers, freqs, kinds) -> PolarBasis:
 CompositeBasis = concat
 
 
-def cascade_basis(order: int, mixed: bool = True) -> PolarBasis:
+def cascade_basis(order: int) -> PolarBasis:
     """Polynomial family closed under angle-coupled corrections.
 
     An interior operator whose coefficients depend on the polar angle
     couples a polynomial datum to frequencies outside the polynomial
     parity class and resonates on the pairs m = k, whose Poisson
     preimages carry a log weight.  Per frequency k this basis therefore
-    extends ``full_basis(order)`` with the power m = k - 2 and the
-    log-weighted powers m in {k - 2, k, k + 2}; with ``mixed`` it also
-    admits the parity-breaking shells m in {k - 7, k - 5, k - 1, k + 1}
-    and m = k - 4 that boundaries with odd harmonics excite.  Powers
-    inside each family stay two apart, which keeps the collocation Gram
-    matrices away from the ill conditioning of consecutive-power sets.
+    extends ``full_basis(order)`` with the powers m = k - 2 and m = k - 4,
+    the parity-breaking shells m in {k - 7, k - 5, k - 1, k + 1} that
+    boundaries with odd harmonics excite, and the log-weighted powers
+    m in {k - 2, k, k + 2}.  Powers inside each family stay two apart,
+    which keeps the collocation Gram matrices away from the ill
+    conditioning of consecutive-power sets.
     """
     if order < 2:
         raise ValueError(f"cascade basis needs order >= 2, got {order}")
@@ -300,10 +300,9 @@ def cascade_basis(order: int, mixed: bool = True) -> PolarBasis:
         add(loose, k - 2, k)
         for shift in (-2, 0, 2):
             add(logged, k + shift, k)
-        if mixed:
-            add(loose, k - 4, k)
-            for offset in (-7, -5, -1, 1):
-                add(loose, k + offset, k)
+        add(loose, k - 4, k)
+        for offset in (-7, -5, -1, 1):
+            add(loose, k + offset, k)
     return CompositeBasis(
         full_basis(order),
         LoosePolarBasis(*loose),

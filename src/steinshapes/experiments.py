@@ -23,6 +23,7 @@ from . import metrics, stein, steklov
 from .errors import InputError, IoFailure, NormalizationMissing, NotApplicable
 from .shapes import (
     BALL_VOLUME,
+    QUAD_TOL,
     StarDomain,
     build_domain,
     geometric_functionals,
@@ -45,6 +46,7 @@ SWEEP_QUANTITIES = (
 )
 
 _TINY = 1e-14
+IDENTITY_TOL = 1e-9       # |P - 4V + M - d2| gate of prop-combined
 
 
 @dataclass(frozen=True)
@@ -322,7 +324,7 @@ def verify_inequality(
             core.append(z * z)
             residual = abs(delta + delta_w - deficits.d2)
             extras.setdefault("identity_residual", []).append(residual)
-            if residual > 1e-9:
+            if residual > IDENTITY_TOL:
                 ok = False
                 notes.append(f"{dom.label}: combined identity off by {residual:.3g}")
             if lhs[-1] < -1e-12:
@@ -358,16 +360,21 @@ def verify_inequality(
 # sweeps
 
 
-def _quantity_value(name: str, dom: StarDomain, alpha: float) -> float:
+def _quantity_value(name: str, dom: StarDomain, alpha: float, solved: dict) -> float:
+    def once(solver):
+        # one run per (solver, member), shared by every quantity it yields
+        if (solver, dom) not in solved:
+            solved[solver, dom] = solver(dom)
+        return solved[solver, dom]
+
     if name == "one_minus_sigma1":
         return 1.0 - steklov.steklov_spectrum(dom, k=_steklov_order(dom)).sigma1
     if name in ("d1", "d2", "osc_l1"):
-        rep = stein.boundary_deficits(dom)
-        return getattr(rep, name)
+        return getattr(once(stein.boundary_deficits), name)
     if name == "z_lower":
         return metrics.zolotarev_lower(dom, alpha).lower_bound
     if name in ("discrepancy_l1", "discrepancy_l2"):
-        return getattr(stein.stein_kernel_solve(dom), name)
+        return getattr(once(stein.stein_kernel_solve), name)
     if name in ("deficit_perimeter", "deficit_momentum"):
         return getattr(geometric_functionals(dom), name)
     if name == "fraenkel":
@@ -384,11 +391,12 @@ def family_sweep(family: PerturbationFamily, quantities=("one_minus_sigma1", "d2
         if name not in SWEEP_QUANTITIES:
             raise InputError(f"unknown sweep quantity {name!r}")
     members = family.members()
+    solved: dict = {}
     table = []
     slopes = []
     residuals = []
     for name in quantities:
-        row = tuple(_quantity_value(name, dom, family.alpha) for dom in members)
+        row = tuple(_quantity_value(name, dom, family.alpha, solved) for dom in members)
         slope, rms = fit_loglog(family.amplitudes, row)
         table.append(row)
         slopes.append(slope)
@@ -530,9 +538,10 @@ def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = 16) -> dict:
         "inequality_reports": [],
         "seeds": {},
         "tolerances": {
-            "quadrature": 1e-12,
-            "identity": 1e-9,
-            "steklov_convergence": 1e-8,
+            "quadrature": QUAD_TOL,
+            "deficit_quadrature": stein.DEFICIT_TOL,
+            "identity": IDENTITY_TOL,
+            "steklov_convergence": steklov.CONVERGENCE_TOL,
         },
         "timings": timings,
     }

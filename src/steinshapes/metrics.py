@@ -39,6 +39,7 @@ from .shapes import (
 )
 
 LP_NODE_CAP = 400
+DICTIONARY_SIZE = 8       # harmonic moments, affine directions and bumps
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def fraenkel_asymmetry(
     return FraenkelResult(value=value, center=center, radius=r, grid=n)
 
 
-def fraenkel_polar_oracle(domain: StarDomain, tol: float = 1e-12) -> float:
+def fraenkel_polar_oracle(domain: StarDomain) -> float:
     """Exact polar form (1/2) int |R^2 - r^2| dtheta / (pi r^2), valid for
     the centered radius-matched ball.  The integrand kinks where R
     crosses r, so it is integrated piecewise-analytically between the
@@ -153,7 +154,7 @@ def fraenkel_polar_oracle(domain: StarDomain, tol: float = 1e-12) -> float:
     theta, _ = circle_grid(m)
     base, a, b = _fourier_fit(domain.radius(theta) ** 2, order)
     breaks = trig_zeros(base - r_sq, a, b)
-    val, _ = segmented_circle_quadrature(integrand, breaks, tol=tol)
+    val, _ = segmented_circle_quadrature(integrand, breaks)
     return float(val) / fun.volume
 
 
@@ -204,9 +205,7 @@ def _radial_moment(domain: StarDomain, power: int) -> float:
     return float(val)
 
 
-def zolotarev_lower(
-    domain: StarDomain, alpha: float = 1.0, size: int = 8
-) -> ZolotarevEstimate:
+def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate:
     """Best certified dictionary lower bound for Z(alpha).
 
     Features, each normalized so the certified C^alpha norm is exactly 1
@@ -221,15 +220,13 @@ def zolotarev_lower(
     """
     if not 0.0 < alpha <= 1.0:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
-    if size < 1:
-        raise InputError(f"dictionary size must be >= 1, got {size}")
     fun = geometric_functionals(domain)
     ratio = BALL_VOLUME / fun.volume
     rho = max(_sup_radius(domain), 1.0)
 
     features: list[tuple[str, float, str]] = []
 
-    for k in range(1, size + 1):
+    for k in range(1, DICTIONARY_SIZE + 1):
         moment = _harmonic_moment(domain, k)
         sup = rho ** k
         lip = k * rho ** (k - 1)
@@ -238,7 +235,7 @@ def zolotarev_lower(
         parity = "even" if k % 2 == 0 else "odd"
         features.append((f"harmonic-moment k={k}", value, parity))
 
-    for j in range(1, max(size // 2, 1) + 1):
+    for j in range(1, DICTIONARY_SIZE // 2 + 1):
         power = 2 * j
         ball_part = TWO_PI / (power + 2)
         sup = rho ** power
@@ -249,8 +246,8 @@ def zolotarev_lower(
 
     pts, wq = bulk_grid(domain, 256, 64)
     cert_affine = 1.0 + _interpolated_seminorm(1.0, 1.0, rho, alpha)
-    for idx in range(size):
-        phi = math.pi * idx / size
+    for idx in range(DICTIONARY_SIZE):
+        phi = math.pi * idx / DICTIONARY_SIZE
         e = (math.cos(phi), math.sin(phi))
         clipped = np.clip(pts @ np.asarray(e), -1.0, 1.0)
         # ball integral of the odd integrand vanishes exactly
@@ -258,8 +255,8 @@ def zolotarev_lower(
         features.append((f"clipped-affine phi={phi:.3f}", value, "odd"))
 
     disk_pts, disk_w = disk_grid(256, 64)
-    for idx in range(size):
-        ang = TWO_PI * idx / size
+    for idx in range(DICTIONARY_SIZE):
+        ang = TWO_PI * idx / DICTIONARY_SIZE
         x0 = np.array([math.cos(ang), math.sin(ang)])
         bump_ball = np.minimum(1.0, np.hypot(*(disk_pts - x0).T) ** alpha)
         bump_dom = np.minimum(1.0, np.hypot(*(pts - x0).T) ** alpha)
@@ -401,7 +398,7 @@ def zolotarev_oracle(
 
 
 def oscillation_index(
-    domain: StarDomain, m: int = 2048, include_fraenkel: bool = True
+    domain: StarDomain, include_fraenkel: bool = True
 ) -> OscillationIndex:
     """min over candidate centers y of the L^2 boundary gap between the
     normal and the radial direction seen from y.
@@ -409,7 +406,7 @@ def oscillation_index(
     The min is taken over the origin and (optionally) the Fraenkel
     center only; the full minimization over y is out of scope.
     """
-    frame = boundary_frame(domain, m)
+    frame = boundary_frame(domain, 2048)
     w = frame.jacobian * frame.dtheta
     candidates = [(0.0, 0.0)]
     if include_fraenkel:

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import _polar
 from .errors import (
-    GridTooCoarse,
     IllConditioned,
     InputError,
     NotElliptic,
@@ -52,6 +51,11 @@ from .shapes import (
 
 COND_GATE = 1e12
 RELIABLE_FACTOR = 1e-6
+HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
+COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
+CASCADE_ORDER = 16             # kernel variant: cascade_basis order
+VARIANT_BOUNDARY_GRID = 256    # kernel variant: boundary collocation angles
+VARIANT_BULK = (128, 16)       # kernel variant: 2048 interior collocation points
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +158,13 @@ class RhsExpansion:
             np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
         )
 
-    def sup_disk(self, n_theta: int = 256, n_r: int = 65) -> float:
+    def sup_disk(self) -> float:
         """Grid estimate of sup |h| over the closed unit disk."""
-        theta, _ = circle_grid(n_theta)
-        r = np.linspace(0.0, 1.0, n_r)
-        rr = np.repeat(r, n_theta)
-        tt = np.tile(theta, n_r)
+        theta, _ = circle_grid(256)
+        r = np.linspace(0.0, 1.0, 65)
+        rr = np.repeat(r, theta.size)
+        tt = np.tile(theta, r.size)
         return float(np.abs(self.evaluate_polar(rr, tt)).max())
-
-    def is_zero(self) -> bool:
-        return not self._terms()[0]
 
 
 def rhs_x1() -> RhsExpansion:
@@ -182,11 +183,10 @@ def rhs_constant(value: float = 1.0) -> RhsExpansion:
     return RhsExpansion(constant=value, label="one")
 
 
-def rhs_harmonic(k: int, kind: str = "cos") -> RhsExpansion:
+def rhs_harmonic(k: int) -> RhsExpansion:
+    """The harmonic r^k cos(k theta)."""
     coeff = tuple(0.0 for _ in range(k - 1)) + (1.0,)
-    if kind == "cos":
-        return RhsExpansion(harmonic_cos=coeff, label=f"cos{k}")
-    return RhsExpansion(harmonic_sin=coeff, label=f"sin{k}")
+    return RhsExpansion(harmonic_cos=coeff, label=f"cos{k}")
 
 
 _RHS_TOKENS = {
@@ -194,7 +194,7 @@ _RHS_TOKENS = {
     "x2": rhs_x2,
     "r2": rhs_sq_radius,
     "one": rhs_constant,
-    "quadrupole": lambda: rhs_harmonic(2, "cos"),
+    "quadrupole": lambda: rhs_harmonic(2),
 }
 
 
@@ -217,15 +217,10 @@ class ObliqueSolution:
     method: str
     kf: int
     c_star: float
-    const_coeff: float
-    harmonic_cos: np.ndarray
-    harmonic_sin: np.ndarray
-    particular_coeffs: np.ndarray
     field: _polar.PolarField
     interior_residual: float
     boundary_residual: float
     mean_domain_h: float
-    divergence: float
     condition: float
     reliable: bool
     grid_boundary: int
@@ -280,19 +275,14 @@ def _boundary_flux(field: _polar.PolarField) -> float:
     return float(value)
 
 
-def solve_oblique(
-    domain: StarDomain,
-    h: RhsExpansion,
-    kf: int = 24,
-    m: int = 512,
-) -> ObliqueSolution:
+def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     """Spectral solve of the oblique problem with free centering scalar.
 
     The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
     with F_h the closed-form particular field; the harmonic coefficients
     and c minimize the boundary residual |grad f . nu_transported| in the
     discrete L2 sense over M collocation angles, and a_0 pins the average
-    of f over B_1 to zero.
+    of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
 
     Raises
     ------
@@ -301,10 +291,7 @@ def solve_oblique(
     IllConditioned
         if the equilibrated collocation system exceeds condition 1e12.
     """
-    if kf < 1 or kf > 48:
-        raise InputError(f"harmonic truncation must lie in [1, 48], got {kf}")
-    if m < 2 * kf + 1:
-        raise GridTooCoarse(f"need m >= 2*kf + 1 = {2 * kf + 1}, got {m}")
+    kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
     # (nu_r, nu_theta): the transported normal in the polar frame
     frame = frame_at(domain, theta)
@@ -361,15 +348,10 @@ def solve_oblique(
         method="spectral-ansatz",
         kf=kf,
         c_star=c_star,
-        const_coeff=a0,
-        harmonic_cos=harm_coeffs[0::2].copy(),
-        harmonic_sin=harm_coeffs[1::2].copy(),
-        particular_coeffs=part.coeffs.copy(),
         field=field,
         interior_residual=interior,
         boundary_residual=bres,
         mean_domain_h=_mean_domain(domain, h),
-        divergence=_boundary_flux(field),
         condition=cond,
         reliable=True,
         grid_boundary=m,
@@ -377,56 +359,46 @@ def solve_oblique(
     )
 
 
-def ellipticity_margin(domain: StarDomain, m: int = 2048) -> float:
+def ellipticity_margin(domain: StarDomain) -> float:
     """Min eigenvalue of the symmetric part of the bulk-map differential.
 
     In the polar frame sym(Dpsi) = [[R, R'/2], [R'/2, R]], so the margin is
     min over angles of R - |R'|/2; this is the operational reading of the
     smallness condition on the boundary perturbation.
     """
-    r, rp = domain.radius_derivatives(circle_grid(m)[0])
+    r, rp = domain.radius_derivatives(circle_grid(2048)[0])
     return float((r - 0.5 * np.abs(rp)).min())
 
 
 def solve_oblique_kernel_variant(
-    domain: StarDomain,
-    h: RhsExpansion,
-    kf: int = 16,
-    m: int = 256,
-    m_int: int = 2048,
+    domain: StarDomain, h: RhsExpansion
 ) -> ObliqueSolution:
     """Best-effort collocation solve of the variable-coefficient variant.
 
     Minimizes the L^2(B_1) norm of the interior residual
         R(theta) Laplacian f - R'(theta) H_rtheta[f] - (h - c)
-    on a ``m_int``-point weighted polar bulk grid plus the L^2 boundary
-    residual of grad f . psi = R f_r over ``m`` circle points, with the
-    scalar c free.  The coefficients R, R' depend on the angle only, so
-    they couple a polynomial datum to frequencies outside the polynomial
-    parity class and resonate on the m = k pairs, whose preimages carry a
-    log weight; the ansatz space is therefore ``cascade_basis(kf)``, the
-    closure of the degree-kf polynomials under those corrections.  Both
-    reported residuals are RMS in the natural measure, and ``reliable``
-    requires the interior one to be <= 1e-6 sup|h|.
+    on the ``VARIANT_BULK`` weighted polar bulk grid plus the L^2 boundary
+    residual of grad f . psi = R f_r over ``VARIANT_BOUNDARY_GRID`` circle
+    points, with the scalar c free.  The coefficients R, R' depend on the
+    angle only, so they couple a polynomial datum to frequencies outside
+    the polynomial parity class and resonate on the m = k pairs, whose
+    preimages carry a log weight; the ansatz space is therefore
+    ``cascade_basis(kf)`` with kf = CASCADE_ORDER, the closure of the
+    degree-kf polynomials under those corrections.  Both reported
+    residuals are RMS in the natural measure, and ``reliable`` requires
+    the interior one to be <= 1e-6 sup|h|.
     """
-    if kf < 2 or kf > 48:
-        raise InputError(f"truncation must lie in [2, 48], got {kf}")
     margin = ellipticity_margin(domain)
     if margin <= 0.0:
         raise NotElliptic(
             f"symmetric part of Dpsi has min eigenvalue {margin:.6g} <= 0"
         )
 
-    n_r = max(8, int(round(math.sqrt(m_int / 8.0))))
-    n_theta = max(32, m_int // n_r)
+    m = VARIANT_BOUNDARY_GRID
+    n_theta, n_r = VARIANT_BULK
     pts, w_int = disk_grid(n_theta, n_r)
     r_int, th_int = _polar.to_polar(pts)
-    basis = _polar.cascade_basis(kf)
-    if r_int.size + m < 2 * (basis.n + 1):
-        raise GridTooCoarse(
-            f"{r_int.size + m} collocation rows for {basis.n + 1} unknowns; "
-            "raise m_int"
-        )
+    basis = _polar.cascade_basis(CASCADE_ORDER)
     r_ang, rp_ang = domain.radius_derivatives(th_int)
     lap = basis.laplacians(r_int, th_int)
     hrt = basis.hessian_rtheta(r_int, th_int)
@@ -479,17 +451,12 @@ def solve_oblique_kernel_variant(
     return ObliqueSolution(
         h=h,
         method="collocation-lsq",
-        kf=kf,
+        kf=CASCADE_ORDER,
         c_star=c_star,
-        const_coeff=a0,
-        harmonic_cos=np.zeros(0),
-        harmonic_sin=np.zeros(0),
-        particular_coeffs=coeffs.copy(),
         field=field,
         interior_residual=interior,
         boundary_residual=bres,
         mean_domain_h=_mean_domain(domain, h),
-        divergence=_boundary_flux(field),
         condition=cond,
         reliable=bool(reliable),
         grid_boundary=m,
@@ -510,26 +477,19 @@ class SchauderReport:
     max_ratio: float
 
 
-def schauder_probe(
-    domain: StarDomain,
-    probes,
-    alpha: float = 1.0,
-    kf: int = 24,
-    m: int = 512,
-    grid: tuple[int, int] = (96, 24),
-) -> SchauderReport:
+def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderReport:
     """Empirical Hessian-to-data Hoelder ratio over a probe set.
 
     Both norms are grid estimates on the same polar bulk grid of B_1; the
     Hessian seminorm uses the Frobenius distance between matrix values.
     """
-    pts, _ = disk_grid(*grid)
+    pts, _ = disk_grid(96, 24)
     ratios, nums, dens = [], [], []
     for h in probes:
         den = holder_norm(pts, h.evaluate(pts), alpha)
         if den <= 0.0:
             raise InputError(f"probe {h.label or h} has zero grid norm")
-        sol = solve_oblique(domain, h, kf=kf, m=m)
+        sol = solve_oblique(domain, h)
         hess = sol.field.hessian(pts)
         sup = float(np.sqrt(np.einsum("nab,nab->n", hess, hess)).max())
         semi = matrix_holder_seminorm(pts, hess, alpha)

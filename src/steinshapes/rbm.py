@@ -29,6 +29,8 @@ from .oblique import ObliqueSolution, RhsExpansion
 from .shapes import StarDomain, _validate
 
 BATCHES = 20
+CHI2_BINS = 16
+CHI2_SPACING = 0.5        # time units between retained path points
 
 
 @dataclass(frozen=True)
@@ -191,26 +193,24 @@ def feynman_kac_check(
 
 
 def radial_uniformity_chi2(
-    domain: StarDomain,
-    config: PathConfig,
-    bins: int = 16,
-    spacing: float = 0.5,
+    domain: StarDomain, config: PathConfig
 ) -> tuple[float, float, int]:
-    """Chi-square test of r^2 ~ Uniform[0, 1] on subsampled path points.
+    """Chi-square test of r^2 ~ Uniform[0, 1] over CHI2_BINS bins on
+    subsampled path points.
 
-    Subsampling at ``spacing`` time units keeps the retained points
+    Subsampling every CHI2_SPACING time units keeps the retained points
     nearly independent (the disk relaxation time is order one).
     Returns (statistic, p_value, dof).  Meaningful for the ball, where
     the stationary law is uniform.
     """
     positions, _ = path(domain, config)
-    stride = max(1, int(round(spacing / config.dt)))
+    stride = max(1, int(round(CHI2_SPACING / config.dt)))
     kept = positions[config.n_burn + 1 :: stride]
     r_sq = kept[:, 0] ** 2 + kept[:, 1] ** 2
-    if r_sq.size < 5 * bins:
-        raise InputError(f"{r_sq.size} subsamples is too few for {bins} bins")
-    counts, _ = np.histogram(r_sq, bins=bins, range=(0.0, 1.0))
-    expected = r_sq.size / bins
+    if r_sq.size < 5 * CHI2_BINS:
+        raise InputError(f"{r_sq.size} subsamples is too few for {CHI2_BINS} bins")
+    counts, _ = np.histogram(r_sq, bins=CHI2_BINS, range=(0.0, 1.0))
+    expected = r_sq.size / CHI2_BINS
     stat = float(((counts - expected) ** 2 / expected).sum())
-    dof = bins - 1
+    dof = CHI2_BINS - 1
     return stat, float(chdtrc(dof, stat)), dof

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -241,16 +241,14 @@ def circle_grid(m: int) -> tuple[np.ndarray, float]:
 
 
 def doubling_quadrature(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    tol: float = QUAD_TOL,
-    start: int = QUAD_START,
-    cap: int = QUAD_CAP,
+    integrand: Callable[[np.ndarray], np.ndarray], tol: float = QUAD_TOL
 ) -> tuple[np.ndarray, int]:
     """Periodic trapezoid quadrature with grid doubling.
 
     ``integrand(theta)`` may return shape (M,) or (M, q); the integral of
     each component over [0, 2 pi) is returned once successive grids agree
     componentwise within ``tol`` relative (absolute for magnitudes < 1).
+    The grid doubles from QUAD_START up to QUAD_CAP angles.
 
     Raises
     ------
@@ -258,8 +256,8 @@ def doubling_quadrature(
         if the cap grid is reached without agreement.
     """
     prev = None
-    m = start
-    while m <= cap:
+    m = QUAD_START
+    while m <= QUAD_CAP:
         theta, _ = circle_grid(m)
         vals = np.asarray(integrand(theta), dtype=float)
         cur = vals.mean(axis=0) * TWO_PI
@@ -270,7 +268,7 @@ def doubling_quadrature(
         prev = cur
         m *= 2
     raise NoConvergence(
-        f"periodic quadrature did not reach {tol:g} by grid {cap}"
+        f"periodic quadrature did not reach {tol:g} by grid {QUAD_CAP}"
     )
 
 
@@ -531,19 +529,16 @@ def bulk_map_inverse(domain: StarDomain, points) -> np.ndarray:
     return x / domain.radius(theta)[..., None]
 
 
-def regularity_params(
-    domain: StarDomain, alpha: float = 1.0, m: int = VALIDATION_GRID
-) -> RegularityParams:
+def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParams:
     """Grid estimates of the uniform star-shape and C^{1,alpha} parameters.
 
     lambda_est = sup|R - 1| + sup|R'| + alpha-seminorm of R' over grid
-    pairs at geodesic circle separations in [2 pi / M, pi].
+    pairs at geodesic circle separations in [2 pi / M, pi], with
+    M = VALIDATION_GRID.
     """
     if not 0.0 < alpha <= 1.0:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
-    if m < 64:
-        raise GridTooCoarse(f"regularity grid must be >= 64, got {m}")
-    frame = frame_at(domain, *circle_grid(m))
+    frame = frame_at(domain, *circle_grid(VALIDATION_GRID))
     r, rp = frame.radius, frame.radius_prime
     seminorm = float(_kernels.circle_lag_seminorm(np.ascontiguousarray(rp), alpha))
     lam = float(np.abs(r - 1.0).max() + np.abs(rp).max() + seminorm)

@@ -34,6 +34,8 @@ from .shapes import (
 
 CENTER_GATE = 1e-8
 PANEL_TOL = 1e-6
+DEFICIT_TOL = 1e-10       # doubling tolerance of the deficit integrals
+BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the kernel's bulk grid
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,7 @@ class DeficitReport:
     grid: int
 
 
-def boundary_deficits(domain: StarDomain, tol: float = 1e-10) -> DeficitReport:
+def boundary_deficits(domain: StarDomain) -> DeficitReport:
     def smooth_parts(theta: np.ndarray) -> np.ndarray:
         frame = frame_at(domain, theta)
         r, jac = frame.radius, frame.jacobian
@@ -74,13 +76,13 @@ def boundary_deficits(domain: StarDomain, tol: float = 1e-10) -> DeficitReport:
         # |theta_hat - nu|^2 = 2 (speed - R)/speed, vanishing like R'^2
         return np.sqrt(2.0 * np.maximum(speed - r, 0.0) * speed)
 
-    vals, grid = doubling_quadrature(smooth_parts, tol=tol)
+    vals, grid = doubling_quadrature(smooth_parts, tol=DEFICIT_TOL)
     d1, d2, osc2 = (float(v) for v in vals)
     # the L1 oscillation integrand carries |R'| cusps, so it is integrated
     # piecewise-analytically between the zeros of R'
     a, b, k = domain._packed
     osc1_val, _ = segmented_circle_quadrature(
-        osc_part, trig_zeros(0.0, k * b, -k * a), tol=tol
+        osc_part, trig_zeros(0.0, k * b, -k * a), tol=DEFICIT_TOL
     )
     osc1 = float(osc1_val)
     fun = geometric_functionals(domain)
@@ -149,10 +151,7 @@ def _quadratic_test_panel():
 
 
 def stein_kernel_solve(
-    domain: StarDomain,
-    k: int = 24,
-    m: int = 1024,
-    bulk: tuple[int, int] = (256, 64),
+    domain: StarDomain, k: int = 24, m: int = 1024
 ) -> SteinKernelResult:
     """Construct the kernel tau = Dg from two harmonic Neumann solves.
 
@@ -191,7 +190,7 @@ def stein_kernel_solve(
     g1 = _polar.PolarField(basis, coeffs[:, 0].copy())
     g2 = _polar.PolarField(basis, coeffs[:, 1].copy())
 
-    pts, wq = bulk_grid(domain, *bulk)
+    pts, wq = bulk_grid(domain, *BULK_SHAPE)
     tau = np.stack(_polar.gradients_of((g1, g2), pts), axis=1)
     gap = np.eye(2) - tau
     gap2 = np.einsum("nab,nab->n", gap, gap)
@@ -233,7 +232,7 @@ def stein_kernel_solve(
             dot = x[:, 0] * u1.value(x) + x[:, 1] * u2.value(x)
             return dot * frame.jacobian
 
-        rhs_val, _ = doubling_quadrature(boundary_integrand, tol=1e-12)
+        rhs_val, _ = doubling_quadrature(boundary_integrand)
         panel.append((label, lhs, float(rhs_val)))
     worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)
     if worst > PANEL_TOL:
@@ -255,7 +254,7 @@ def stein_kernel_solve(
         condition=cond,
         truncation=k,
         grid_boundary=m,
-        bulk_shape=bulk,
+        bulk_shape=BULK_SHAPE,
     )
 
 

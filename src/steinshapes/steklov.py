@@ -24,12 +24,14 @@ from .shapes import StarDomain, boundary_frame, bulk_grid
 PIVOT_THRESHOLD = 1e-12
 CONVERGENCE_TOL = 1e-8
 CLUSTER_GAP = 1e-7
+N_EIGENVALUES = 7
+CHECK_GRID = 2048         # boundary grid of the Rayleigh and trace checks
 
 
 @dataclass(frozen=True)
 class SteklovResult:
-    eigenvalues: np.ndarray          # ascending, length n
-    coefficients: np.ndarray         # (basis size, n) over {1, r^k cos, r^k sin}
+    eigenvalues: np.ndarray          # ascending, the N_EIGENVALUES smallest
+    coefficients: np.ndarray         # column j: eigenvector j over {1, r^k cos, r^k sin}
     truncation: int
     grid: int
     converged: bool
@@ -86,10 +88,9 @@ def steklov_spectrum(
     domain: StarDomain,
     k: int = 16,
     m: int | None = None,
-    n: int = 7,
     strict: bool = True,
 ) -> SteklovResult:
-    """The n smallest Steklov eigenvalues with eigen-coefficients.
+    """The N_EIGENVALUES smallest Steklov eigenvalues with eigen-coefficients.
 
     The convergence flag compares sigma_1 at truncations k and k+4 (with
     the boundary grid enlarged accordingly) at tolerance 1e-8; with
@@ -101,7 +102,7 @@ def steklov_spectrum(
         raise GridTooCoarse(f"boundary grid must be >= 4k = {4 * k}, got {m}")
     a, b, scale = _assemble(domain, k, m)
     sigma, vecs, dropped = _solve_pencil(a, b)
-    n = min(n, sigma.size)
+    n = min(N_EIGENVALUES, sigma.size)
     eigenvalues = sigma[:n].copy()
     coefficients = scale[:, None] * vecs[:, :n]
 
@@ -137,15 +138,13 @@ def steklov_spectrum(
     )
 
 
-def rayleigh_quotient(
-    domain: StarDomain, u: _polar.PolarField, m: int = 2048
-) -> float:
+def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     """Dirichlet energy over boundary variance for a harmonic expansion.
 
     The numerator uses the boundary form int u du/dnu, exact for harmonic
     u; the boundary mean of u is projected out of the denominator.
     """
-    frame = boundary_frame(domain, m)
+    frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
     trace = u.value(frame.points)
     dnu = np.einsum("nd,nd->n", u.gradient(frame.points), frame.normals)
@@ -158,25 +157,19 @@ def rayleigh_quotient(
     return numerator / denominator
 
 
-def trace_inequality_check(
-    domain: StarDomain,
-    components,
-    c_bw: float,
-    m: int = 2048,
-    bulk: tuple[int, int] = (256, 64),
-) -> float:
+def trace_inequality_check(domain: StarDomain, components, c_bw: float) -> float:
     """Margin of the vector trace inequality for the supplied field.
 
     Returns c_bw * total Dirichlet energy - boundary variance of the
     vector trace; components are PolarField entries of u.  The energy is
     a bulk quadrature, so non-harmonic polynomial fields are admissible.
     """
-    pts, wb = bulk_grid(domain, *bulk)
+    pts, wb = bulk_grid(domain)
     energy = 0.0
     for comp in components:
         grad = comp.gradient(pts)
         energy += float(wb @ np.einsum("nd,nd->n", grad, grad))
-    frame = boundary_frame(domain, m)
+    frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
     variance = 0.0
     for comp in components:

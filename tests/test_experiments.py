@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from steinshapes import experiments as ex
+from steinshapes import shapes, stein, steklov
 from steinshapes.errors import IoFailure, NormalizationMissing, NotApplicable
 from steinshapes.shapes import StarDomain
 
@@ -226,6 +228,31 @@ class TestFamilySweep:
         assert abs(got["d1"] - 1.0) < 0.02
         assert abs(got["discrepancy_l1"] - 1.0) < 0.05
 
+    def test_each_solver_runs_once_per_member(self, monkeypatch):
+        calls = []
+
+        def counted(solver, names):
+            def solve(domain):
+                calls.append(solver)
+                return SimpleNamespace(**{n: domain.cos_coeffs[-1] for n in names})
+
+            return solve
+
+        monkeypatch.setattr(
+            stein, "boundary_deficits", counted("deficits", ("d1", "d2", "osc_l1"))
+        )
+        monkeypatch.setattr(
+            stein,
+            "stein_kernel_solve",
+            counted("kernel", ("discrepancy_l1", "discrepancy_l2")),
+        )
+        family = ex.PerturbationFamily(k=2)
+        quantities = ("d1", "d2", "osc_l1", "discrepancy_l1", "discrepancy_l2")
+        sweep = ex.family_sweep(family, quantities)
+        members = len(family.amplitudes)
+        assert calls.count("deficits") == calls.count("kernel") == members
+        assert all(row == sweep.table[0] for row in sweep.table)
+
     def test_guards(self):
         with pytest.raises(ValueError, match="amplitudes"):
             ex.family_sweep(ex.PerturbationFamily(amplitudes=(0.02, 0.04)))
@@ -298,6 +325,17 @@ class TestEmitReport:
         assert report["functionals"]["volume"] == pytest.approx(math.pi)
         assert report["steklov"]["sigma1"] == pytest.approx(1.0, abs=1e-8)
         assert report["zolotarev"]["lower_bound"] <= 1e-9
+
+    def test_analyze_states_the_tolerances_it_used(self):
+        tolerances = ex.analyze_domain(BALL)["tolerances"]
+        assert tolerances == {
+            "quadrature": shapes.QUAD_TOL,
+            "deficit_quadrature": stein.DEFICIT_TOL,
+            "identity": ex.IDENTITY_TOL,
+            "steklov_convergence": steklov.CONVERGENCE_TOL,
+        }
+        # d1, d2 and osc are integrated at 1e-10, not at the 1e-12 default
+        assert tolerances["deficit_quadrature"] == 1e-10
 
     def test_analyze_accepts_spec_dicts(self):
         report = ex.analyze_domain({"base_radius": 1.0, "label": "from-spec"})

@@ -2,8 +2,9 @@
 
 Every domain has R = 1 + sum_{k <= 3} (a_k cos k theta + b_k sin k theta)
 with |a_k|, |b_k| <= 0.05, so it is smooth, star-shaped and far from the
-validation limits.  Examples are derandomized, so each run sees the same
-domains.
+validation limits.  The Steklov inequalities take the same coefficients up
+to order 5, rescaled to the volume of the unit disk.  Examples are
+derandomized, so each run sees the same domains.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinshapes import NoConvergence, StarDomain, geometric_functionals
-from steinshapes.shapes import boundary_frame, trig_zeros
+from steinshapes.experiments import _steklov_order
+from steinshapes.shapes import boundary_frame, normalize, trig_zeros
 from steinshapes.steklov import steklov_spectrum
 from steinshapes.stein import boundary_deficits
 
@@ -29,6 +31,14 @@ coefficients = st.lists(
     max_size=3,
 ).map(tuple)
 domains = st.builds(StarDomain, st.just(1.0), coefficients, coefficients)
+order5_coefficients = st.lists(
+    st.floats(-0.05, 0.05, allow_nan=False, allow_infinity=False),
+    min_size=0,
+    max_size=5,
+).map(tuple)
+unit_volume_domains = st.builds(
+    StarDomain, st.just(1.0), order5_coefficients, order5_coefficients
+).map(lambda domain: normalize(domain, "volume"))
 phases = st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False)
 factors = st.floats(0.5, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -71,6 +81,28 @@ def test_functionals_and_sigma1_scale_with_their_dimension(domain, s):
     sigma1 = steklov_spectrum(domain, strict=False).sigma1
     sigma1_s = steklov_spectrum(domain.scaled(s), strict=False).sigma1
     assert _close(sigma1_s, sigma1 / s, rel=1e-8)
+
+
+def _spectrum(domain: StarDomain):
+    # Ritz values bound the eigenvalues from above; the k -> k+4 gate is
+    # not under test here
+    return steklov_spectrum(domain, k=_steklov_order(domain), strict=False)
+
+
+@PROPERTY_SETTINGS
+@given(unit_volume_domains)
+def test_steklov_eigenvalues_obey_brocks_inequality(domain):
+    spectrum = _spectrum(domain)
+    sigma1, sigma2 = spectrum.eigenvalues[1], spectrum.eigenvalues[2]
+    # at the volume of the unit disk: sigma1 <= 1 and 1/sigma1 + 1/sigma2 >= 2
+    assert sigma1 <= 1.0 + 1e-9
+    assert 1.0 / sigma1 + 1.0 / sigma2 >= 2.0 - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(unit_volume_domains, phases)
+def test_sigma1_is_rotation_invariant(domain, phase):
+    assert _close(_spectrum(domain.rotated(phase)).sigma1, _spectrum(domain).sigma1)
 
 
 @PROPERTY_SETTINGS
