@@ -206,14 +206,6 @@ def _steklov_order(domain: StarDomain) -> int:
     return 16 + 4 * domain.order
 
 
-def _z_lower(domain: StarDomain, alpha: float, method: str) -> float:
-    if method == "dictionary":
-        return metrics.zolotarev_lower(domain, alpha).lower_bound
-    if method == "lp-oracle":
-        return metrics.zolotarev_oracle(domain, alpha).lower_bound
-    raise InputError(f"unknown Z method {method!r}")
-
-
 def verify_inequality(
     family,
     theorem: str,
@@ -231,7 +223,9 @@ def verify_inequality(
     exact identity against D2).
 
     ``refine`` scales collocation and truncation sizes; it exists so the
-    stability of C_emp under refinement is itself testable.
+    stability of C_emp under refinement is itself testable.  With
+    z_method "lp-oracle" the extras also carry each member's
+    discretization slack under "z_error_bound".
     """
     if theorem not in THEOREMS:
         raise InputError(f"unknown theorem id {theorem!r}")
@@ -245,11 +239,20 @@ def verify_inequality(
     notes: list[str] = []
     ok = True
 
+    def z_lower(dom: StarDomain) -> float:
+        if z_method == "dictionary":
+            return metrics.zolotarev_lower(dom, alpha).lower_bound
+        if z_method == "lp-oracle":
+            est = metrics.zolotarev_oracle(dom, alpha)
+            extras.setdefault("z_error_bound", []).append(est.error_bound)
+            return est.lower_bound
+        raise InputError(f"unknown Z method {z_method!r}")
+
     if theorem == "thm-main":
         direction = "upper"
         for dom in members:
             deficits = stein.boundary_deficits(dom)
-            lhs.append(_z_lower(dom, alpha, z_method))
+            lhs.append(z_lower(dom))
             core.append(deficits.osc_l1)
             extras.setdefault("d1", []).append(deficits.d1)
 
@@ -257,7 +260,7 @@ def verify_inequality(
         direction = "upper"
         for dom in members:
             result = stein.stein_kernel_solve(dom, k=24 * refine, m=1024 * refine)
-            lhs.append(_z_lower(dom, alpha, z_method))
+            lhs.append(z_lower(dom))
             core.append(result.discrepancy_l1)
 
     elif theorem == "thm-bw":
@@ -269,7 +272,7 @@ def verify_inequality(
                 m=None if refine == 1 else 512 * refine,
             )
             fun = geometric_functionals(dom)
-            z = _z_lower(dom, alpha, z_method)
+            z = z_lower(dom)
             d_vol = 2.0 * fun.volume
             lhs.append(spec.c_bw - 1.0)
             core.append(z * z / d_vol)
@@ -304,7 +307,7 @@ def verify_inequality(
         for dom, sigma1 in kept:
             fun = geometric_functionals(dom)
             ball_perimeter = 2.0 * math.sqrt(math.pi * fun.volume)
-            z = _z_lower(dom, alpha, z_method)
+            z = z_lower(dom)
             lhs.append(fun.perimeter - ball_perimeter)
             core.append(z * z)
             extras.setdefault("sigma1", []).append(sigma1)
@@ -319,7 +322,7 @@ def verify_inequality(
             deficits = stein.boundary_deficits(dom)
             delta = fun.perimeter - 2.0 * math.pi
             delta_w = fun.momentum - 2.0 * math.pi
-            z = _z_lower(dom, alpha, z_method)
+            z = z_lower(dom)
             lhs.append(delta + delta_w)
             core.append(z * z)
             residual = abs(delta + delta_w - deficits.d2)

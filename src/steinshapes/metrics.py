@@ -13,6 +13,14 @@ so the alpha -> 0 total-variation limit holds up to the |B_1| mass
 factor.  Dictionary features carry analytically certified norms (never
 grid estimates), so every reported dictionary value is a true lower
 bound up to quadrature error of the two integrals.
+
+The grid LP oracle solves only on the nodes that carry mass.  A raster
+cell inside both B_1 and Omega has gap cell * (1 - |B_1|/|Omega|), which
+is zero up to rounding for volume-normalized shapes.  Such a node cannot
+move the optimum: d^alpha is a metric for alpha <= 1, so by McShane's
+extension theorem any feasible h on the other nodes extends to it with
+the same sup and seminorm bounds.  The mass of the dropped nodes, at
+most a few ulp per cell, enters the oracle's error_bound.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .shapes import (
 )
 
 LP_NODE_CAP = 400
+ZERO_MASS_TOL = 1e-12     # |gap| <= this * cell area: the node leaves the LP
 DICTIONARY_SIZE = 8       # harmonic moments, affine directions and bumps
 
 
@@ -343,16 +352,69 @@ def zolotarev_lp(
     return float(-result.fun), h, float(result.x[n]), float(result.x[n + 1])
 
 
+def _lp_nodes(domain: StarDomain, target_nodes: int):
+    """Cell centres of a square raster covering B_1 and Omega, with their
+    ball and (volume-scaled) domain cell weights.  Returns
+    (points, w_ball, w_dom, cell width)."""
+    fun = geometric_functionals(domain)
+    ratio = BALL_VOLUME / fun.volume
+    rho = max(_sup_radius(domain), 1.0)
+    n_axis = max(6, int(math.floor(math.sqrt(4.0 * target_nodes / math.pi))))
+    x, y, h = _raster_axes(rho, n_axis)
+    cell = h * h
+    in_ball = np.hypot(x, y) <= 1.0
+    in_domain = np.hypot(x, y) <= domain.radius(np.arctan2(y, x))
+    keep = in_ball | in_domain
+    pts = np.stack([x[keep], y[keep]], axis=1)
+    return pts, in_ball[keep] * cell, in_domain[keep] * cell * ratio, h
+
+
+def _band_lp(
+    points: np.ndarray, gap: np.ndarray, alpha: float, cell: float
+) -> tuple[float, np.ndarray, float, int]:
+    """zolotarev_lp on the nodes whose |gap| exceeds ZERO_MASS_TOL * cell,
+    extended to every node.  Returns (optimum, h, dropped mass, LP nodes).
+
+    Each dropped node k gets the clipped McShane extension
+    clip(min_i (h_i + s d_ik^alpha), -m, m) of the LP solution, so h stays
+    a feasible point of the LP over all nodes, and the two optima differ
+    by at most the dropped mass.  With one live node the optimum is the
+    constant h = sign(g) (m = 1, s = 0); with none it is h = 0.
+    """
+    live = np.abs(gap) > ZERO_MASS_TOL * cell
+    dropped = float(np.abs(gap[~live]).sum())
+    n_live = int(live.sum())
+    if n_live == 0:
+        return 0.0, np.zeros(gap.size), dropped, 0
+    if n_live == 1:
+        g = float(gap[live][0])
+        value, h_live, m, s = abs(g), np.array([math.copysign(1.0, g)]), 1.0, 0.0
+    else:
+        value, h_live, m, s = zolotarev_lp(points[live], gap[live], alpha)
+    h = np.empty(gap.size)
+    h[live] = h_live
+    if n_live < gap.size:
+        offset = points[~live][:, None, :] - points[live][None, :, :]
+        dist = np.hypot(offset[..., 0], offset[..., 1]) ** alpha
+        h[~live] = np.clip((h_live + s * dist).min(axis=1), -m, m)
+    return value, h, dropped, n_live
+
+
 def zolotarev_oracle(
     domain: StarDomain, alpha: float = 1.0, n_g: int = 200
 ) -> ZolotarevEstimate:
     """Grid LP estimate of Z(alpha) with a certified discretization slack.
 
     Nodes are cell centers of a square raster covering B_1 and Omega,
-    carrying the two indicator cell-area weights.  The reported
-    error_bound combines the exact raster mass defects with the Hoelder
-    modulus over a half-diagonal cell shift; the continuum distance lies
-    within error_bound of the LP optimum.
+    carrying the two indicator cell-area weights.  Nodes whose gap is
+    below ZERO_MASS_TOL of a cell (the interior of a volume-normalized
+    shape) leave the LP: by McShane's extension theorem they cannot move
+    its optimum beyond their total |gap|, and node_values fills them with
+    the clipped extension of the LP solution.  Shapes with
+    |Omega| != |B_1| drop no node.  The reported error_bound combines the
+    exact raster mass defects, the Hoelder modulus over a half-diagonal
+    cell shift and the dropped mass; the continuum distance lies within
+    error_bound of the LP optimum.
     """
     if not 0.0 < alpha <= 1.0:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
@@ -360,31 +422,20 @@ def zolotarev_oracle(
         raise InputError(f"dense LP is capped at {LP_NODE_CAP} nodes, got {n_g}")
     if n_g < 16:
         raise GridTooCoarse(f"need >= 16 LP nodes, got {n_g}")
-    fun = geometric_functionals(domain)
-    ratio = BALL_VOLUME / fun.volume
-    rho = max(_sup_radius(domain), 1.0)
 
-    def solve(target_nodes: int) -> tuple[int, float, np.ndarray, float]:
-        n_axis = max(6, int(math.floor(math.sqrt(4.0 * target_nodes / math.pi))))
-        x, y, h = _raster_axes(rho, n_axis)
-        cell = h * h
-        in_ball = np.hypot(x, y) <= 1.0
-        in_domain = np.hypot(x, y) <= domain.radius(np.arctan2(y, x))
-        keep = in_ball | in_domain
-        pts = np.stack([x[keep], y[keep]], axis=1)
-        w_ball = in_ball[keep] * cell
-        w_dom = in_domain[keep] * cell * ratio
-        value, h_vals, _, _ = zolotarev_lp(pts, w_ball - w_dom, alpha)
+    def solve(target_nodes: int) -> tuple[int, int, float, np.ndarray, float]:
+        pts, w_ball, w_dom, h = _lp_nodes(domain, target_nodes)
+        value, h_vals, dropped, n_live = _band_lp(pts, w_ball - w_dom, alpha, h * h)
         defect = abs(w_ball.sum() - BALL_VOLUME) + abs(w_dom.sum() - BALL_VOLUME)
-        slack = defect + 2.0 * BALL_VOLUME * (h * math.sqrt(0.5)) ** alpha
-        return pts.shape[0], value, h_vals, slack
+        slack = defect + 2.0 * BALL_VOLUME * (h * math.sqrt(0.5)) ** alpha + dropped
+        return pts.shape[0], n_live, value, h_vals, slack
 
-    count_coarse, value_coarse, _, _ = solve(max(n_g // 2, 16))
-    count, value, h_vals, slack = solve(n_g)
+    count_coarse, _, value_coarse, _, _ = solve(max(n_g // 2, 16))
+    count, n_live, value, h_vals, slack = solve(n_g)
     return ZolotarevEstimate(
         alpha=alpha,
         lower_bound=value,
-        witness=f"lp node values (n={count})",
+        witness=f"lp node values (n={count}, {n_live} in the LP)",
         method="lp-oracle",
         grid=count,
         history=((count_coarse, value_coarse), (count, value)),

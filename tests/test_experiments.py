@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from steinshapes import experiments as ex
-from steinshapes import shapes, stein, steklov
+from steinshapes import metrics, shapes, stein, steklov
 from steinshapes.errors import IoFailure, NormalizationMissing, NotApplicable
 from steinshapes.shapes import StarDomain
 
@@ -195,6 +195,16 @@ class TestVerifyInequality:
         assert oracle.c_emp == pytest.approx(C_EMP_MAIN_ORACLE, rel=1e-12)
         assert all(
             a >= b - 1e-12 for a, b in zip(oracle.lhs, dictionary.lhs)
+        )
+
+    def test_oracle_reports_each_error_bound(self):
+        fam = ex.PerturbationFamily(k=2, amplitudes=(0.04, 0.08))
+        rep = ex.verify_inequality(fam, "thm-main", z_method="lp-oracle")
+        extras = dict(rep.extras)
+        assert extras.keys() == {"d1", "z_error_bound"}
+        assert extras["z_error_bound"] == tuple(
+            metrics.zolotarev_oracle(dom, fam.alpha).error_bound
+            for dom in fam.members()
         )
 
     def test_bw_constant_is_refinement_stable(self):

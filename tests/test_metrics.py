@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinshapes import (
+    PerturbationFamily,
     StarDomain,
     fraenkel_asymmetry,
     fraenkel_polar_oracle,
@@ -17,6 +18,8 @@ from steinshapes import (
     zolotarev_oracle,
     zolotarev_tv,
 )
+from steinshapes import metrics
+from steinshapes.shapes import BALL_VOLUME
 from steinshapes.errors import GridTooCoarse
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -34,6 +37,20 @@ def ball() -> StarDomain:
 
 def bump_vn() -> StarDomain:
     return normalize(StarDomain(1.0, (0.0, 0.1)), "volume")
+
+
+def k2_eps002() -> StarDomain:
+    return PerturbationFamily(k=2).members()[0]
+
+
+def unnormalized() -> StarDomain:
+    return StarDomain(1.0, (0.0, 0.1))
+
+
+def holder_norm_over_pairs(points, h, alpha) -> float:
+    ii, jj = np.triu_indices(len(h), k=1)
+    dist = np.hypot(*(points[ii] - points[jj]).T) ** alpha
+    return np.abs(h).max() + (np.abs(h[ii] - h[jj]) / dist).max()
 
 
 def test_ball_fraenkel_vanishes():
@@ -111,6 +128,55 @@ def test_lp_node_bounds():
         zolotarev_oracle(ball(), n_g=500)
     with pytest.raises(GridTooCoarse):
         zolotarev_oracle(ball(), n_g=8)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("make", [bump_vn, k2_eps002, unnormalized])
+def test_lp_oracle_matches_dense_lp_over_every_node(make, alpha):
+    # zero-mass nodes leave the LP; the optimum moves by at most their mass
+    domain = make()
+    points, w_ball, w_dom, width = metrics._lp_nodes(domain, 200)
+    gap = w_ball - w_dom
+    dense, h_dense, _, _ = zolotarev_lp(points, gap, alpha)
+    zero_mass = np.abs(gap) <= metrics.ZERO_MASS_TOL * width * width
+    dropped = np.abs(gap[zero_mass]).sum()
+    est = zolotarev_oracle(domain, alpha)
+    assert est.grid == len(points)
+    assert abs(est.lower_bound - dense) <= dropped + 1e-15
+    defect = abs(w_ball.sum() - BALL_VOLUME) + abs(w_dom.sum() - BALL_VOLUME)
+    modulus = 2.0 * BALL_VOLUME * (width * np.sqrt(0.5)) ** alpha
+    assert est.error_bound == defect + modulus + dropped
+    h = np.array(est.node_values)
+    assert holder_norm_over_pairs(points, h, alpha) <= 1.0 + 1e-12
+    n_live = len(points) - int(zero_mass.sum())
+    assert est.witness == f"lp node values (n={len(points)}, {n_live} in the LP)"
+    if make is unnormalized:
+        assert n_live == len(points)
+        assert est.lower_bound == dense
+        assert np.array_equal(h, h_dense)
+    else:
+        assert n_live < 20
+
+
+def test_band_lp_of_the_ball_is_zero():
+    points, w_ball, w_dom, width = metrics._lp_nodes(ball(), 200)
+    value, h, dropped, n_live = metrics._band_lp(
+        points, w_ball - w_dom, 1.0, width * width
+    )
+    assert (value, n_live) == (0.0, 0)
+    assert h.shape == (len(points),) and not h.any()
+    assert dropped <= 1e-12
+
+
+def test_band_lp_with_one_live_node_is_a_constant():
+    # max h g over m + s <= 1 with one charged node: h = sign g, m = 1, s = 0
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    gap = np.array([1e-16, -0.3, 0.0, -1e-16])
+    value, h, dropped, n_live = metrics._band_lp(points, gap, 0.5, 1.0)
+    assert (value, n_live) == (0.3, 1)
+    assert dropped == 2e-16
+    assert np.array_equal(h, np.full(4, -1.0))
+    assert holder_norm_over_pairs(points, h, 0.5) == 1.0
 
 
 def test_tv_distance_frozen():
