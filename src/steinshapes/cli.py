@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full single-domain report")
     p.add_argument("config", help="path to a JSON shape config")
-    p.add_argument("--grid", type=int, default=16, help="Steklov truncation order")
+    p.add_argument(
+        "--grid", type=int, default=experiments.STEKLOV_ORDER, help="Steklov truncation order"
+    )
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
@@ -184,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="JSON family/shape config, or 'default'")
     p.add_argument("--theorem", required=True, choices=experiments.THEOREMS)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument(
-        "--z-method", default="dictionary", choices=("dictionary", "lp-oracle")
-    )
+    p.add_argument("--z-method", default="dictionary", choices=experiments.Z_METHODS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="scaling sweep over amplitude families")

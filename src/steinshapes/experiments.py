@@ -8,6 +8,17 @@ family-wide.  For lower-bound statements (lhs >= C * core) that extreme
 is the minimum ratio; for upper-bound statements (lhs <= C * core) it is
 the maximum.  C_emp tables are summaries of this code's numbers, never
 claims about the true constants.
+
+``verify_inequality``, ``family_sweep`` and ``analyze_domain`` read every
+solve through one record per domain, ``_Member``, which runs each solve
+once, on first read, at these truncations (other solves take no size):
+
+    Stein kernel   k = 24 refine, m = 1024 refine
+    Steklov        k = 16 + 4 order + 4 (refine - 1), or analyze's pinned
+                   order; m = the solver's default at refine 1, else 512 refine
+    Z(alpha)       zolotarev_lower, or zolotarev_oracle for "lp-oracle"
+
+A solver gate failing in a member names the member, solver and sizes.
 """
 
 from __future__ import annotations
@@ -16,11 +27,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import metrics, stein, steklov
-from .errors import InputError, IoFailure, NormalizationMissing, NotApplicable
+from .errors import InputError, IoFailure, NormalizationMissing, NotApplicable, SteinShapesError
 from .shapes import (
     BALL_VOLUME,
     QUAD_TOL,
@@ -31,19 +43,8 @@ from .shapes import (
 )
 
 DEFAULT_AMPLITUDES = (0.02, 0.04, 0.06, 0.08, 0.10)
-THEOREMS = ("thm-main", "thm-kernel", "thm-bw", "prop-steklov", "prop-combined")
-SWEEP_QUANTITIES = (
-    "one_minus_sigma1",
-    "d1",
-    "d2",
-    "osc_l1",
-    "z_lower",
-    "discrepancy_l1",
-    "discrepancy_l2",
-    "deficit_perimeter",
-    "deficit_momentum",
-    "fraenkel",
-)
+STEKLOV_ORDER = 16        # Steklov truncation of analyze; verify/sweep add 4 per order
+Z_METHODS = ("dictionary", "lp-oracle")
 
 _TINY = 1e-14
 IDENTITY_TOL = 1e-9       # |P - 4V + M - d2| gate of prop-combined
@@ -167,11 +168,131 @@ def _c_emp(ratios, direction: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# theorem verification
+# family members
+
+
+def _steklov_order(domain: StarDomain) -> int:
+    # higher boundary modes push eigenfunction content to higher frequency;
+    # scale the truncation with the radius order so the strict gate holds
+    return STEKLOV_ORDER + 4 * domain.order
+
+
+@dataclass
+class _Member:
+    """One domain and each solve of it, run once on first read; the only
+    caller of the L2 solvers in this module.  A solver's ``SteinShapesError``
+    keeps its class and gains the prefix "<label> › <solver>(<sizes>): "."""
+
+    domain: StarDomain
+    label: str
+    alpha: float = 1.0
+    z_method: str = "dictionary"
+    refine: int = 1
+    steklov_k: int | None = None     # pinned Steklov order (analyze --grid)
+
+    def _solve(self, solver, **params):
+        try:
+            return solver(self.domain, **params)
+        except SteinShapesError as exc:
+            shown = ", ".join(f"{k}={v}" for k, v in params.items() if v is not None)
+            exc.args = (f"{self.label} › {solver.__name__}({shown}): {exc}",)
+            raise
+
+    @cached_property
+    def functionals(self):
+        return self._solve(geometric_functionals)
+
+    @cached_property
+    def deficits(self):
+        return self._solve(stein.boundary_deficits)
+
+    @cached_property
+    def kernel(self):
+        return self._solve(stein.stein_kernel_solve, k=24 * self.refine, m=1024 * self.refine)
+
+    @cached_property
+    def spectrum(self):
+        k = self.steklov_k
+        if k is None:
+            k = _steklov_order(self.domain) + 4 * (self.refine - 1)
+        m = None if self.refine == 1 else 512 * self.refine
+        return self._solve(steklov.steklov_spectrum, k=k, m=m)
+
+    @cached_property
+    def z(self):
+        if self.z_method == "lp-oracle":
+            return self._solve(metrics.zolotarev_oracle, alpha=self.alpha)
+        return self._solve(metrics.zolotarev_lower, alpha=self.alpha)
+
+    @cached_property
+    def fraenkel(self):
+        return self._solve(metrics.fraenkel_asymmetry, n=256, search=False)
+
+
+# ---------------------------------------------------------------------------
+# theorem verification: a row reads one member and returns (lhs, core,
+# extras, notes); any note fails the check.  Its locals fix the order of the
+# solves, and so which gate fails first: a returned tuple runs left to right.
+
+
+def _thm_main(m: _Member):
+    deficits = m.deficits
+    return m.z.lower_bound, deficits.osc_l1, {"d1": deficits.d1}, []
+
+
+def _thm_kernel(m: _Member):
+    core = m.kernel.discrepancy_l1
+    return m.z.lower_bound, core, {}, []
+
+
+def _thm_bw(m: _Member):
+    spec, d_vol = m.spectrum, 2.0 * m.functionals.volume
+    z = m.z.lower_bound
+    slack = (spec.c_bw - 1.0) * d_vol + 1e-6 - m.kernel.discrepancy_l2
+    notes = []
+    if spec.sigma1 > 1.0 + 1e-9:
+        notes.append(f"{m.domain.label}: sigma1 = {spec.sigma1} violates the bound")
+    if slack < 0.0:
+        notes.append(f"{m.domain.label}: proof-chain inequality fails by {-slack:.3g}")
+    extras = {"sigma1": spec.sigma1, "chain_slack": slack}
+    return spec.c_bw - 1.0, z * z / d_vol, extras, notes
+
+
+def _prop_steklov(m: _Member):
+    fun = m.functionals
+    lhs = fun.perimeter - 2.0 * math.sqrt(math.pi * fun.volume)
+    z = m.z.lower_bound
+    notes = [f"{m.domain.label}: isoperimetric direction fails"] if lhs < -1e-9 else []
+    return lhs, z * z, {"sigma1": m.spectrum.sigma1}, notes
+
+
+def _prop_combined(m: _Member):
+    fun, d2 = m.functionals, m.deficits.d2
+    lhs = (fun.perimeter - 2.0 * math.pi) + (fun.momentum - 2.0 * math.pi)
+    z = m.z.lower_bound
+    residual = abs(lhs - d2)
+    notes = []
+    if residual > IDENTITY_TOL:
+        notes.append(f"{m.domain.label}: combined identity off by {residual:.3g}")
+    if lhs < -1e-12:
+        notes.append(f"{m.domain.label}: combined deficit negative")
+    return lhs, z * z, {"identity_residual": residual}, notes
+
+
+_THEOREMS = {
+    "thm-main": ("upper", _thm_main),
+    "thm-kernel": ("upper", _thm_kernel),
+    "thm-bw": ("lower", _thm_bw),
+    "prop-steklov": ("lower", _prop_steklov),
+    "prop-combined": ("lower", _prop_combined),
+}
+THEOREMS = tuple(_THEOREMS)
 
 
 def _members_and_alpha(family, alpha: float | None):
     if isinstance(family, PerturbationFamily):
+        if alpha is not None and alpha != family.alpha:
+            raise InputError(f"alpha {alpha} conflicts with the family's alpha {family.alpha}")
         return family.members(), family.alpha, family.normalization
     members = tuple(family)
     if not members or not all(isinstance(m, StarDomain) for m in members):
@@ -183,27 +304,15 @@ def _require_normalization(theorem: str, members, declared: str | None) -> None:
     if theorem in ("thm-bw", "prop-combined"):
         if declared is not None and declared not in ("volume", "both"):
             raise NormalizationMissing(f"{theorem} needs volume normalization")
-        for dom in members:
-            fun = geometric_functionals(dom)
+        for fun in (member.functionals for member in members):
             if abs(fun.volume - BALL_VOLUME) > 1e-6:
-                raise NormalizationMissing(
-                    f"{theorem}: member volume {fun.volume:.8f} != |B_1|"
-                )
+                raise NormalizationMissing(f"{theorem}: member volume {fun.volume:.8f} != |B_1|")
     if theorem in ("thm-kernel", "prop-steklov"):
         if declared is not None and declared not in ("recenter", "both", "volume"):
             raise NormalizationMissing(f"{theorem} needs a centered family")
-        for dom in members:
-            fun = geometric_functionals(dom)
+        for fun in (member.functionals for member in members):
             if np.hypot(*fun.barycenter) * fun.perimeter > 1e-6:
-                raise NormalizationMissing(
-                    f"{theorem}: member boundary barycenter is off origin"
-                )
-
-
-def _steklov_order(domain: StarDomain) -> int:
-    # higher boundary modes push eigenfunction content to higher frequency;
-    # scale the truncation with the radius order so the strict gate holds
-    return 16 + 4 * domain.order
+                raise NormalizationMissing(f"{theorem}: member boundary barycenter is off origin")
 
 
 def verify_inequality(
@@ -225,136 +334,54 @@ def verify_inequality(
     ``refine`` scales collocation and truncation sizes; it exists so the
     stability of C_emp under refinement is itself testable.  With
     z_method "lp-oracle" the extras also carry each member's
-    discretization slack under "z_error_bound".
+    discretization slack under "z_error_bound".  An ``alpha`` that
+    differs from a PerturbationFamily's own is an input error.
     """
-    if theorem not in THEOREMS:
+    if theorem not in _THEOREMS:
         raise InputError(f"unknown theorem id {theorem!r}")
-    members, alpha, declared = _members_and_alpha(family, alpha)
-    _require_normalization(theorem, members, declared)
-    labels = tuple(dom.label or f"domain-{i}" for i, dom in enumerate(members))
-
-    lhs: list[float] = []
-    core: list[float] = []
-    extras: dict[str, list[float]] = {}
-    notes: list[str] = []
-    ok = True
-
-    def z_lower(dom: StarDomain) -> float:
-        if z_method == "dictionary":
-            return metrics.zolotarev_lower(dom, alpha).lower_bound
-        if z_method == "lp-oracle":
-            est = metrics.zolotarev_oracle(dom, alpha)
-            extras.setdefault("z_error_bound", []).append(est.error_bound)
-            return est.lower_bound
+    if z_method not in Z_METHODS:
         raise InputError(f"unknown Z method {z_method!r}")
-
-    if theorem == "thm-main":
-        direction = "upper"
-        for dom in members:
-            deficits = stein.boundary_deficits(dom)
-            lhs.append(z_lower(dom))
-            core.append(deficits.osc_l1)
-            extras.setdefault("d1", []).append(deficits.d1)
-
-    elif theorem == "thm-kernel":
-        direction = "upper"
-        for dom in members:
-            result = stein.stein_kernel_solve(dom, k=24 * refine, m=1024 * refine)
-            lhs.append(z_lower(dom))
-            core.append(result.discrepancy_l1)
-
-    elif theorem == "thm-bw":
-        direction = "lower"
-        for dom in members:
-            spec = steklov.steklov_spectrum(
-                dom,
-                k=_steklov_order(dom) + 4 * (refine - 1),
-                m=None if refine == 1 else 512 * refine,
-            )
-            fun = geometric_functionals(dom)
-            z = z_lower(dom)
-            d_vol = 2.0 * fun.volume
-            lhs.append(spec.c_bw - 1.0)
-            core.append(z * z / d_vol)
-            extras.setdefault("sigma1", []).append(spec.sigma1)
-            if spec.sigma1 > 1.0 + 1e-9:
-                ok = False
-                notes.append(f"{dom.label}: sigma1 = {spec.sigma1} violates the bound")
-            kernel = stein.stein_kernel_solve(dom, k=24 * refine, m=1024 * refine)
-            slack = (spec.c_bw - 1.0) * d_vol + 1e-6 - kernel.discrepancy_l2
-            extras.setdefault("chain_slack", []).append(slack)
-            if slack < 0.0:
-                ok = False
-                notes.append(f"{dom.label}: proof-chain inequality fails by {-slack:.3g}")
-
-    elif theorem == "prop-steklov":
-        direction = "lower"
-        kept = []
-        for dom in members:
-            sigma1 = steklov.steklov_spectrum(
-                dom,
-                k=_steklov_order(dom) + 4 * (refine - 1),
-                m=None if refine == 1 else 512 * refine,
-            ).sigma1
-            if sigma1 >= 1.0 - 1e-9:
-                kept.append((dom, sigma1))
-        if not kept:
+    domains, alpha, declared = _members_and_alpha(family, alpha)
+    members = [
+        _Member(dom, dom.label or f"domain-{i}", alpha, z_method, refine)
+        for i, dom in enumerate(domains)
+    ]
+    _require_normalization(theorem, members, declared)
+    if theorem == "prop-steklov":
+        members = [m for m in members if m.spectrum.sigma1 >= 1.0 - 1e-9]
+        if not members:
             raise NotApplicable(
                 "no family member has sigma1 >= 1; the constrained perimeter "
                 "bound does not apply"
             )
-        labels = tuple(dom.label or "member" for dom, _ in kept)
-        for dom, sigma1 in kept:
-            fun = geometric_functionals(dom)
-            ball_perimeter = 2.0 * math.sqrt(math.pi * fun.volume)
-            z = z_lower(dom)
-            lhs.append(fun.perimeter - ball_perimeter)
-            core.append(z * z)
-            extras.setdefault("sigma1", []).append(sigma1)
-            if lhs[-1] < -1e-9:
-                ok = False
-                notes.append(f"{dom.label}: isoperimetric direction fails")
+        labels = tuple(m.domain.label or "member" for m in members)
+    else:
+        labels = tuple(m.label for m in members)
 
-    else:  # prop-combined
-        direction = "lower"
-        for dom in members:
-            fun = geometric_functionals(dom)
-            deficits = stein.boundary_deficits(dom)
-            delta = fun.perimeter - 2.0 * math.pi
-            delta_w = fun.momentum - 2.0 * math.pi
-            z = z_lower(dom)
-            lhs.append(delta + delta_w)
-            core.append(z * z)
-            residual = abs(delta + delta_w - deficits.d2)
-            extras.setdefault("identity_residual", []).append(residual)
-            if residual > IDENTITY_TOL:
-                ok = False
-                notes.append(f"{dom.label}: combined identity off by {residual:.3g}")
-            if lhs[-1] < -1e-12:
-                ok = False
-                notes.append(f"{dom.label}: combined deficit negative")
-
+    direction, row = _THEOREMS[theorem]
+    lhs, core, more, member_notes = zip(*map(row, members))
+    extras = {}
+    if z_method == "lp-oracle":
+        extras["z_error_bound"] = tuple(m.z.error_bound for m in members)
+    extras.update((key, tuple(x[key] for x in more)) for key in more[0])
+    notes = [note for group in member_notes for note in group]
     ratios = tuple(_ratio(l, c) for l, c in zip(lhs, core))
     if any(math.isinf(r) for r in ratios):
-        ok = False
         notes.append("a member has positive lhs against vanishing core")
-    if direction == "upper" and any(
-        l < -_TINY or c < -_TINY for l, c in zip(lhs, core)
-    ):
-        ok = False
+    if direction == "upper" and any(l < -_TINY or c < -_TINY for l, c in zip(lhs, core)):
         notes.append("negative quantity where a nonnegative one was proven")
 
     return InequalityReport(
         theorem=theorem,
         direction=direction,
         labels=labels,
-        lhs=tuple(lhs),
-        core=tuple(core),
+        lhs=lhs,
+        core=core,
         ratios=ratios,
         c_emp=_c_emp(ratios, direction),
-        passed=ok,
+        passed=not notes,
         z_method=z_method,
-        extras=tuple((k, tuple(v)) for k, v in extras.items()),
+        extras=tuple(extras.items()),
         notes=tuple(notes),
     )
 
@@ -363,26 +390,19 @@ def verify_inequality(
 # sweeps
 
 
-def _quantity_value(name: str, dom: StarDomain, alpha: float, solved: dict) -> float:
-    def once(solver):
-        # one run per (solver, member), shared by every quantity it yields
-        if (solver, dom) not in solved:
-            solved[solver, dom] = solver(dom)
-        return solved[solver, dom]
-
-    if name == "one_minus_sigma1":
-        return 1.0 - steklov.steklov_spectrum(dom, k=_steklov_order(dom)).sigma1
-    if name in ("d1", "d2", "osc_l1"):
-        return getattr(once(stein.boundary_deficits), name)
-    if name == "z_lower":
-        return metrics.zolotarev_lower(dom, alpha).lower_bound
-    if name in ("discrepancy_l1", "discrepancy_l2"):
-        return getattr(once(stein.stein_kernel_solve), name)
-    if name in ("deficit_perimeter", "deficit_momentum"):
-        return getattr(geometric_functionals(dom), name)
-    if name == "fraenkel":
-        return metrics.fraenkel_asymmetry(dom, n=256, search=False).value
-    raise InputError(f"unknown sweep quantity {name!r}")
+_QUANTITIES = {
+    "one_minus_sigma1": lambda m: 1.0 - m.spectrum.sigma1,
+    "d1": lambda m: m.deficits.d1,
+    "d2": lambda m: m.deficits.d2,
+    "osc_l1": lambda m: m.deficits.osc_l1,
+    "z_lower": lambda m: m.z.lower_bound,
+    "discrepancy_l1": lambda m: m.kernel.discrepancy_l1,
+    "discrepancy_l2": lambda m: m.kernel.discrepancy_l2,
+    "deficit_perimeter": lambda m: m.functionals.deficit_perimeter,
+    "deficit_momentum": lambda m: m.functionals.deficit_momentum,
+    "fraenkel": lambda m: m.fraenkel.value,
+}
+SWEEP_QUANTITIES = tuple(_QUANTITIES)
 
 
 def family_sweep(family: PerturbationFamily, quantities=("one_minus_sigma1", "d2")) -> SweepResult:
@@ -391,26 +411,18 @@ def family_sweep(family: PerturbationFamily, quantities=("one_minus_sigma1", "d2
         raise InputError("slope fits need >= 4 amplitudes")
     quantities = tuple(quantities)
     for name in quantities:
-        if name not in SWEEP_QUANTITIES:
+        if name not in _QUANTITIES:
             raise InputError(f"unknown sweep quantity {name!r}")
-    members = family.members()
-    solved: dict = {}
-    table = []
-    slopes = []
-    residuals = []
-    for name in quantities:
-        row = tuple(_quantity_value(name, dom, family.alpha, solved) for dom in members)
-        slope, rms = fit_loglog(family.amplitudes, row)
-        table.append(row)
-        slopes.append(slope)
-        residuals.append(rms)
+    members = [_Member(dom, dom.label, family.alpha) for dom in family.members()]
+    table = tuple(tuple(_QUANTITIES[name](m) for m in members) for name in quantities)
+    fits = [fit_loglog(family.amplitudes, row) for row in table]
     return SweepResult(
         k=family.k,
         amplitudes=tuple(family.amplitudes),
         quantities=quantities,
-        table=tuple(table),
-        slopes=tuple(slopes),
-        fit_residuals=tuple(residuals),
+        table=table,
+        slopes=tuple(slope for slope, _ in fits),
+        fit_residuals=tuple(rms for _, rms in fits),
     )
 
 
@@ -430,44 +442,32 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
     if k < 1:
         raise InputError(f"mode k must be >= 1, got {k}")
     eps = tuple(float(e) for e in amplitudes)
+    if not eps:
+        raise InputError("need at least one amplitude")
     if any(e < 0.0 or e > 0.1 for e in eps):
         raise InputError("amplitudes must lie in [0, 0.1]")
 
-    exact = {"volume": [], "perimeter": [], "momentum": [], "difference": []}
-    predicted = {"volume": [], "perimeter": [], "momentum": [], "difference": []}
+    exact, predicted = [], []      # one (volume, perimeter, momentum, difference) per eps
     for e in eps:
         c0 = -e * e / 4.0
-        dom = StarDomain(1.0 + c0, (0.0,) * (k - 1) + (e,))
-        fun = geometric_functionals(dom)
-        exact["volume"].append(fun.volume)
-        exact["perimeter"].append(fun.perimeter)
-        exact["momentum"].append(fun.momentum)
-        exact["difference"].append(fun.perimeter - fun.momentum)
+        fun = geometric_functionals(StarDomain(1.0 + c0, (0.0,) * (k - 1) + (e,)))
+        exact.append((fun.volume, fun.perimeter, fun.momentum, fun.perimeter - fun.momentum))
         i1 = 2.0 * math.pi * c0
         i2 = math.pi * e * e + 2.0 * math.pi * c0 * c0
         ig = math.pi * e * e * k * k
         vol2 = math.pi + i1 + 0.5 * i2
         per2 = 2.0 * math.pi + i1 + 0.5 * ig
         mom2 = 2.0 * math.pi + 3.0 * i1 + 3.0 * i2 + 0.5 * ig
-        predicted["volume"].append(vol2)
-        predicted["perimeter"].append(per2)
-        predicted["momentum"].append(mom2)
-        predicted["difference"].append(per2 - mom2)
+        predicted.append((vol2, per2, mom2, per2 - mom2))
 
     reports = []
-    for name in ("volume", "perimeter", "momentum", "difference"):
-        res = tuple(
-            abs(x - p) for x, p in zip(exact[name], predicted[name])
-        )
+    names = ("volume", "perimeter", "momentum", "difference")
+    for name, x, p in zip(names, zip(*exact), zip(*predicted)):
+        res = tuple(abs(a - b) for a, b in zip(x, p))
         slope, _ = fit_loglog(eps, res)
         reports.append(
             ExpansionReport(
-                functional=name,
-                amplitudes=eps,
-                exact=tuple(exact[name]),
-                predicted=tuple(predicted[name]),
-                residuals=res,
-                slope=slope,
+                functional=name, amplitudes=eps, exact=x, predicted=p, residuals=res, slope=slope
             )
         )
     return tuple(reports)
@@ -477,25 +477,26 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
 # analysis assembly and report emission
 
 
-def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = 16) -> dict:
+def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = STEKLOV_ORDER) -> dict:
     """Full single-domain analysis as a plain report dictionary."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     domain = spec if isinstance(spec, StarDomain) else build_domain(spec)
     timings["build"] = time.perf_counter() - t0
+    member = _Member(domain, domain.label or "domain", alpha, steklov_k=steklov_order)
 
     t0 = time.perf_counter()
-    fun = geometric_functionals(domain)
+    fun = member.functionals
     reg = regularity_params(domain, alpha=alpha)
-    deficits = stein.boundary_deficits(domain)
+    deficits = member.deficits
     timings["functionals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spectrum = steklov.steklov_spectrum(domain, k=steklov_order)
+    spectrum = member.spectrum
     timings["steklov"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    z = metrics.zolotarev_lower(domain, alpha)
+    z = member.z
     timings["zolotarev"] = time.perf_counter() - t0
 
     return {

@@ -106,13 +106,7 @@ def path(
             raise InputError(f"increments must have shape ({n}, 2)")
     a, b, _ = domain._packed
     xs, ys, n_reflect, fail = _kernels.reflect_path(
-        float(config.start[0]),
-        float(config.start[1]),
-        np.ascontiguousarray(increments[:, 0]),
-        np.ascontiguousarray(increments[:, 1]),
-        float(domain.base_radius),
-        np.ascontiguousarray(a),
-        np.ascontiguousarray(b),
+        *config.start, increments[:, 0], increments[:, 1], domain.base_radius, a, b
     )
     if fail >= 0:
         raise ReflectionFailed(

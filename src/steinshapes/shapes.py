@@ -540,7 +540,7 @@ def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParam
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     frame = frame_at(domain, *circle_grid(VALIDATION_GRID))
     r, rp = frame.radius, frame.radius_prime
-    seminorm = float(_kernels.circle_lag_seminorm(np.ascontiguousarray(rp), alpha))
+    seminorm = _kernels.circle_lag_seminorm(rp, alpha)
     lam = float(np.abs(r - 1.0).max() + np.abs(rp).max() + seminorm)
     return RegularityParams(
         kappa=frame.kappa,
@@ -699,16 +699,11 @@ def holder_norm(points, values, alpha: float) -> float:
     vals = np.asarray(values, dtype=float)
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
         raise InputError("need >= 2 located samples")
-    semi = _kernels.pair_seminorm(
-        np.ascontiguousarray(pts), np.ascontiguousarray(vals), float(alpha)
-    )
-    return float(np.abs(vals).max() + semi)
+    return float(np.abs(vals).max() + _kernels.pair_seminorm(pts, vals, alpha))
 
 
 def matrix_holder_seminorm(points, matrices, alpha: float) -> float:
     """C^alpha seminorm of a matrix field under the Frobenius distance."""
-    pts = np.ascontiguousarray(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     mats = np.asarray(matrices, dtype=float).reshape(pts.shape[0], -1)
-    return float(
-        _kernels.matrix_pair_seminorm(pts, np.ascontiguousarray(mats), float(alpha))
-    )
+    return _kernels.matrix_pair_seminorm(pts, mats, alpha)

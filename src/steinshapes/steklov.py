@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import DegenerateBasis, GridTooCoarse, NotConverged, ZeroTrace
+from .errors import DegenerateBasis, GridTooCoarse, InputError, NotConverged, ZeroTrace
 from .shapes import StarDomain, boundary_frame, bulk_grid
 
 PIVOT_THRESHOLD = 1e-12
@@ -96,6 +96,8 @@ def steklov_spectrum(
     the boundary grid enlarged accordingly) at tolerance 1e-8; with
     ``strict`` the mismatch raises instead of being flagged.
     """
+    if k < 1:
+        raise InputError(f"truncation order must be >= 1, got {k}")
     if m is None:
         m = max(4 * (k + 4), 256)
     if m < 4 * k:

@@ -4,10 +4,14 @@ contract (0 pass, 1 direction violation, 2 solver gate, 3 input error)."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import steinshapes
 from steinshapes import rbm
 from steinshapes.cli import build_parser, main
 
@@ -24,6 +28,7 @@ def configs(tmp_path):
         "spiky": {"base_radius": 1.0, "fourier_cos": [0.0] * 9 + [0.3]},
         "negative": {"base_radius": -1.0},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
+        "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
         "word_mode": {"k": "two", "amplitudes": [0.04, 0.08]},
         "json_string": "eps",
@@ -215,6 +220,9 @@ class TestExitCodes:
             ["expansion", "--eps", "0.05"],
             ["expansion", "--k", "0"],
             ["analyze", "{bump}", "--alpha", "2"],
+            ["analyze", "{bump}", "--grid", "0"],
+            ["analyze", "{bump}", "--grid", "-4"],
+            ["verify", "{half_alpha_family}", "--theorem", "thm-main", "--alpha", "1.0"],
             ["verify", "{scalar_amplitudes}", "--theorem", "thm-main"],
             ["verify", "{word_mode}", "--theorem", "thm-main"],
             ["verify", "{json_string}", "--theorem", "thm-main"],
@@ -235,3 +243,15 @@ class TestExitCodes:
         with pytest.raises(np.linalg.LinAlgError):
             main(["analyze", configs["ball"]])
         assert "input error" not in capsys.readouterr().err
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # the CLI pays for importing the package on every run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(steinshapes.__file__)))
+    code = "import sys, steinshapes; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    heavy = {"scipy.optimize", "scipy.sparse", "scipy.stats", "numba"}
+    assert heavy.isdisjoint(out.split())

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,13 @@ import pytest
 
 from steinshapes import experiments as ex
 from steinshapes import metrics, shapes, stein, steklov
-from steinshapes.errors import IoFailure, NormalizationMissing, NotApplicable
+from steinshapes.errors import (
+    IdentityViolated,
+    InputError,
+    IoFailure,
+    NormalizationMissing,
+    NotApplicable,
+)
 from steinshapes.shapes import StarDomain
 
 # empirical constants over the volume-normalized k=2 cosine family,
@@ -207,6 +214,43 @@ class TestVerifyInequality:
             for dom in fam.members()
         )
 
+    def test_explicit_alpha_must_match_the_family(self):
+        fam = ex.PerturbationFamily(k=2, amplitudes=(0.04, 0.08))
+        with pytest.raises(InputError, match="alpha 0.5 conflicts"):
+            ex.verify_inequality(fam, "thm-main", alpha=0.5)
+
+    def test_gate_error_names_the_member_and_the_solve(self):
+        fam = ex.PerturbationFamily(k=4, amplitudes=(0.03, 0.06, 0.09))
+        with pytest.raises(IdentityViolated) as failure:
+            ex.verify_inequality(fam, "thm-bw")
+        message = str(failure.value)
+        assert message.startswith("k=4 eps=0.09 › stein_kernel_solve(k=24, m=1024): ")
+        assert "test-panel identity" in message
+
+    def test_bw_runs_each_solve_once_per_member(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(ex, "geometric_functionals")
+        count(steklov, "steklov_spectrum")
+        count(metrics, "zolotarev_lower")
+        count(stein, "stein_kernel_solve")
+        ex.verify_inequality(ex.PerturbationFamily(k=2, amplitudes=(0.04, 0.08)), "thm-bw")
+        assert calls == {
+            "geometric_functionals": 2,
+            "steklov_spectrum": 2,
+            "zolotarev_lower": 2,
+            "stein_kernel_solve": 2,
+        }
+
     def test_bw_constant_is_refinement_stable(self):
         fam = ex.PerturbationFamily(k=3, amplitudes=(0.04, 0.08))
         coarse = ex.verify_inequality(fam, "thm-bw", refine=1)
@@ -242,7 +286,7 @@ class TestFamilySweep:
         calls = []
 
         def counted(solver, names):
-            def solve(domain):
+            def solve(domain, **sizes):
                 calls.append(solver)
                 return SimpleNamespace(**{n: domain.cos_coeffs[-1] for n in names})
 
@@ -307,6 +351,8 @@ class TestExpansionValidator:
             ex.expansion_validator(0, (0.02,))
         with pytest.raises(ValueError, match="amplitudes"):
             ex.expansion_validator(2, (0.2,))
+        with pytest.raises(ValueError, match="amplitude"):
+            ex.expansion_validator(2, ())
 
 
 class TestEmitReport:

@@ -13,7 +13,7 @@ from steinshapes import (
     trace_inequality_check,
 )
 from steinshapes import _polar
-from steinshapes.errors import GridTooCoarse, NotConverged, ZeroTrace
+from steinshapes.errors import GridTooCoarse, InputError, NotConverged, ZeroTrace
 
 # frozen oracle values, printed once at %.17g and pinned
 VN_SIGMA1 = 0.85527050448831599
@@ -110,3 +110,9 @@ def test_strict_truncation_gate():
 def test_boundary_grid_floor():
     with pytest.raises(GridTooCoarse):
         steklov_spectrum(ball(), k=16, m=32)
+
+
+@pytest.mark.parametrize("k", [0, -4])
+def test_truncation_order_must_be_positive(k):
+    with pytest.raises(InputError, match="truncation order"):
+        steklov_spectrum(ball(), k=k)
