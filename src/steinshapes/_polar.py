@@ -37,15 +37,26 @@ keeps the arithmetic exact, including at r = 0.  Every term with m >= 2
 has a continuous gradient at the origin; the Hessian components of the
 m = 2 log terms diverge like log r there, which stays square integrable on
 the disk, and are evaluated with a finite stand-in for log 0.
+
+A basis evaluates polar-frame components only, one (N, n) block each; a
+field contracts its coefficients first and rotates the (N,) results to
+Cartesian axes once per point.  The boundary solvers share three more
+pieces of this calculus, kept here alone: ``PolarBasis.normal_derivative``
+against a normal given in the polar frame, ``fit``, the equilibrated least
+squares with its condition gate, and ``PolarField.poisson_preimage``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IllConditioned
+
 COS, SIN = 0, 1
+COND_GATE = 1e12
 
 
 class PolarBasis:
@@ -151,20 +162,19 @@ class PolarBasis:
         return self._closed_form(self._pow(r, 1), td, self._log(r), 1.0)
 
     def gradients(self, r, theta):
-        """Cartesian gradients, shape (N, n, 2)."""
+        """Polar-frame gradient components (f_r, f_theta / r), each (N, n)."""
         t, td = self._trig(theta, derivative=True)
         p1, lg = self._pow(r, 1), self._log(r)
-        fr = self._closed_form(p1, t, lg, self.powers, self.logs)
-        ftr = self._closed_form(p1, td, lg, 1.0)
-        ct = np.cos(theta)[:, None]
-        st = np.sin(theta)[:, None]
-        out = np.empty(fr.shape + (2,))
-        a, b = fr * ct, ftr * st
-        np.subtract(a, b, out=out[..., 0])
-        np.multiply(fr, st, out=a)
-        np.multiply(ftr, ct, out=b)
-        np.add(a, b, out=out[..., 1])
-        return out
+        return (
+            self._closed_form(p1, t, lg, self.powers, self.logs),
+            self._closed_form(p1, td, lg, 1.0),
+        )
+
+    def normal_derivative(self, r, theta, nu_r, nu_theta):
+        """f_r nu_r + (f_theta / r) nu_theta, (N, n), against a normal given
+        by its polar components at each point."""
+        fr, ftr = self.gradients(r, theta)
+        return fr * nu_r[:, None] + ftr * nu_theta[:, None]
 
     def hessian_rtheta(self, r, theta):
         """H_rtheta alone, (N, n): the middle component of ``hessian_frame``."""
@@ -184,21 +194,6 @@ class PolarBasis:
             hrt,
             self._closed_form(p2, t, lg, m - k * k, w),
         )
-
-    def hessians(self, r, theta):
-        """Cartesian Hessians, shape (N, n, 2, 2)."""
-        hrr, hrt, htt = self.hessian_frame(r, theta)
-        ct = np.cos(theta)[:, None]
-        st = np.sin(theta)[:, None]
-        hxx = ct * ct * hrr - 2.0 * ct * st * hrt + st * st * htt
-        hxy = ct * st * (hrr - htt) + (ct * ct - st * st) * hrt
-        hyy = st * st * hrr + 2.0 * ct * st * hrt + ct * ct * htt
-        out = np.empty(hrr.shape + (2, 2))
-        out[..., 0, 0] = hxx
-        out[..., 0, 1] = hxy
-        out[..., 1, 0] = hxy
-        out[..., 1, 1] = hyy
-        return out
 
     def laplacians(self, r, theta):
         t = self._trig(theta)
@@ -315,14 +310,43 @@ def to_polar(points) -> tuple[np.ndarray, np.ndarray]:
     return np.hypot(p[..., 0], p[..., 1]), np.arctan2(p[..., 1], p[..., 0])
 
 
+def _cartesian(theta, *frame):
+    """Polar-frame components, one (N,) array each, rotated to Cartesian:
+    (v_r, v_theta) to an (N, 2) vector, (H_rr, H_rtheta, H_thetatheta) to an
+    (N, 2, 2) symmetric matrix."""
+    ct, st = np.cos(theta), np.sin(theta)
+    if len(frame) == 2:
+        vr, vt = frame
+        return np.stack([vr * ct - vt * st, vr * st + vt * ct], axis=-1)
+    hrr, hrt, htt = frame
+    hxx = ct * ct * hrr - 2.0 * ct * st * hrt + st * st * htt
+    hxy = ct * st * (hrr - htt) + (ct * ct - st * st) * hrt
+    hyy = st * st * hrr + 2.0 * ct * st * hrt + ct * ct * htt
+    return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(hrr.shape + (2, 2))
+
+
 def gradients_of(fields, points) -> list[np.ndarray]:
     """Gradients of fields over one shared basis, from a single evaluation of
     that basis; each equals ``field.gradient(points)`` bit for bit."""
     basis = fields[0].basis
     if any(f.basis is not basis for f in fields):
         raise ValueError("fields must share one basis")
-    grads = basis.gradients(*to_polar(points))
-    return [np.einsum("njd,j->nd", grads, f.coeffs) for f in fields]
+    r, theta = to_polar(points)
+    fr, ftr = basis.gradients(r, theta)
+    return [_cartesian(theta, fr @ f.coeffs, ftr @ f.coeffs) for f in fields]
+
+
+def fit(rows, rhs) -> tuple[np.ndarray, float]:
+    """Column-equilibrated least squares rows @ coeffs ~ rhs, with rhs (M,)
+    or (M, q).  Returns the coefficients and the condition number of the
+    equilibrated matrix; raises IllConditioned above COND_GATE = 1e12."""
+    norms = np.linalg.norm(rows, axis=0)
+    norms[norms == 0.0] = 1.0
+    sol, _, _, svals = np.linalg.lstsq(rows / norms, rhs, rcond=None)
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    if cond > COND_GATE:
+        raise IllConditioned(f"least-squares condition {cond:.3g} > 1e12")
+    return (sol.T / norms).T, cond
 
 
 @dataclass(frozen=True)
@@ -339,13 +363,13 @@ class PolarField:
         return self.value_polar(*to_polar(points))
 
     def gradient_polar(self, r, theta):
-        return np.einsum("njd,j->nd", self.basis.gradients(r, theta), self.coeffs)
+        return _cartesian(theta, *(g @ self.coeffs for g in self.basis.gradients(r, theta)))
 
     def gradient(self, points):
         return self.gradient_polar(*to_polar(points))
 
     def hessian_polar(self, r, theta):
-        return np.einsum("njab,j->nab", self.basis.hessians(r, theta), self.coeffs)
+        return _cartesian(theta, *(h @ self.coeffs for h in self.basis.hessian_frame(r, theta)))
 
     def hessian(self, points):
         return self.hessian_polar(*to_polar(points))
@@ -358,3 +382,15 @@ class PolarField:
 
     def radial_derivative(self, r, theta):
         return self.basis.radial_derivative(r, theta) @ self.coeffs
+
+    def poisson_preimage(self) -> "PolarField":
+        """F with Laplacian F = self: each r^m T maps to r^{m+2} T / ((m+2)^2 - k^2).
+        Log terms and resonant ones (k = m + 2) have no such preimage."""
+        b = self.basis
+        if b.logs.any():
+            raise ValueError("Poisson preimages of log terms are not tabled")
+        powers = b.powers + 2.0
+        factor = powers * powers - b.freqs * b.freqs
+        if np.any(factor == 0.0):
+            raise ValueError("resonant terms (k = m + 2) have no polynomial preimage")
+        return PolarField(PolarBasis(powers, b.freqs, b.kinds), self.coeffs / factor)

@@ -40,6 +40,9 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return tuple(float(e) for e in grid)
 
 
+_FAMILY_KEYS = {"k", "amplitudes", "eps", "normalization", "alpha", "base_radius"}
+
+
 def _family_from_path(path: str, alpha: float | None) -> experiments.PerturbationFamily | list:
     if path == "default":
         return experiments.PerturbationFamily(
@@ -50,6 +53,9 @@ def _family_from_path(path: str, alpha: float | None) -> experiments.Perturbatio
         raise IoFailure(f"family config {path} is not a JSON object")
     if "amplitudes" not in data and "eps" not in data:
         return [build_domain(data)]
+    unknown = set(data) - _FAMILY_KEYS
+    if unknown:
+        raise IoFailure(f"unknown family config keys: {sorted(unknown)}")
     try:
         k = int(data.get("k", 2))
         amplitudes = tuple(float(e) for e in data.get("amplitudes", data.get("eps")))

@@ -251,9 +251,9 @@ def _thm_bw(m: _Member):
     slack = (spec.c_bw - 1.0) * d_vol + 1e-6 - m.kernel.discrepancy_l2
     notes = []
     if spec.sigma1 > 1.0 + 1e-9:
-        notes.append(f"{m.domain.label}: sigma1 = {spec.sigma1} violates the bound")
+        notes.append(f"{m.label}: sigma1 = {spec.sigma1} violates the bound")
     if slack < 0.0:
-        notes.append(f"{m.domain.label}: proof-chain inequality fails by {-slack:.3g}")
+        notes.append(f"{m.label}: proof-chain inequality fails by {-slack:.3g}")
     extras = {"sigma1": spec.sigma1, "chain_slack": slack}
     return spec.c_bw - 1.0, z * z / d_vol, extras, notes
 
@@ -262,7 +262,7 @@ def _prop_steklov(m: _Member):
     fun = m.functionals
     lhs = fun.perimeter - 2.0 * math.sqrt(math.pi * fun.volume)
     z = m.z.lower_bound
-    notes = [f"{m.domain.label}: isoperimetric direction fails"] if lhs < -1e-9 else []
+    notes = [f"{m.label}: isoperimetric direction fails"] if lhs < -1e-9 else []
     return lhs, z * z, {"sigma1": m.spectrum.sigma1}, notes
 
 
@@ -273,9 +273,9 @@ def _prop_combined(m: _Member):
     residual = abs(lhs - d2)
     notes = []
     if residual > IDENTITY_TOL:
-        notes.append(f"{m.domain.label}: combined identity off by {residual:.3g}")
+        notes.append(f"{m.label}: combined identity off by {residual:.3g}")
     if lhs < -1e-12:
-        notes.append(f"{m.domain.label}: combined deficit negative")
+        notes.append(f"{m.label}: combined deficit negative")
     return lhs, z * z, {"identity_residual": residual}, notes
 
 
@@ -308,8 +308,6 @@ def _require_normalization(theorem: str, members, declared: str | None) -> None:
             if abs(fun.volume - BALL_VOLUME) > 1e-6:
                 raise NormalizationMissing(f"{theorem}: member volume {fun.volume:.8f} != |B_1|")
     if theorem in ("thm-kernel", "prop-steklov"):
-        if declared is not None and declared not in ("recenter", "both", "volume"):
-            raise NormalizationMissing(f"{theorem} needs a centered family")
         for fun in (member.functionals for member in members):
             if np.hypot(*fun.barycenter) * fun.perimeter > 1e-6:
                 raise NormalizationMissing(f"{theorem}: member boundary barycenter is off origin")
@@ -354,9 +352,6 @@ def verify_inequality(
                 "no family member has sigma1 >= 1; the constrained perimeter "
                 "bound does not apply"
             )
-        labels = tuple(m.domain.label or "member" for m in members)
-    else:
-        labels = tuple(m.label for m in members)
 
     direction, row = _THEOREMS[theorem]
     lhs, core, more, member_notes = zip(*map(row, members))
@@ -374,7 +369,7 @@ def verify_inequality(
     return InequalityReport(
         theorem=theorem,
         direction=direction,
-        labels=labels,
+        labels=tuple(m.label for m in members),
         lhs=lhs,
         core=core,
         ratios=ratios,
@@ -444,7 +439,7 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
     eps = tuple(float(e) for e in amplitudes)
     if not eps:
         raise InputError("need at least one amplitude")
-    if any(e < 0.0 or e > 0.1 for e in eps):
+    if not all(0.0 <= e <= 0.1 for e in eps):
         raise InputError("amplitudes must lie in [0, 0.1]")
 
     exact, predicted = [], []      # one (volume, perimeter, momentum, difference) per eps

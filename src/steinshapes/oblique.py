@@ -31,7 +31,6 @@ import numpy as np
 
 from . import _polar
 from .errors import (
-    IllConditioned,
     InputError,
     NotElliptic,
     NotOblique,
@@ -49,7 +48,6 @@ from .shapes import (
     matrix_holder_seminorm,
 )
 
-COND_GATE = 1e12
 RELIABLE_FACTOR = 1e-6
 HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
 COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
@@ -70,7 +68,8 @@ class RhsExpansion:
                  + sum_k harmonic_sin[k-1] r^k sin(k theta)
                  + sum_j radial[j-1] r^{2j}
 
-    Preimages: Laplacian(r^{k+2} cos k theta / (4k+4)) = r^k cos k theta,
+    ``field().poisson_preimage()`` maps each term to its preimage:
+    Laplacian(r^{k+2} cos k theta / (4k+4)) = r^k cos k theta,
     Laplacian(r^{2j+2} / (2j+2)^2) = r^{2j}, Laplacian(r^2/4) = 1.
     """
 
@@ -105,7 +104,7 @@ class RhsExpansion:
             constant=factor * self.constant,
         )
 
-    def _terms(self) -> tuple[list, list, list, list]:
+    def field(self) -> _polar.PolarField:
         powers, freqs, kinds, coeffs = [], [], [], []
         if self.constant != 0.0:
             powers.append(0)
@@ -130,24 +129,8 @@ class RhsExpansion:
                 freqs.append(0)
                 kinds.append(_polar.COS)
                 coeffs.append(v)
-        return powers, freqs, kinds, coeffs
-
-    def field(self) -> _polar.PolarField:
-        powers, freqs, kinds, coeffs = self._terms()
         return _polar.PolarField(
             _polar.PolarBasis(powers, freqs, kinds), np.asarray(coeffs, dtype=float)
-        )
-
-    def particular(self) -> _polar.PolarField:
-        """A field F with Laplacian F = h, assembled from closed forms."""
-        powers, freqs, kinds, coeffs = self._terms()
-        p_powers, p_coeffs = [], []
-        for m, k, v in zip(powers, freqs, coeffs):
-            p_powers.append(m + 2)
-            # (m+2)^2 - k^2 is the Laplacian factor of r^{m+2} trig(k theta)
-            p_coeffs.append(v / float((m + 2) ** 2 - k * k))
-        return _polar.PolarField(
-            _polar.PolarBasis(p_powers, freqs, kinds), np.asarray(p_coeffs, dtype=float)
         )
 
     def evaluate(self, points) -> np.ndarray:
@@ -227,18 +210,6 @@ class ObliqueSolution:
     grid_interior: int
 
 
-def _scaled_lstsq(matrix: np.ndarray, rhs: np.ndarray):
-    """Column-equilibrated least squares; returns solution and condition."""
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0.0] = 1.0
-    scaled = matrix / norms
-    sol, _, _, svals = np.linalg.lstsq(scaled, rhs, rcond=None)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if cond > COND_GATE:
-        raise IllConditioned(f"collocation condition estimate {cond:.3g} > 1e12")
-    return sol / norms, cond
-
-
 def _zero_mean_shift(field_wo_const: _polar.PolarField) -> float:
     """Constant a_0 imposing a zero integral over the unit ball."""
     pts, w = disk_grid(128, 48)
@@ -279,7 +250,7 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     """Spectral solve of the oblique problem with free centering scalar.
 
     The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
-    with F_h the closed-form particular field; the harmonic coefficients
+    with F_h = h.field().poisson_preimage(); the harmonic coefficients
     and c minimize the boundary residual |grad f . nu_transported| in the
     discrete L2 sense over M collocation angles, and a_0 pins the average
     of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
@@ -293,27 +264,17 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     """
     kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
-    # (nu_r, nu_theta): the transported normal in the polar frame
-    frame = frame_at(domain, theta)
-    nu_r = frame.radius / frame.jacobian
-    nu_t = -frame.radius_prime / frame.jacobian
+    ones = np.ones(m)
+    nu_r, nu_t = frame_at(domain, theta).polar_normal
     if nu_r.min() <= 0.0:
         raise NotOblique("transported normal has a non-positive radial part")
 
-    ones = np.ones(m)
     harm = _polar.harmonic_basis(kf)
-    fr = harm.radial_derivative(ones, theta)
-    ftr = harm.angular_over_r(ones, theta)
-    cols_harm = fr * nu_r[:, None] + ftr * nu_t[:, None]
+    cols_harm = harm.normal_derivative(ones, theta, nu_r, nu_t)
     col_c = (-0.5) * nu_r  # normal derivative of -r^2/4 at r = 1
-
-    part = h.particular()
-    part_fr = part.radial_derivative(ones, theta)
-    part_ftr = part.basis.angular_over_r(ones, theta) @ part.coeffs
-    rhs = -(part_fr * nu_r + part_ftr * nu_t)
-
-    matrix = np.column_stack([cols_harm, col_c])
-    sol, cond = _scaled_lstsq(matrix, rhs)
+    part = h.field().poisson_preimage()
+    rhs = -(part.basis.normal_derivative(ones, theta, nu_r, nu_t) @ part.coeffs)
+    sol, cond = _polar.fit(np.column_stack([cols_harm, col_c]), rhs)
     harm_coeffs = sol[:-1]
     c_star = float(sol[-1])
 
@@ -332,14 +293,11 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
         ).max()
     )
     theta_f, _ = circle_grid(4 * m)
-    frame_f = frame_at(domain, theta_f)
-    ones_f = np.ones(theta_f.size)
-    nu_rf = frame_f.radius / frame_f.jacobian
-    nu_tf = -frame_f.radius_prime / frame_f.jacobian
+    normal_f = frame_at(domain, theta_f).polar_normal
     bres = float(
         np.abs(
-            field.radial_derivative(ones_f, theta_f) * nu_rf
-            + (field.basis.angular_over_r(ones_f, theta_f) @ field.coeffs) * nu_tf
+            field.basis.normal_derivative(np.ones(theta_f.size), theta_f, *normal_f)
+            @ field.coeffs
         ).max()
     )
 
@@ -422,7 +380,7 @@ def solve_oblique_kernel_variant(
         ]
     )
     rhs = np.concatenate([rhs_int, np.zeros(m)])
-    sol, cond = _scaled_lstsq(matrix, rhs)
+    sol, cond = _polar.fit(matrix, rhs)
     coeffs = sol[:-1]
     c_star = float(sol[-1])
     a0 = _zero_mean_shift(_polar.PolarField(basis, coeffs))

@@ -42,6 +42,10 @@ class PathConfig:
     start: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dt, self.horizon, self.burn_in)):
+            raise InputError("dt, horizon and burn-in must be finite")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.dt <= 1e-3:
             raise InputError(f"dt must lie in (0, 1e-3], got {self.dt}")
         if self.burn_in < 1.0:

@@ -18,8 +18,9 @@ reflection stepper in ``_kernels`` keeps its own copy.
 
 The transported normal field on the unit circle assigns to the angle theta
 the normal of the boundary point over that angle; in 2-D it coincides
-pointwise with the frame's ``normals``, and its polar components are
-(R / J, -R' / J).
+pointwise with the frame's ``normals``, and its polar components
+(R / J, -R' / J) are the frame's ``polar_normal``, the form in which the
+harmonic solvers read it (``_polar.PolarBasis.normal_derivative``).
 
 All circle quadratures are uniform periodic trapezoid sums (spectrally
 accurate for smooth periodic integrands) with Richardson-style doubling.
@@ -144,9 +145,10 @@ class StarDomain:
 class BoundaryFrame:
     """Boundary geometry at a set of angles, built by ``frame_at``.
 
-    ``points``, ``normals`` and ``curvature`` are computed on first use, so
-    a caller that reads only R, R' and the Jacobian pays for nothing more,
-    and kappa never evaluates a curvature that R^2 + R'^2 may overflow.
+    ``points``, ``normals``, ``polar_normal`` and ``curvature`` are computed
+    on first use, so a caller that reads only R, R' and the Jacobian pays
+    for nothing more, and kappa never evaluates a curvature that
+    R^2 + R'^2 may overflow.
     """
 
     theta: np.ndarray
@@ -177,6 +179,11 @@ class BoundaryFrame:
         )
 
     @cached_property
+    def polar_normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nu_r, nu_theta) = (R / J, -R' / J): the normal in the polar frame."""
+        return self.radius / self.jacobian, -self.radius_prime / self.jacobian
+
+    @cached_property
     def curvature(self) -> np.ndarray:
         """Signed curvature of the boundary curve."""
         r, rp = self.radius, self.radius_prime
@@ -185,7 +192,7 @@ class BoundaryFrame:
     @property
     def kappa(self) -> float:
         """min R / sqrt(R^2 + R'^2): the uniform star-shape parameter."""
-        return float((self.radius / self.jacobian).min())
+        return float(self.polar_normal[0].min())
 
 
 @dataclass(frozen=True)

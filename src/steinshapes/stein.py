@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import IdentityViolated, IllConditioned, InputError, NotCentered
+from .errors import IdentityViolated, InputError, NotCentered
 from .shapes import (
     StarDomain,
     boundary_frame,
@@ -150,6 +150,15 @@ def _quadratic_test_panel():
     )
 
 
+def _discrepancies(potentials, pts, wq):
+    """tau = Dg at the points, and the integrals of ||I - tau||_HS and of
+    its square against the weights."""
+    tau = np.stack(_polar.gradients_of(potentials, pts), axis=1)
+    gap = np.eye(2) - tau
+    gap2 = np.einsum("nab,nab->n", gap, gap)
+    return tau, float(wq @ np.sqrt(gap2)), float(wq @ gap2)
+
+
 def stein_kernel_solve(
     domain: StarDomain, k: int = 24, m: int = 1024
 ) -> SteinKernelResult:
@@ -159,6 +168,8 @@ def stein_kernel_solve(
     ------
     NotCentered
         if the boundary barycenter integral exceeds 1e-8.
+    IllConditioned
+        if the equilibrated Neumann collocation exceeds condition 1e12.
     IdentityViolated
         if the defining identity fails on the test panel at 1e-6 relative.
     """
@@ -170,45 +181,20 @@ def stein_kernel_solve(
         )
 
     frame = boundary_frame(domain, m)
-    w = frame.jacobian * frame.dtheta
-    sqrt_w = np.sqrt(w)
+    sqrt_w = np.sqrt(frame.jacobian * frame.dtheta)
     basis = _polar.harmonic_basis(k)
-    r_b, th_b = frame.radius, frame.theta
-    grads = basis.gradients(r_b, th_b)
-    dnu = np.einsum("mjd,md->mj", grads, frame.normals)
-    scale = 1.0 / np.abs(basis.values(r_b, th_b)).max(axis=0)
-    matrix = (dnu * scale) * sqrt_w[:, None]
-    rhs = frame.points * sqrt_w[:, None]
-
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0.0] = 1.0
-    sol, _, _, svals = np.linalg.lstsq(matrix / norms, rhs, rcond=None)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if cond > 1e12:
-        raise IllConditioned(f"Neumann collocation condition {cond:.3g} > 1e12")
-    coeffs = (scale / norms)[:, None] * sol
+    rows = basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal)
+    coeffs, cond = _polar.fit(rows * sqrt_w[:, None], frame.points * sqrt_w[:, None])
     g1 = _polar.PolarField(basis, coeffs[:, 0].copy())
     g2 = _polar.PolarField(basis, coeffs[:, 1].copy())
 
     pts, wq = bulk_grid(domain, *BULK_SHAPE)
-    tau = np.stack(_polar.gradients_of((g1, g2), pts), axis=1)
-    gap = np.eye(2) - tau
-    gap2 = np.einsum("nab,nab->n", gap, gap)
-    disc1 = float(wq @ np.sqrt(gap2))
-    disc2 = float(wq @ gap2)
+    tau, disc1, disc2 = _discrepancies((g1, g2), pts, wq)
     energy = float(wq @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
-    res1, res2 = (
-        np.einsum("nd,nd->n", grad, frame_f.normals)
-        for grad in _polar.gradients_of((g1, g2), frame_f.points)
-    )
-    neumann = float(
-        max(
-            np.abs(res1 - frame_f.points[:, 0]).max(),
-            np.abs(res2 - frame_f.points[:, 1]).max(),
-        )
-    )
+    rows_f = basis.normal_derivative(frame_f.radius, frame_f.theta, *frame_f.polar_normal)
+    neumann = float(np.abs(rows_f @ coeffs - frame_f.points).max())
 
     panel = []
     test_panel = _quadratic_test_panel()
@@ -268,8 +254,7 @@ def stein_discrepancy(
     if not requadrature:
         return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
     nt, nr = result.bulk_shape
-    pts, wq = bulk_grid(result.domain, 2 * nt, 2 * nr)
-    tau = np.stack(_polar.gradients_of(result.potentials, pts), axis=1)
-    gap = np.eye(2) - tau
-    gap2 = np.einsum("nab,nab->n", gap, gap)
-    return float(wq @ np.sqrt(gap2)) if order == 1 else float(wq @ gap2)
+    _, disc1, disc2 = _discrepancies(
+        result.potentials, *bulk_grid(result.domain, 2 * nt, 2 * nr)
+    )
+    return disc1 if order == 1 else disc2

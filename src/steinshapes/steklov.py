@@ -50,8 +50,7 @@ def _assemble(domain: StarDomain, k: int, m: int):
     frame = boundary_frame(domain, m)
     basis = _polar.harmonic_basis(k, include_constant=True)
     vals = basis.values(frame.radius, frame.theta)
-    grads = basis.gradients(frame.radius, frame.theta)
-    dnu = np.einsum("mjd,md->mj", grads, frame.normals)
+    dnu = basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal)
     scale = 1.0 / np.abs(vals).max(axis=0)
     vals = vals * scale
     dnu = dnu * scale
@@ -149,7 +148,7 @@ def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
     trace = u.value(frame.points)
-    dnu = np.einsum("nd,nd->n", u.gradient(frame.points), frame.normals)
+    dnu = u.basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal) @ u.coeffs
     numerator = float(w @ (trace * dnu))
     mean = float(w @ trace) / float(w.sum())
     centered = trace - mean

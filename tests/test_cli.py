@@ -31,6 +31,12 @@ def configs(tmp_path):
         "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
         "word_mode": {"k": "two", "amplitudes": [0.04, 0.08]},
+        "misspelt_keys": {
+            "k": 2,
+            "amplitudes": [0.04, 0.08],
+            "normalisation": "recenter",
+            "alpah": 0.5,
+        },
         "json_string": "eps",
         "json_number": 3,
         "json_path": str(tmp_path / "ball.json"),
@@ -216,6 +222,11 @@ class TestExitCodes:
             ["mc", "{bump}", "--dt", "0.01"],
             ["mc", "{bump}", "--h", "bogus"],
             ["mc", "{bump}", "--T", "1.001", "--dt", "0.001"],
+            ["mc", "{bump}", "--T", "nan"],
+            ["mc", "{bump}", "--T", "inf"],
+            ["mc", "{bump}", "--burn-in", "nan"],
+            ["mc", "{bump}", "--seed", "-1"],
+            ["expansion", "--eps", "nan,0.05"],
             ["expansion", "--eps", "0.2,0.3"],
             ["expansion", "--eps", "0.05"],
             ["expansion", "--k", "0"],
@@ -227,6 +238,7 @@ class TestExitCodes:
             ["verify", "{word_mode}", "--theorem", "thm-main"],
             ["verify", "{json_string}", "--theorem", "thm-main"],
             ["verify", "{json_number}", "--theorem", "thm-main"],
+            ["verify", "{misspelt_keys}", "--theorem", "thm-main"],
             ["mc", "{json_path}"],
         ],
         ids=" ".join,

@@ -180,6 +180,15 @@ class TestVerifyInequality:
         assert rep.ratios == pytest.approx(STEKLOV_RATIOS, rel=1e-12)
         assert rep.c_emp == pytest.approx(C_EMP_STEKLOV, rel=1e-12)
 
+    def test_steklov_labels_unlabelled_members_by_their_family_index(self):
+        # the first member (sigma1 < 1) is dropped; the kept ones keep their index
+        family = (StarDomain(1.0, (0.0, 0.05)),) + tuple(
+            StarDomain(0.92, (0.0, e)) for e in (0.02, 0.04, 0.06, 0.08)
+        )
+        rep = ex.verify_inequality(family, "prop-steklov")
+        assert rep.labels == ("domain-1", "domain-2")
+        assert rep.ratios == pytest.approx(STEKLOV_RATIOS, rel=1e-12)
+
     def test_degenerate_family_passes_with_nan_constant(self):
         rep = ex.verify_inequality((BALL,), "thm-main")
         assert rep.passed

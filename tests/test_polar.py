@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from steinshapes import _polar
+from steinshapes import _polar, oblique
 from steinshapes._polar import COS, SIN, PolarBasis
+from steinshapes.errors import IllConditioned
 
 STEP = 1e-5
 METHODS = (
@@ -16,7 +17,6 @@ METHODS = (
     "gradients",
     "hessian_rtheta",
     "hessian_frame",
-    "hessians",
     "laplacians",
 )
 
@@ -28,6 +28,11 @@ def basis():
 
 
 @pytest.fixture(scope="module")
+def field(basis):
+    return _polar.PolarField(basis, np.random.default_rng(5).standard_normal(basis.n))
+
+
+@pytest.fixture(scope="module")
 def points():
     rng = np.random.default_rng(11)
     r = rng.uniform(0.05, 1.0, 200)
@@ -35,20 +40,19 @@ def points():
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
-def cartesian(basis, method, pts):
-    return getattr(basis, method)(*_polar.to_polar(pts))
+def blocks(out):
+    """The (N, n) blocks of a basis evaluation: one, or a tuple of them."""
+    return out if isinstance(out, tuple) else (out,)
 
 
-def central_difference(basis, method, pts):
-    """Partial derivatives in x and y, stacked on a new axis after the terms."""
+def central_difference(fn, pts):
+    """Partial derivatives of fn in x and y, stacked on a new last axis."""
     parts = []
     for axis in (0, 1):
         shift = np.zeros(2)
         shift[axis] = STEP
-        plus = cartesian(basis, method, pts + shift)
-        minus = cartesian(basis, method, pts - shift)
-        parts.append((plus - minus) / (2.0 * STEP))
-    return np.stack(parts, axis=2)
+        parts.append((fn(pts + shift) - fn(pts - shift)) / (2.0 * STEP))
+    return np.stack(parts, axis=-1)
 
 
 def test_table_holds_every_term_family(basis):
@@ -58,33 +62,43 @@ def test_table_holds_every_term_family(basis):
     assert basis.n == _polar.cascade_basis(12).n + _polar.full_basis(6, True).n
 
 
-def test_gradients_match_central_differences(basis, points):
-    exact = cartesian(basis, "gradients", points)
-    approx = central_difference(basis, "values", points)
+def test_gradients_match_central_differences(field, points):
+    exact = field.gradient(points)
+    approx = central_difference(field.value, points)
     assert np.abs(exact - approx).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
-def test_hessians_match_central_differences(basis, points):
-    exact = cartesian(basis, "hessians", points)
-    approx = central_difference(basis, "gradients", points)
+def test_hessians_match_central_differences(field, points):
+    exact = field.hessian(points)
+    approx = central_difference(field.gradient, points)
     assert np.abs(exact - approx).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
-def test_hessian_trace_is_the_laplacian(basis, points):
-    hess = cartesian(basis, "hessians", points)
-    lap = cartesian(basis, "laplacians", points)
+def test_hessian_trace_is_the_laplacian(field, points):
+    hess = field.hessian(points)
+    lap = field.laplacian(points)
     trace = hess[..., 0, 0] + hess[..., 1, 1]
     assert np.abs(trace - lap).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
 
 def test_radial_and_angular_parts_rebuild_the_gradient(basis, points):
     r, theta = _polar.to_polar(points)
-    fr = basis.radial_derivative(r, theta)
-    ftr = basis.angular_over_r(r, theta)
-    grad = basis.gradients(r, theta)
-    ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    np.testing.assert_array_equal(fr * ct - ftr * st, grad[..., 0])
-    np.testing.assert_array_equal(fr * st + ftr * ct, grad[..., 1])
+    fr, ftr = basis.gradients(r, theta)
+    np.testing.assert_array_equal(fr, basis.radial_derivative(r, theta))
+    np.testing.assert_array_equal(ftr, basis.angular_over_r(r, theta))
+
+
+def test_normal_derivative_is_the_cartesian_gradient_along_the_normal(field, points):
+    rng = np.random.default_rng(7)
+    r, theta = _polar.to_polar(points)
+    phi = rng.uniform(-np.pi, np.pi, theta.size)
+    nu = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    # polar components of nu: its projections on rhat and thetahat
+    nu_r = nu[:, 0] * np.cos(theta) + nu[:, 1] * np.sin(theta)
+    nu_t = -nu[:, 0] * np.sin(theta) + nu[:, 1] * np.cos(theta)
+    got = field.basis.normal_derivative(r, theta, nu_r, nu_t) @ field.coeffs
+    want = np.sum(field.gradient(points) * nu, axis=1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", [COS, SIN], ids=["cos", "sin"])
@@ -103,8 +117,7 @@ def test_every_method_is_finite_at_the_origin(basis):
     theta = np.linspace(-np.pi, np.pi, 9)
     r = np.zeros_like(theta)
     for method in METHODS:
-        out = getattr(basis, method)(r, theta)
-        for block in out if isinstance(out, tuple) else (out,):
+        for block in blocks(getattr(basis, method)(r, theta)):
             assert np.isfinite(block).all(), method
 
 
@@ -112,8 +125,9 @@ def test_concat_keeps_each_part_columnwise(basis, points):
     parts = (_polar.cascade_basis(12), _polar.full_basis(6, True))
     r, theta = _polar.to_polar(points)
     for method in ("values", "laplacians", "gradients"):
-        joined = np.concatenate([getattr(p, method)(r, theta) for p in parts], axis=1)
-        np.testing.assert_array_equal(getattr(basis, method)(r, theta), joined)
+        pieces = zip(*(blocks(getattr(p, method)(r, theta)) for p in parts))
+        for got, want in zip(blocks(getattr(basis, method)(r, theta)), pieces):
+            np.testing.assert_array_equal(got, np.concatenate(want, axis=1))
 
 
 def test_concat_with_itself_duplicates_every_column(basis, points):
@@ -122,9 +136,9 @@ def test_concat_with_itself_duplicates_every_column(basis, points):
     r, theta = _polar.to_polar(points)
     doubled = _polar.concat(basis, basis)
     for method in METHODS:
-        once = getattr(basis, method)(r, theta)
-        twice = getattr(doubled, method)(r, theta)
-        for a, b in zip(once, twice) if isinstance(once, tuple) else ((once, twice),):
+        once = blocks(getattr(basis, method)(r, theta))
+        twice = blocks(getattr(doubled, method)(r, theta))
+        for a, b in zip(once, twice):
             assert np.array_equal(np.concatenate([a, a], axis=1), b), method
 
 
@@ -166,3 +180,41 @@ def test_loose_terms_need_no_parity_from_m_two_on():
     loose = PolarBasis([2, 2, 3], [5, 1, 0], [COS, SIN, COS])
     assert loose.n == 3
     assert not loose.logs.any()
+
+
+def test_fit_gates_the_condition_and_solves_two_right_hand_sides():
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((40, 3))
+    with pytest.raises(IllConditioned, match="condition"):
+        _polar.fit(np.column_stack([rows, rows[:, 0]]), rng.standard_normal(40))
+    # columns two orders of magnitude apart: the equilibration removes that
+    rows *= [10.0, 1.0, 0.1]
+    coeffs = rng.standard_normal((3, 2))
+    got, cond = _polar.fit(rows, rows @ coeffs)
+    assert cond < 10.0
+    np.testing.assert_allclose(got, coeffs, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [["x1"], ["x2"], ["r2"], ["one"], ["quadrupole"], ["x1", "r2", "quadrupole"]],
+    ids="+".join,
+)
+def test_poisson_preimage_inverts_the_laplacian(tokens, points):
+    h = sum((oblique.parse_rhs(t) for t in tokens[1:]), oblique.parse_rhs(tokens[0]))
+    field = h.field()
+    got = field.poisson_preimage().laplacian(points)
+    want = field.value(points)
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        pytest.param(_polar.LogPolarBasis([2], [2], [COS]), "log terms", id="log"),
+        pytest.param(_polar.LoosePolarBasis([2], [4], [SIN]), "resonant", id="resonant"),
+    ],
+)
+def test_poisson_preimage_rejects_untabled_terms(basis, message):
+    with pytest.raises(ValueError, match=message):
+        _polar.PolarField(basis, np.ones(1)).poisson_preimage()
