@@ -1,16 +1,21 @@
 """Hot numeric kernels: pairwise Hoelder seminorms and the reflected path.
 
-The seminorms are numpy maxima over blocks of point pairs.  Each takes
-the max over every pair of distinct points of the ratio
+One blocked kernel, ``pair_seminorms``, takes for each of several fields on
+the same points the max over every pair of distinct points of the ratio
 
     |f_i - f_j| / d2 ** (alpha / 2),    d2 = sum_q (p_iq - p_jq)^2,
 
-the association of the reference loops ``_*_loop`` below, with d2 summed
-coordinate by coordinate in the loops' order.  numpy's vectorized power
-may round one ulp away from libm's pow, so the kernels agree with the loops
-to within a couple of ulp, not bit for bit; the tests hold them to that.
-The reflected-path stepper is inherently sequential and runs as a plain
-Python loop.
+with |.| the Frobenius distance for matrix fields.  The denominator depends
+on the points alone, so it is formed once per row block and shared by every
+field.  Coincident pairs and the diagonal get d2 = inf instead of a mask:
+their ratio is then 0, which never raises a max over ratios >= 0, and the
+boolean-masked copies of each block go away.  The sums follow the
+association of the reference loops ``_*_loop`` below, coordinate by
+coordinate in the loops' order.  numpy's vectorized power may round one
+ulp away from libm's pow, so the kernels agree with the loops to within a
+couple of ulp, not bit for bit; the tests hold them to that.  The
+reflected-path stepper is inherently sequential and runs as a plain Python
+loop.
 """
 
 from __future__ import annotations
@@ -86,58 +91,74 @@ def _circle_lag_seminorm_loop(vals, alpha):
 # vectorized kernels
 
 
-def _accumulated_square_sum(diff):
-    # column-by-column accumulation, the loop's association order; einsum
-    # may pair terms differently and drift by an ulp
-    total = diff[..., 0] * diff[..., 0]
-    for q in range(1, diff.shape[-1]):
-        total = total + diff[..., q] * diff[..., q]
-    return total
+# rows per block of pair_seminorms: a (BLOCK_ROWS, N) float64 buffer per
+# array, and fewer wasted pairs below the diagonal than larger blocks
+BLOCK_ROWS = 64
 
 
-def _blocked_max(pts, numerators, alpha, block):
-    """Max of num / d2 ** (alpha/2) over pairs i < j with d2 > 0.
+def _square_sum_into(out, tmp, a, rows, cols):
+    # out[i, j] = sum_q (a[i, q] - a[j, q])^2 accumulated column by column,
+    # the loops' association order; einsum may pair terms differently and
+    # drift by an ulp
+    np.subtract(a[rows, None, 0], a[None, cols, 0], out=out)
+    out *= out
+    for q in range(1, a.shape[1]):
+        np.subtract(a[rows, None, q], a[None, cols, q], out=tmp)
+        tmp *= tmp
+        out += tmp
 
-    ``numerators(rows, cols)`` returns |f_i - f_j| for i in ``rows`` and
-    j in ``cols``.  A row block meets only the columns from its first row
-    on: that covers every pair i < j, and the pairs a block holds in both
-    orders give equal ratios.
+
+def pair_seminorms(pts, fields, alpha):
+    """Max over pairs i < j with d2 > 0 of |f_i - f_j| / d2 ** (alpha/2),
+    one value per field.
+
+    A field is (N,), with distance |f_i - f_j|, or (N, q), with the
+    Frobenius distance.  A row block meets only the columns from its first
+    row on: that covers every pair i < j, and the pairs a block holds in
+    both orders give equal ratios.
     """
     e = 0.5 * alpha
-    best = 0.0
-    for i0 in range(0, pts.shape[0], block):
-        rows, cols = slice(i0, i0 + block), slice(i0, None)
-        d2 = _accumulated_square_sum(pts[rows, None, :] - pts[None, cols, :])
-        mask = d2 > 0.0
-        if mask.any():
-            ratio = numerators(rows, cols)[mask] / d2[mask] ** e
-            best = max(best, float(ratio.max()))
+    n = pts.shape[0]
+    best = [0.0] * len(fields)
+    for i0 in range(0, n, BLOCK_ROWS):
+        rows, cols = slice(i0, i0 + BLOCK_ROWS), slice(i0, None)
+        shape = (min(BLOCK_ROWS, n - i0), n - i0)
+        d2, num, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        _square_sum_into(d2, tmp, pts, rows, cols)
+        d2[d2 == 0.0] = np.inf
+        den = d2**e
+        for k, f in enumerate(fields):
+            if f.ndim == 1:
+                np.subtract(f[rows, None], f[None, cols], out=num)
+                np.abs(num, out=num)
+            else:
+                _square_sum_into(num, tmp, f, rows, cols)
+                np.sqrt(num, out=num)
+            num /= den
+            best[k] = max(best[k], float(num.max()))
     return best
 
 
 def pair_seminorm(pts, vals, alpha):
-    return _blocked_max(
-        pts,
-        lambda rows, cols: np.abs(vals[rows, None] - vals[None, cols]),
-        alpha,
-        block=512,
-    )
+    return pair_seminorms(pts, [vals], alpha)[0]
 
 
 def matrix_pair_seminorm(pts, mats, alpha):
-    def numerators(rows, cols):
-        diff = mats[rows, None, :] - mats[None, cols, :]
-        return np.sqrt(_accumulated_square_sum(diff))
-
-    return _blocked_max(pts, numerators, alpha, block=256)
+    return pair_seminorms(pts, [mats], alpha)[0]
 
 
 def circle_lag_seminorm(vals, alpha):
+    # lag k pairs i with i + k mod m: the unwrapped pairs, then the k
+    # wrapped ones, in the order np.roll would subtract them
     m = vals.shape[0]
     best = 0.0
     for k in range(1, m // 2 + 1):
         dk = (2.0 * math.pi * k / m) ** alpha
-        s = np.abs(np.roll(vals, -k) - vals).max() / dk
+        lag = max(
+            np.abs(vals[k:] - vals[: m - k]).max(),
+            np.abs(vals[:k] - vals[m - k :]).max(),
+        )
+        s = lag / dk
         if s > best:
             best = float(s)
     return best

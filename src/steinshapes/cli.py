@@ -57,7 +57,11 @@ def _family_from_path(path: str, alpha: float | None) -> experiments.Perturbatio
     if unknown:
         raise IoFailure(f"unknown family config keys: {sorted(unknown)}")
     try:
-        k = int(data.get("k", 2))
+        k = data.get("k", 2)
+        # int() would truncate a mode such as 2.7, and True is an int
+        if isinstance(k, bool) or not float(k).is_integer():
+            raise IoFailure(f"family mode k must be an integer, got {k!r}")
+        k = int(k)
         amplitudes = tuple(float(e) for e in data.get("amplitudes", data.get("eps")))
         normalization = str(data.get("normalization", "volume"))
         alpha = float(data.get("alpha", 1.0 if alpha is None else alpha))

@@ -31,6 +31,8 @@ def configs(tmp_path):
         "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
         "word_mode": {"k": "two", "amplitudes": [0.04, 0.08]},
+        "fractional_mode": {"k": 2.7, "amplitudes": [0.04, 0.08]},
+        "boolean_mode": {"k": True, "amplitudes": [0.04, 0.08]},
         "misspelt_keys": {
             "k": 2,
             "amplitudes": [0.04, 0.08],
@@ -236,6 +238,8 @@ class TestExitCodes:
             ["verify", "{half_alpha_family}", "--theorem", "thm-main", "--alpha", "1.0"],
             ["verify", "{scalar_amplitudes}", "--theorem", "thm-main"],
             ["verify", "{word_mode}", "--theorem", "thm-main"],
+            ["verify", "{fractional_mode}", "--theorem", "thm-main"],
+            ["verify", "{boolean_mode}", "--theorem", "thm-main"],
             ["verify", "{json_string}", "--theorem", "thm-main"],
             ["verify", "{json_number}", "--theorem", "thm-main"],
             ["verify", "{misspelt_keys}", "--theorem", "thm-main"],

@@ -74,6 +74,41 @@ class TestSeminormAgreement:
             )
 
 
+class TestSharedDenominator:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [5, 2 * K.BLOCK_ROWS - 1, 3 * K.BLOCK_ROWS + 17])
+    def test_mixed_fields_match_single_field_calls(self, n, alpha):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((n, 2))
+        pts[n // 2 :: 3] = pts[0]  # coincident pairs within and across blocks
+        fields = [
+            rng.standard_normal(n),
+            rng.standard_normal((n, 4)),
+            rng.standard_normal(n),
+            rng.standard_normal((n, 1)),
+        ]
+        together = K.pair_seminorms(pts, fields, alpha)
+        single = [
+            K.pair_seminorm(pts, f, alpha)
+            if f.ndim == 1
+            else K.matrix_pair_seminorm(pts, f, alpha)
+            for f in fields
+        ]
+        assert together == single
+        for f, value in zip(fields, together):
+            if f.ndim == 1:
+                loop = K._pair_seminorm_loop(pts, f, alpha)
+            else:
+                loop = K._matrix_pair_seminorm_loop(pts, f, alpha)
+            assert_within_2ulp(value, loop)
+
+    def test_all_coincident_points_give_zero(self):
+        n = 2 * K.BLOCK_ROWS + 3
+        pts = np.full((n, 2), 0.3)
+        fields = [np.arange(float(n)), np.arange(4.0 * n).reshape(n, 4)]
+        assert K.pair_seminorms(pts, fields, 0.5) == [0.0, 0.0]
+
+
 class TestReflectPath:
     def _run(self, domain, x0, y0, dx, dy):
         a, b, _ = domain._packed

@@ -15,7 +15,7 @@ from steinshapes.oblique import (
     rhs_x1,
     schauder_probe,
 )
-from steinshapes.shapes import disk_grid
+from steinshapes.shapes import disk_grid, holder_norm, matrix_holder_seminorm
 
 MARGIN_06 = 0.15147186257614292
 
@@ -161,3 +161,27 @@ def test_schauder_probe_is_continuous_in_eps():
         assert rep.max_ratio == max(rep.ratios)
         ratios.append(rep.max_ratio)
     assert max(ratios) / min(ratios) < 1.5
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [StarDomain(1.0, (0.0, 0.05)), normalize(StarDomain(1.0, (0.0, 0.0, 0.08)), "volume")],
+    ids=["k2", "k3-volume"],
+)
+def test_schauder_probe_matches_the_per_probe_route(domain):
+    # one shared pass over the pairs gives the bits of one pass per seminorm
+    probes = (rhs_sq_radius(), rhs_x1(), rhs_harmonic(2))
+    pts, _ = disk_grid(96, 24)
+    hessians = [solve_oblique(domain, h).field.hessian(pts) for h in probes]
+    for alpha in (0.5, 1.0):
+        rep = schauder_probe(domain, probes, alpha=alpha)
+        dens = [holder_norm(pts, h.evaluate(pts), alpha) for h in probes]
+        nums = [
+            float(np.sqrt(np.einsum("nab,nab->n", m, m)).max())
+            + matrix_holder_seminorm(pts, m, alpha)
+            for m in hessians
+        ]
+        assert rep.denominators == tuple(dens)
+        assert rep.numerators == tuple(nums)
+        assert rep.ratios == tuple(a / b for a, b in zip(nums, dens))
+        assert rep.max_ratio == max(rep.ratios)
