@@ -147,20 +147,27 @@ def matrix_pair_seminorm(pts, mats, alpha):
     return pair_seminorms(pts, [mats], alpha)[0]
 
 
+# lags per block of circle_lag_seminorm: one reused (LAG_BLOCK, m) buffer,
+# as a fresh one per block costs more in page faults than the arithmetic
+LAG_BLOCK = 32
+
+
 def circle_lag_seminorm(vals, alpha):
-    # lag k pairs i with i + k mod m: the unwrapped pairs, then the k
-    # wrapped ones, in the order np.roll would subtract them
+    # row k - 1 of the ring's window view is np.roll(vals, -k): lag k pairs
+    # i with i + k mod m, subtracted as the loop does; dividing by dk > 0
+    # after the max is exact, as rounding is monotone
     m = vals.shape[0]
+    lags = m // 2
+    ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals[1:], vals]), m)[:lags]
+    dk = np.array([(2.0 * math.pi * k / m) ** alpha for k in range(1, lags + 1)])
+    buf = np.empty((min(LAG_BLOCK, lags), m))
     best = 0.0
-    for k in range(1, m // 2 + 1):
-        dk = (2.0 * math.pi * k / m) ** alpha
-        lag = max(
-            np.abs(vals[k:] - vals[: m - k]).max(),
-            np.abs(vals[:k] - vals[m - k :]).max(),
-        )
-        s = lag / dk
-        if s > best:
-            best = float(s)
+    for k0 in range(0, lags, LAG_BLOCK):
+        block = slice(k0, k0 + LAG_BLOCK)
+        diff = buf[: dk[block].size]
+        np.subtract(ring[block], vals, out=diff)
+        np.abs(diff, out=diff)
+        best = max(best, float((diff.max(axis=1) / dk[block]).max()))
     return best
 
 

@@ -61,13 +61,11 @@ class DeficitReport:
 
 def boundary_deficits(domain: StarDomain) -> DeficitReport:
     def smooth_parts(theta: np.ndarray) -> np.ndarray:
+        # in the polar frame theta_hat = (1, 0) and nu = (R, -R') / J
         frame = frame_at(domain, theta)
-        r, jac = frame.radius, frame.jacobian
-        nx, ny = frame.normals[:, 0], frame.normals[:, 1]
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        gap2 = (ct - r * nx) ** 2 + (st - r * ny) ** 2
-        osc2 = (ct - nx) ** 2 + (st - ny) ** 2
+        r, rp, jac = frame.radius, frame.radius_prime, frame.jacobian
+        gap2 = (1.0 - r * r / jac) ** 2 + (r * rp / jac) ** 2
+        osc2 = (1.0 - r / jac) ** 2 + (rp / jac) ** 2
         return np.stack([np.sqrt(gap2) * jac, gap2 * jac, osc2 * jac], axis=1)
 
     def osc_part(theta: np.ndarray) -> np.ndarray:

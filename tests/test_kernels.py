@@ -49,6 +49,15 @@ class TestSeminormAgreement:
             circ, alpha
         )
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("m", [2, 3, 2 * K.LAG_BLOCK + 1, 4096])
+    def test_circle_lags_match_the_loop_across_blocks(self, m, alpha):
+        # the validation grid size, odd rings and rings shorter than a block
+        circ = np.random.default_rng(m).standard_normal(m)
+        assert K.circle_lag_seminorm(circ, alpha) == K._circle_lag_seminorm_loop(
+            circ, alpha
+        )
+
     def test_hand_values(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         vals = np.array([0.0, 3.0])

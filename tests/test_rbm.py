@@ -187,3 +187,36 @@ class TestRadialChi2:
     def test_too_few_subsamples(self):
         with pytest.raises(ValueError, match="subsamples"):
             rbm.radial_uniformity_chi2(BALL, rbm.PathConfig(seed=11, horizon=10.0))
+
+
+class TestChi2Tail:
+    def test_closed_form_needs_odd_dof(self):
+        assert (rbm.CHI2_BINS - 1) % 2 == 1
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 15.0, 19.22, 30.0, 60.0])
+    def test_matches_the_incomplete_gamma_function(self, x):
+        # Q(a, x/2) with a = nu/2, from lgamma alone: 1 - P by the lower
+        # series while the difference keeps its digits, else the Legendre
+        # continued fraction for Gamma(a, h) (modified Lentz)
+        a, h = 0.5 * (rbm.CHI2_BINS - 1), 0.5 * x
+
+        def scale(p):  # h^p e^(-h) / Gamma(p + 1)
+            return math.exp(p * math.log(h) - h - math.lgamma(p + 1.0))
+
+        if h < a + 1.0:
+            want = 1.0 - math.fsum(scale(a + k) for k in range(400))
+        else:
+            b = h + 1.0 - a
+            c, d = 1e300, 1.0 / b
+            frac = d
+            for i in range(1, 300):
+                b += 2.0
+                d = 1.0 / (b - i * (i - a) * d)
+                c = b - i * (i - a) / c
+                frac *= d * c
+            want = scale(a) * a * frac
+        assert rbm._chi2_tail(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x, p", [(24.996, 0.05), (30.578, 0.01)])
+    def test_textbook_critical_values(self, x, p):
+        assert round(rbm._chi2_tail(x), 4) == p
