@@ -39,11 +39,17 @@ m = 2 log terms diverge like log r there, which stays square integrable on
 the disk, and are evaluated with a finite stand-in for log 0.
 
 A basis evaluates polar-frame components only, one (N, n) block each; a
-field contracts its coefficients first and rotates the (N,) results to
-Cartesian axes once per point.  The boundary solvers share three more
-pieces of this calculus, kept here alone: ``PolarBasis.normal_derivative``
-against a normal given in the polar frame, ``fit``, the equilibrated least
-squares with its condition gate, and ``PolarField.poisson_preimage``.
+field contracts its coefficients first and rotates the results to
+Cartesian axes once per point.  Coefficients are (n,) for one field or
+(n, q) for q fields over one basis, evaluated from one block into (N, q,
+...) results.  The q columns are contracted one at a time, so each equals
+its own (n,) field bit for bit; one (N, n) @ (n, q) matmul would reorder
+the sums and, through the BLAS gemm buffers, raise the peak memory of a
+Stein-kernel verification by about 6 MB.  The boundary solvers share
+three more pieces of this calculus, kept here alone:
+``PolarBasis.normal_derivative`` against a normal given in the polar
+frame, ``fit``, the equilibrated least squares with its condition gate,
+and ``PolarField.poisson_preimage``.
 """
 
 from __future__ import annotations
@@ -311,10 +317,12 @@ def to_polar(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cartesian(theta, *frame):
-    """Polar-frame components, one (N,) array each, rotated to Cartesian:
-    (v_r, v_theta) to an (N, 2) vector, (H_rr, H_rtheta, H_thetatheta) to an
-    (N, 2, 2) symmetric matrix."""
+    """Polar-frame components, one (N,) or (N, q) array each, rotated to
+    Cartesian axes: (v_r, v_theta) to (..., 2) vectors, (H_rr, H_rtheta,
+    H_thetatheta) to (..., 2, 2) symmetric matrices."""
     ct, st = np.cos(theta), np.sin(theta)
+    if frame[0].ndim > 1:  # a trailing field axis
+        ct, st = ct[:, None], st[:, None]
     if len(frame) == 2:
         vr, vt = frame
         return np.stack([vr * ct - vt * st, vr * st + vt * ct], axis=-1)
@@ -323,17 +331,6 @@ def _cartesian(theta, *frame):
     hxy = ct * st * (hrr - htt) + (ct * ct - st * st) * hrt
     hyy = st * st * hrr + 2.0 * ct * st * hrt + ct * ct * htt
     return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(hrr.shape + (2, 2))
-
-
-def gradients_of(fields, points) -> list[np.ndarray]:
-    """Gradients of fields over one shared basis, from a single evaluation of
-    that basis; each equals ``field.gradient(points)`` bit for bit."""
-    basis = fields[0].basis
-    if any(f.basis is not basis for f in fields):
-        raise ValueError("fields must share one basis")
-    r, theta = to_polar(points)
-    fr, ftr = basis.gradients(r, theta)
-    return [_cartesian(theta, fr @ f.coeffs, ftr @ f.coeffs) for f in fields]
 
 
 def fit(rows, rhs) -> tuple[np.ndarray, float]:
@@ -351,37 +348,44 @@ def fit(rows, rhs) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class PolarField:
-    """A fixed linear combination over a PolarBasis."""
+    """A fixed linear combination over a PolarBasis; (n, q) coefficients
+    hold q fields, evaluated together."""
 
     basis: PolarBasis
     coeffs: np.ndarray
 
+    def _dot(self, table):
+        """table @ coeffs, a column of (n, q) coefficients at a time."""
+        if self.coeffs.ndim == 1:
+            return table @ self.coeffs
+        return np.stack([table @ np.ascontiguousarray(c) for c in self.coeffs.T], axis=-1)
+
     def value_polar(self, r, theta):
-        return self.basis.values(r, theta) @ self.coeffs
+        return self._dot(self.basis.values(r, theta))
 
     def value(self, points):
         return self.value_polar(*to_polar(points))
 
     def gradient_polar(self, r, theta):
-        return _cartesian(theta, *(g @ self.coeffs for g in self.basis.gradients(r, theta)))
+        return _cartesian(theta, *map(self._dot, self.basis.gradients(r, theta)))
 
     def gradient(self, points):
         return self.gradient_polar(*to_polar(points))
 
     def hessian_polar(self, r, theta):
-        return _cartesian(theta, *(h @ self.coeffs for h in self.basis.hessian_frame(r, theta)))
+        return _cartesian(theta, *map(self._dot, self.basis.hessian_frame(r, theta)))
 
     def hessian(self, points):
         return self.hessian_polar(*to_polar(points))
 
     def laplacian_polar(self, r, theta):
-        return self.basis.laplacians(r, theta) @ self.coeffs
+        return self._dot(self.basis.laplacians(r, theta))
 
     def laplacian(self, points):
         return self.laplacian_polar(*to_polar(points))
 
     def radial_derivative(self, r, theta):
-        return self.basis.radial_derivative(r, theta) @ self.coeffs
+        return self._dot(self.basis.radial_derivative(r, theta))
 
     def poisson_preimage(self) -> "PolarField":
         """F with Laplacian F = self: each r^m T maps to r^{m+2} T / ((m+2)^2 - k^2).
@@ -393,4 +397,4 @@ class PolarField:
         factor = powers * powers - b.freqs * b.freqs
         if np.any(factor == 0.0):
             raise ValueError("resonant terms (k = m + 2) have no polynomial preimage")
-        return PolarField(PolarBasis(powers, b.freqs, b.kinds), self.coeffs / factor)
+        return PolarField(PolarBasis(powers, b.freqs, b.kinds), (self.coeffs.T / factor).T)

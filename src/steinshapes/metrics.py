@@ -195,23 +195,23 @@ def _interpolated_seminorm(lip: float, sup: float, radius: float, alpha: float) 
     )
 
 
-def _harmonic_moment(domain: StarDomain, k: int) -> complex:
-    """int_Omega (x1 + i x2)^k = int R^{k+2} e^{i k theta} / (k+2) dtheta."""
+def _moments(domain: StarDomain) -> tuple[list[complex], list[float]]:
+    """Harmonic moments int_Omega (x1 + i x2)^k = int R^{k+2} e^{i k theta} / (k+2)
+    for k = 1..DICTIONARY_SIZE and radial moments int_Omega |x|^p =
+    int R^{p+2} / (p+2) for p = 2, 4, .., DICTIONARY_SIZE, from one quadrature."""
+    ks = np.arange(1, DICTIONARY_SIZE + 1)
+    powers = np.arange(2, DICTIONARY_SIZE + 1, 2)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        rad = domain.radius(theta) ** (k + 2) / (k + 2)
-        return np.stack([rad * np.cos(k * theta), rad * np.sin(k * theta)], axis=1)
+        rad = domain.radius(theta)[:, None]
+        harm = rad ** (ks + 2) / (ks + 2)
+        ang = np.multiply.outer(theta, ks)
+        radial = rad ** (powers + 2) / (powers + 2)
+        return np.concatenate([harm * np.cos(ang), harm * np.sin(ang), radial], axis=1)
 
     vals, _ = doubling_quadrature(integrand)
-    return complex(vals[0], vals[1])
-
-
-def _radial_moment(domain: StarDomain, power: int) -> float:
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return domain.radius(theta) ** (power + 2) / (power + 2)
-
-    val, _ = doubling_quadrature(integrand)
-    return float(val)
+    n = DICTIONARY_SIZE
+    return (vals[:n] + 1j * vals[n : 2 * n]).tolist(), vals[2 * n :].tolist()
 
 
 def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate:
@@ -234,9 +234,9 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
     rho = max(_sup_radius(domain), 1.0)
 
     features: list[tuple[str, float, str]] = []
+    harmonic, radial = _moments(domain)
 
-    for k in range(1, DICTIONARY_SIZE + 1):
-        moment = _harmonic_moment(domain, k)
+    for k, moment in enumerate(harmonic, start=1):
         sup = rho ** k
         lip = k * rho ** (k - 1)
         cert = sup + _interpolated_seminorm(lip, sup, rho, alpha)
@@ -244,13 +244,12 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         parity = "even" if k % 2 == 0 else "odd"
         features.append((f"harmonic-moment k={k}", value, parity))
 
-    for j in range(1, DICTIONARY_SIZE // 2 + 1):
-        power = 2 * j
+    for power, moment in zip(range(2, DICTIONARY_SIZE + 1, 2), radial):
         ball_part = TWO_PI / (power + 2)
         sup = rho ** power
         lip = power * rho ** (power - 1)
         cert = sup + _interpolated_seminorm(lip, sup, rho, alpha)
-        value = abs(ball_part - ratio * _radial_moment(domain, power)) / cert
+        value = abs(ball_part - ratio * moment) / cert
         features.append((f"radial-power 2j={power}", value, "even"))
 
     pts, wq = bulk_grid(domain, 256, 64)

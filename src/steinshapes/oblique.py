@@ -25,7 +25,7 @@ reported; the gap between them is a measured quantity, not an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,86 +58,34 @@ VARIANT_BULK = (128, 16)       # kernel variant: 2048 interior collocation point
 # right-hand sides
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhsExpansion:
-    """Data h over the closed dictionary with known Poisson preimages.
+    """Data h as a PolarField over the closed dictionary of terms with known
+    Poisson preimages, and a label.
 
-    h = constant + sum_k harmonic_cos[k-1] r^k cos(k theta)
-                 + sum_k harmonic_sin[k-1] r^k sin(k theta)
-                 + sum_j radial[j-1] r^{2j}
-
-    ``field().poisson_preimage()`` maps each term to its preimage:
+    The dictionary holds the constant, the harmonics r^k cos(k theta) and
+    r^k sin(k theta), and the radial powers r^{2j};
+    ``field.poisson_preimage()`` maps each term to its preimage:
     Laplacian(r^{k+2} cos k theta / (4k+4)) = r^k cos k theta,
     Laplacian(r^{2j+2} / (2j+2)^2) = r^{2j}, Laplacian(r^2/4) = 1.
+    The ``rhs_*`` builders make one-term fields, and ``+`` concatenates
+    the terms of two expansions.
     """
 
-    harmonic_cos: tuple[float, ...] = ()
-    harmonic_sin: tuple[float, ...] = ()
-    radial: tuple[float, ...] = ()
-    constant: float = 0.0
+    field: _polar.PolarField
     label: str = ""
 
     def __add__(self, other: "RhsExpansion") -> "RhsExpansion":
-        def pad(u, v):
-            n = max(len(u), len(v))
-            return tuple(
-                (u[i] if i < len(u) else 0.0) + (v[i] if i < len(v) else 0.0)
-                for i in range(n)
-            )
-
+        a, b = self.field, other.field
         return RhsExpansion(
-            harmonic_cos=pad(self.harmonic_cos, other.harmonic_cos),
-            harmonic_sin=pad(self.harmonic_sin, other.harmonic_sin),
-            radial=pad(self.radial, other.radial),
-            constant=self.constant + other.constant,
-            label=(self.label + "+" + other.label).strip("+"),
-        )
-
-    def scaled(self, factor: float) -> "RhsExpansion":
-        return replace(
-            self,
-            harmonic_cos=tuple(factor * v for v in self.harmonic_cos),
-            harmonic_sin=tuple(factor * v for v in self.harmonic_sin),
-            radial=tuple(factor * v for v in self.radial),
-            constant=factor * self.constant,
-        )
-
-    def field(self) -> _polar.PolarField:
-        powers, freqs, kinds, coeffs = [], [], [], []
-        if self.constant != 0.0:
-            powers.append(0)
-            freqs.append(0)
-            kinds.append(_polar.COS)
-            coeffs.append(self.constant)
-        for k, v in enumerate(self.harmonic_cos, start=1):
-            if v != 0.0:
-                powers.append(k)
-                freqs.append(k)
-                kinds.append(_polar.COS)
-                coeffs.append(v)
-        for k, v in enumerate(self.harmonic_sin, start=1):
-            if v != 0.0:
-                powers.append(k)
-                freqs.append(k)
-                kinds.append(_polar.SIN)
-                coeffs.append(v)
-        for j, v in enumerate(self.radial, start=1):
-            if v != 0.0:
-                powers.append(2 * j)
-                freqs.append(0)
-                kinds.append(_polar.COS)
-                coeffs.append(v)
-        return _polar.PolarField(
-            _polar.PolarBasis(powers, freqs, kinds), np.asarray(coeffs, dtype=float)
+            _polar.PolarField(
+                _polar.concat(a.basis, b.basis), np.concatenate([a.coeffs, b.coeffs])
+            ),
+            (self.label + "+" + other.label).strip("+"),
         )
 
     def evaluate(self, points) -> np.ndarray:
-        return self.evaluate_polar(*_polar.to_polar(points))
-
-    def evaluate_polar(self, r, theta) -> np.ndarray:
-        return self.field().value_polar(
-            np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-        )
+        return self.field.value(points)
 
     def sup_disk(self) -> float:
         """Grid estimate of sup |h| over the closed unit disk."""
@@ -145,29 +93,33 @@ class RhsExpansion:
         r = np.linspace(0.0, 1.0, 65)
         rr = np.repeat(r, theta.size)
         tt = np.tile(theta, r.size)
-        return float(np.abs(self.evaluate_polar(rr, tt)).max())
+        return float(np.abs(self.field.value_polar(rr, tt)).max())
+
+
+def _term(power: int, freq: int, kind: int, label: str, coeff: float = 1.0) -> RhsExpansion:
+    basis = _polar.PolarBasis([power], [freq], [kind])
+    return RhsExpansion(_polar.PolarField(basis, np.array([coeff], dtype=float)), label)
 
 
 def rhs_x1() -> RhsExpansion:
-    return RhsExpansion(harmonic_cos=(1.0,), label="x1")
+    return _term(1, 1, _polar.COS, "x1")
 
 
 def rhs_x2() -> RhsExpansion:
-    return RhsExpansion(harmonic_sin=(1.0,), label="x2")
+    return _term(1, 1, _polar.SIN, "x2")
 
 
 def rhs_sq_radius() -> RhsExpansion:
-    return RhsExpansion(radial=(1.0,), label="r2")
+    return _term(2, 0, _polar.COS, "r2")
 
 
 def rhs_constant(value: float = 1.0) -> RhsExpansion:
-    return RhsExpansion(constant=value, label="one")
+    return _term(0, 0, _polar.COS, "one", value)
 
 
 def rhs_harmonic(k: int) -> RhsExpansion:
     """The harmonic r^k cos(k theta)."""
-    coeff = tuple(0.0 for _ in range(k - 1)) + (1.0,)
-    return RhsExpansion(harmonic_cos=coeff, label=f"cos{k}")
+    return _term(k, k, _polar.COS, f"cos{k}")
 
 
 _RHS_TOKENS = {
@@ -248,7 +200,7 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     """Spectral solve of the oblique problem with free centering scalar.
 
     The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
-    with F_h = h.field().poisson_preimage(); the harmonic coefficients
+    with F_h = h.field.poisson_preimage(); the harmonic coefficients
     and c minimize the boundary residual |grad f . nu_transported| in the
     discrete L2 sense over M collocation angles, and a_0 pins the average
     of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
@@ -270,7 +222,7 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     harm = _polar.harmonic_basis(kf)
     cols_harm = harm.normal_derivative(ones, theta, nu_r, nu_t)
     col_c = (-0.5) * nu_r  # normal derivative of -r^2/4 at r = 1
-    part = h.field().poisson_preimage()
+    part = h.field.poisson_preimage()
     rhs = -(part.basis.normal_derivative(ones, theta, nu_r, nu_t) @ part.coeffs)
     sol, cond = _polar.fit(np.column_stack([cols_harm, col_c]), rhs)
     harm_coeffs = sol[:-1]
@@ -363,7 +315,7 @@ def solve_oblique_kernel_variant(
         r_ang[:, None] * lap - rp_ang[:, None] * hrt
     )
     col_c_int = sq_int
-    rhs_int = sq_int * h.evaluate_polar(r_int, th_int)
+    rhs_int = sq_int * h.field.value_polar(r_int, th_int)
 
     theta_b, dth = circle_grid(m)
     ones_b = np.ones(m)
@@ -393,7 +345,7 @@ def solve_oblique_kernel_variant(
     resid_f = (
         r_ang_f * lap_f
         - rp_ang_f * hrt_f
-        - (h.evaluate_polar(r_f, th_f) - c_star)
+        - (h.field.value_polar(r_f, th_f) - c_star)
     )
     interior = float(math.sqrt((w_f @ resid_f**2) / w_f.sum()))
     theta_fb, _ = circle_grid(4 * m)

@@ -7,10 +7,14 @@ Neumann problems
     Laplacian g_i = 0 in Omega,   dg_i/dnu = x_i on dOmega,
 
 solved by harmonic Ritz least squares on boundary collocation points.
-tau = Dg is then sampled on the polar bulk quadrature grid over Omega,
-and the defining identity is audited on a fixed panel of polynomial
-test fields.  The kernel requires a boundary-centered domain: pairing
-with constant fields forces the boundary barycenter to vanish.
+The two potentials are the columns of one PolarField, and tau = Dg is
+its gradient on the polar bulk quadrature grid over Omega.  The defining
+identity is audited on a fixed panel of ten polynomial test fields, kept
+as a coefficient table ``_PANEL`` over the quadratic basis: their twenty
+components are one (6, 20) field, so the left-hand sides come from one
+gradient on the bulk grid and the right-hand sides from one vector-valued
+boundary quadrature.  The kernel requires a boundary-centered domain:
+pairing with constant fields forces the boundary barycenter to vanish.
 """
 
 from __future__ import annotations
@@ -36,6 +40,23 @@ CENTER_GATE = 1e-8
 PANEL_TOL = 1e-6
 DEFICIT_TOL = 1e-10       # doubling tolerance of the deficit integrals
 BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the kernel's bulk grid
+
+# The test panel: ten vector fields (u1, u2) with spanning derivative
+# content, each component given by its coefficients over
+# full_basis(2, include_constant=True) = 1, x1, x2, r^2, r^2 cos 2t, r^2 sin 2t
+# (x1^2 = (r^2 + r^2 cos 2t) / 2, x1 x2 = r^2 sin 2t / 2).
+_PANEL = (
+    ("e1", (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    ("e2", (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+    ("identity", (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)),
+    ("rotation", (0, 0, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+    ("x1^2 e1", (0, 0, 0, 0.5, 0.5, 0), (0, 0, 0, 0, 0, 0)),
+    ("x2^2 e2", (0, 0, 0, 0, 0, 0), (0, 0, 0, 0.5, -0.5, 0)),
+    ("x1x2 e1", (0, 0, 0, 0, 0, 0.5), (0, 0, 0, 0, 0, 0)),
+    ("holomorphic", (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)),
+    ("radial^2 pair", (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0)),
+    ("shear", (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +123,7 @@ def boundary_deficits(domain: StarDomain) -> DeficitReport:
 @dataclass(frozen=True)
 class SteinKernelResult:
     domain: StarDomain
-    potentials: tuple[_polar.PolarField, _polar.PolarField]
+    potentials: _polar.PolarField  # g_1, g_2 as its two coefficient columns
     tau: np.ndarray                # (N, 2, 2) on the bulk grid
     grid_points: np.ndarray        # (N, 2)
     grid_weights: np.ndarray       # (N,)
@@ -117,44 +138,32 @@ class SteinKernelResult:
     bulk_shape: tuple[int, int]
 
 
-def _quadratic_test_panel():
-    """Ten fixed polynomial vector fields with spanning derivative content."""
-    basis = _polar.full_basis(2, include_constant=True)
-    # basis order: 1, r cos, r sin, r^2, r^2 cos 2t, r^2 sin 2t
-    def v(*coeffs):
-        return _polar.PolarField(basis, np.asarray(coeffs, dtype=float))
-
-    zero = v(0, 0, 0, 0, 0, 0)
-    x1 = v(0, 1, 0, 0, 0, 0)
-    x2 = v(0, 0, 1, 0, 0, 0)
-    x1sq = v(0, 0, 0, 0.5, 0.5, 0)     # x^2 = (r^2 + r^2 cos 2t)/2
-    x2sq = v(0, 0, 0, 0.5, -0.5, 0)
-    x1x2 = v(0, 0, 0, 0, 0, 0.5)
-    rsq = v(0, 0, 0, 1, 0, 0)
-    harm2 = v(0, 0, 0, 0, 1, 0)        # x^2 - y^2
-    harm2s = v(0, 0, 0, 0, 0, 1)       # 2xy
-    one = v(1, 0, 0, 0, 0, 0)
-    return (
-        ("e1", (one, zero)),
-        ("e2", (zero, one)),
-        ("identity", (x1, x2)),
-        ("rotation", (v(0, 0, -1, 0, 0, 0), x1)),
-        ("x1^2 e1", (x1sq, zero)),
-        ("x2^2 e2", (zero, x2sq)),
-        ("x1x2 e1", (x1x2, zero)),
-        ("holomorphic", (harm2, harm2s)),
-        ("radial^2 pair", (rsq, rsq)),
-        ("shear", (x2, x1)),
-    )
-
-
 def _discrepancies(potentials, pts, wq):
     """tau = Dg at the points, and the integrals of ||I - tau||_HS and of
     its square against the weights."""
-    tau = np.stack(_polar.gradients_of(potentials, pts), axis=1)
+    tau = potentials.gradient(pts)
     gap = np.eye(2) - tau
     gap2 = np.einsum("nab,nab->n", gap, gap)
     return tau, float(wq @ np.sqrt(gap2)), float(wq @ gap2)
+
+
+def _panel(domain, tau, pts, wq):
+    """(label, int tau : Du, int_dOmega (x . u) dS) for each test field u."""
+    coeffs = np.array([row[1:] for row in _PANEL], dtype=float).reshape(-1, 6)
+    tests = _polar.PolarField(_polar.full_basis(2, include_constant=True), coeffs.T)
+    grads = tests.gradient(pts).reshape(len(pts), len(_PANEL), 2, 2)
+    lhs = wq @ np.einsum("njd,nijd->ni", tau, grads)
+
+    def boundary_integrand(theta: np.ndarray) -> np.ndarray:
+        frame = frame_at(domain, theta)
+        x = frame.points
+        u = tests.value(x).reshape(len(x), len(_PANEL), 2)
+        return np.einsum("nd,nid->ni", x, u) * frame.jacobian[:, None]
+
+    rhs, _ = doubling_quadrature(boundary_integrand)
+    return tuple(
+        (row[0], float(l), float(r)) for row, l, r in zip(_PANEL, lhs, rhs)
+    )
 
 
 def stein_kernel_solve(
@@ -183,41 +192,17 @@ def stein_kernel_solve(
     basis = _polar.harmonic_basis(k)
     rows = basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal)
     coeffs, cond = _polar.fit(rows * sqrt_w[:, None], frame.points * sqrt_w[:, None])
-    g1 = _polar.PolarField(basis, coeffs[:, 0].copy())
-    g2 = _polar.PolarField(basis, coeffs[:, 1].copy())
+    potentials = _polar.PolarField(basis, coeffs)
 
     pts, wq = bulk_grid(domain, *BULK_SHAPE)
-    tau, disc1, disc2 = _discrepancies((g1, g2), pts, wq)
+    tau, disc1, disc2 = _discrepancies(potentials, pts, wq)
     energy = float(wq @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
     rows_f = basis.normal_derivative(frame_f.radius, frame_f.theta, *frame_f.polar_normal)
     neumann = float(np.abs(rows_f @ coeffs - frame_f.points).max())
 
-    panel = []
-    test_panel = _quadratic_test_panel()
-    # every test field lives on one basis, evaluated once on the bulk grid
-    test_grads = iter(
-        _polar.gradients_of([u for _, pair in test_panel for u in pair], pts)
-    )
-    for label, (u1, u2) in test_panel:
-        du1, du2 = next(test_grads), next(test_grads)
-        lhs = float(
-            wq
-            @ (
-                np.einsum("nd,nd->n", tau[:, 0], du1)
-                + np.einsum("nd,nd->n", tau[:, 1], du2)
-            )
-        )
-
-        def boundary_integrand(theta: np.ndarray, u1=u1, u2=u2) -> np.ndarray:
-            frame = frame_at(domain, theta)
-            x = frame.points
-            dot = x[:, 0] * u1.value(x) + x[:, 1] * u2.value(x)
-            return dot * frame.jacobian
-
-        rhs_val, _ = doubling_quadrature(boundary_integrand)
-        panel.append((label, lhs, float(rhs_val)))
+    panel = _panel(domain, tau, pts, wq)
     worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)
     if worst > PANEL_TOL:
         raise IdentityViolated(
@@ -226,7 +211,7 @@ def stein_kernel_solve(
 
     return SteinKernelResult(
         domain=domain,
-        potentials=(g1, g2),
+        potentials=potentials,
         tau=tau,
         grid_points=pts,
         grid_weights=wq,

@@ -137,10 +137,6 @@ class TestExpansion:
             assert f"{name}: slope" in out
         assert "volume: slope inf" in out
 
-    def test_unresolvable_slope_flags_a_violation(self, capsys):
-        assert main(["expansion", "--eps", "0.0,0.05"]) == 1
-        assert "slope below" in capsys.readouterr().out
-
 
 class TestMc:
     def test_occupation_statistics(self, configs, capsys):
@@ -231,6 +227,7 @@ class TestExitCodes:
             ["expansion", "--eps", "nan,0.05"],
             ["expansion", "--eps", "0.2,0.3"],
             ["expansion", "--eps", "0.05"],
+            ["expansion", "--eps", "0.0,0.05"],
             ["expansion", "--k", "0"],
             ["analyze", "{bump}", "--alpha", "2"],
             ["analyze", "{bump}", "--grid", "0"],

@@ -34,15 +34,19 @@ def default_family():
 
 
 def test_rhs_expansion_algebra():
-    h = rhs_x1().scaled(2.0) + rhs_constant(0.5)
-    assert h.harmonic_cos == (2.0,)
-    assert h.constant == 0.5
+    h = rhs_x1() + rhs_constant(0.5)
+    assert h.label == "x1+one"
+    pts, _ = disk_grid(32, 8)
+    np.testing.assert_allclose(h.evaluate(pts), pts[:, 0] + 0.5, rtol=0.0, atol=1e-15)
 
 
 def test_parse_rhs_tokens():
-    assert parse_rhs("x1") == rhs_x1()
-    assert parse_rhs("r2") == rhs_sq_radius()
-    assert parse_rhs("one") == rhs_constant(1.0)
+    # expansions hold a field, so they compare by label and values
+    pts, _ = disk_grid(32, 8)
+    for token, build in (("x1", rhs_x1), ("r2", rhs_sq_radius), ("one", rhs_constant)):
+        got, want = parse_rhs(token), build()
+        assert got.label == want.label == token
+        assert np.array_equal(got.evaluate(pts), want.evaluate(pts))
     with pytest.raises(ValueError):
         parse_rhs("potato")
 

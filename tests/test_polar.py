@@ -147,14 +147,21 @@ def test_hessian_rtheta_is_the_frame_component(basis, points):
     assert np.array_equal(basis.hessian_rtheta(r, theta), basis.hessian_frame(r, theta)[1])
 
 
-def test_gradients_of_matches_each_field(basis, points):
-    rng = np.random.default_rng(3)
-    fields = [_polar.PolarField(basis, rng.standard_normal(basis.n)) for _ in range(3)]
-    for field, grad in zip(fields, _polar.gradients_of(fields, points)):
-        assert np.array_equal(grad, field.gradient(points))
-    other = _polar.PolarField(_polar.harmonic_basis(2), np.ones(4))
-    with pytest.raises(ValueError, match="share one basis"):
-        _polar.gradients_of([fields[0], other], points)
+def test_multi_column_field_matches_its_columns(basis, points):
+    # (n, q) coefficients are q fields on one basis evaluation, each column
+    # bit for bit its own (n,) field
+    coeffs = np.random.default_rng(3).standard_normal((basis.n, 3))
+    joint = _polar.PolarField(basis, coeffs)
+    single = [_polar.PolarField(basis, coeffs[:, j].copy()) for j in range(3)]
+    r, theta = _polar.to_polar(points)
+    for method in ("value", "gradient", "hessian", "laplacian"):
+        got = getattr(joint, method)(points)
+        assert got.shape[:2] == (len(points), 3), method
+        for j, field in enumerate(single):
+            assert np.array_equal(got[:, j], getattr(field, method)(points)), method
+    got = joint.radial_derivative(r, theta)
+    for j, field in enumerate(single):
+        assert np.array_equal(got[:, j], field.radial_derivative(r, theta))
 
 
 @pytest.mark.parametrize(
@@ -202,7 +209,7 @@ def test_fit_gates_the_condition_and_solves_two_right_hand_sides():
 )
 def test_poisson_preimage_inverts_the_laplacian(tokens, points):
     h = sum((oblique.parse_rhs(t) for t in tokens[1:]), oblique.parse_rhs(tokens[0]))
-    field = h.field()
+    field = h.field
     got = field.poisson_preimage().laplacian(points)
     want = field.value(points)
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())

@@ -20,7 +20,7 @@ from steinshapes import NoConvergence, StarDomain, geometric_functionals
 from steinshapes.experiments import _steklov_order
 from steinshapes.shapes import boundary_frame, normalize, trig_zeros
 from steinshapes.steklov import steklov_spectrum
-from steinshapes.stein import boundary_deficits
+from steinshapes.stein import boundary_deficits, stein_kernel_solve
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 IDENTITY_GATE = 1e-9  # the combined-identity gate of verify_inequality
@@ -137,6 +137,12 @@ def test_balls_match_their_closed_forms(r):
     assert _close(rep.d2, 2.0 * math.pi * r * (1.0 - r) ** 2)
     assert abs(rep.osc_l1) <= 1e-15 and abs(rep.osc_l2) <= 1e-15
     assert _close(steklov_spectrum(ball).sigma1, 1.0 / r, rel=1e-8)
+    # the Neumann potentials are g = r x, so tau = r I
+    res = stein_kernel_solve(ball)
+    assert np.abs(res.tau - r * np.eye(2)).max() <= 1e-12 * r
+    assert _close(res.discrepancy_l1, math.sqrt(2.0) * abs(1.0 - r) * math.pi * r**2)
+    assert _close(res.discrepancy_l2, 2.0 * (1.0 - r) ** 2 * math.pi * r**2)
+    assert _close(res.energy, 2.0 * math.pi * r**4)
 
 
 @pytest.mark.xfail(raises=NoConvergence, strict=True, reason="d1 cusp at a tangent touch")

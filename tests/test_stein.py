@@ -16,6 +16,7 @@ from steinshapes import (
     stein_discrepancy,
     stein_kernel_solve,
 )
+from steinshapes._polar import PolarField
 from steinshapes.errors import NotCentered
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -83,11 +84,14 @@ def test_bump_kernel_frozen():
 
 
 def test_kernel_is_the_gradient_of_its_potentials():
-    # tau comes from one shared basis evaluation; it must equal the fields'
-    # own gradients bit for bit
+    # g_1 and g_2 are the two columns of one field; tau is its gradient,
+    # row i bit for bit the gradient of g_i alone
     res = stein_kernel_solve(bump_vn())
-    each = np.stack([g.gradient(res.grid_points) for g in res.potentials], 1)
-    assert np.array_equal(res.tau, each)
+    pot = res.potentials
+    assert np.array_equal(res.tau, pot.gradient(res.grid_points))
+    for i in range(2):
+        g = PolarField(pot.basis, pot.coeffs[:, i].copy())
+        assert np.array_equal(res.tau[:, i], g.gradient(res.grid_points))
 
 
 def test_trace_integral_matches_momentum():
