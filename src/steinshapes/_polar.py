@@ -25,11 +25,16 @@ factor m^2 - k^2 vanishes on the needed power m = k.  The log term fills
 that hole, since its resonant members (m = k) have the purely polynomial
 Laplacian 2k r^{k-2} T.
 
-Transcendentals are computed once per distinct value, not per column:
-cos and sin of k theta over the distinct frequencies of the table, r^p
-over its distinct exponents, and log r once per point.  Precomputed gather
-indices spread them over the columns, so every entry is the same floating
-point product as a column-by-column evaluation.
+Every evaluation runs on a ``PolarGrid``: angles theta (n_theta,) and
+radii r (n_theta, n_r), point i n_r + j at radius r[i, j] on the ray at
+theta[i].  Grids keep the polar coordinates they are built from: recovering
+them from Cartesian points costs a hypot and an arctan per point and gives
+one ray different angle bits at different radii.  ``PolarGrid.at`` takes
+arbitrary points as one-point rays.  Transcendentals are computed once per
+distinct value: cos and sin of k theta once per row and frequency, r^p once
+per exponent, log r once per point.  Gather indices spread them over the
+columns and each trig row is broadcast over its n_r points, so every entry
+is the same floating point product as a point-by-point evaluation.
 
 Negative exponents only occur where the prefactor vanishes (m <= 1 with
 the parity rule), so powers are clipped at zero and the zero multiplier
@@ -40,10 +45,10 @@ the disk, and are evaluated with a finite stand-in for log 0.
 
 A basis evaluates polar-frame components only, one (N, n) block each; a
 field contracts its coefficients first and rotates the results to
-Cartesian axes once per point.  Coefficients are (n,) for one field or
-(n, q) for q fields over one basis, evaluated from one block into (N, q,
-...) results.  The q columns are contracted one at a time, so each equals
-its own (n,) field bit for bit; one (N, n) @ (n, q) matmul would reorder
+Cartesian axes with one cos/sin pair per row.  Coefficients are (n,) for
+one field or (n, q) for q fields over one basis, evaluated from one block
+into (N, q, ...) results.  The q columns are contracted one at a time, so
+each equals its own (n,) field bit for bit; one (N, n) @ (n, q) matmul would reorder
 the sums and, through the BLAS gemm buffers, raise the peak memory of a
 Stein-kernel verification by about 6 MB.  The boundary solvers share
 three more pieces of this calculus, kept here alone:
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +69,43 @@ from .errors import IllConditioned
 
 COS, SIN = 0, 1
 COND_GATE = 1e12
+
+
+class PolarGrid:
+    """Points on rays: point i n_r + j lies at radius r[i, j] on the ray at
+    angle theta[i]; an (n_theta,) r is one point per ray.  ``weights`` (N,)
+    are quadrature weights, when the grid is a quadrature."""
+
+    def __init__(self, theta, r, weights=None):
+        self.theta = np.asarray(theta, dtype=float)
+        self.r = np.asarray(r, dtype=float).reshape(self.theta.size, -1)
+        self.weights = weights
+
+    @classmethod
+    def at(cls, points) -> "PolarGrid":
+        """Arbitrary (N, 2) Cartesian points, one ray each."""
+        p = np.asarray(points, dtype=float)
+        return cls(np.arctan2(p[:, 1], p[:, 0]), np.hypot(p[:, 0], p[:, 1]))
+
+    @classmethod
+    def circle(cls, theta) -> "PolarGrid":
+        """The unit circle at the given angles."""
+        return cls(theta, np.ones(np.size(theta)))
+
+    @property
+    def size(self) -> int:
+        return self.r.size
+
+    @cached_property
+    def directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos theta and sin theta, one per row."""
+        return np.cos(self.theta), np.sin(self.theta)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(N, 2) Cartesian points r (cos theta, sin theta)."""
+        ct, st = self.directions
+        return np.stack([self.r * ct[:, None], self.r * st[:, None]], axis=-1).reshape(-1, 2)
 
 
 class PolarBasis:
@@ -111,21 +154,22 @@ class PolarBasis:
 
     # -- radial and angular factors -------------------------------------------
 
-    def _pow(self, r, shift: int):
+    def _pow(self, g: PolarGrid, shift: int):
         expo, cols = self._expos[shift]
-        return np.take(np.asarray(r, dtype=float)[:, None] ** expo, cols, axis=1)
+        return np.take(g.r.reshape(-1, 1) ** expo, cols, axis=1)
 
-    def _log(self, r):
+    def _log(self, g: PolarGrid):
         """log r per point; None for tables without log terms."""
         if not self.logs.any():
             return None
         # finite stand-in at r = 0; every use is multiplied by r^{m-2} >= r^0
-        return np.log(np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny))
+        return np.log(np.maximum(g.r.reshape(-1), np.finfo(float).tiny))
 
-    def _trig(self, theta, value: bool = True, derivative: bool = False):
-        """T, T' or (T, T'), gathered from one cos/sin table of the distinct
-        frequencies; T' = -k sin(k theta) on cos terms, k cos(k theta) on sin."""
-        ang = np.multiply.outer(theta, self._ks)
+    def _trig(self, g: PolarGrid, value: bool = True, derivative: bool = False):
+        """T, T' or (T, T') per angle row, (n_theta, n), gathered from one
+        cos/sin table of the distinct frequencies; T' = -k sin(k theta) on
+        cos terms, k cos(k theta) on sin."""
+        ang = np.multiply.outer(g.theta, self._ks)
         cs = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
         if not derivative:
             return np.take(cs, self._t_cols, axis=1)
@@ -148,64 +192,59 @@ class PolarBasis:
         for b in addends:
             coeff += b
         out = power * coeff
-        out *= trig
+        rows = out.reshape(trig.shape[0], -1, trig.shape[1])  # a view, by angle row
+        rows *= trig[:, None, :]
         return out
 
     # -- evaluations ------------------------------------------------------------
 
-    def values(self, r, theta):
-        t = self._trig(theta)
-        return self._closed_form(self._pow(r, 0), t, self._log(r), 1.0)
+    def values(self, g: PolarGrid):
+        t = self._trig(g)
+        return self._closed_form(self._pow(g, 0), t, self._log(g), 1.0)
 
-    def radial_derivative(self, r, theta):
-        t = self._trig(theta)
-        p1, lg = self._pow(r, 1), self._log(r)
-        return self._closed_form(p1, t, lg, self.powers, self.logs)
+    def radial_derivative(self, g: PolarGrid):
+        t = self._trig(g)
+        return self._closed_form(self._pow(g, 1), t, self._log(g), self.powers, self.logs)
 
-    def angular_over_r(self, r, theta):
-        """(1/r) d/dtheta, the thetahat gradient component."""
-        td = self._trig(theta, value=False, derivative=True)
-        return self._closed_form(self._pow(r, 1), td, self._log(r), 1.0)
-
-    def gradients(self, r, theta):
+    def gradients(self, g: PolarGrid):
         """Polar-frame gradient components (f_r, f_theta / r), each (N, n)."""
-        t, td = self._trig(theta, derivative=True)
-        p1, lg = self._pow(r, 1), self._log(r)
+        t, td = self._trig(g, derivative=True)
+        p1, lg = self._pow(g, 1), self._log(g)
         return (
             self._closed_form(p1, t, lg, self.powers, self.logs),
             self._closed_form(p1, td, lg, 1.0),
         )
 
-    def normal_derivative(self, r, theta, nu_r, nu_theta):
+    def normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
         """f_r nu_r + (f_theta / r) nu_theta, (N, n), against a normal given
         by its polar components at each point."""
-        fr, ftr = self.gradients(r, theta)
+        fr, ftr = self.gradients(g)
         return fr * nu_r[:, None] + ftr * nu_theta[:, None]
 
-    def hessian_rtheta(self, r, theta):
+    def hessian_rtheta(self, g: PolarGrid):
         """H_rtheta alone, (N, n): the middle component of ``hessian_frame``."""
-        td = self._trig(theta, value=False, derivative=True)
+        td = self._trig(g, value=False, derivative=True)
         return self._closed_form(
-            self._pow(r, 2), td, self._log(r), self.powers - 1.0, self.logs
+            self._pow(g, 2), td, self._log(g), self.powers - 1.0, self.logs
         )
 
-    def hessian_frame(self, r, theta):
+    def hessian_frame(self, g: PolarGrid):
         """(H_rr, H_rtheta, H_thetatheta), each (N, n)."""
-        hrt = self.hessian_rtheta(r, theta)
-        t = self._trig(theta)
+        hrt = self.hessian_rtheta(g)
+        t = self._trig(g)
         m, k, w = self.powers, self.freqs, self.logs
-        p2, lg = self._pow(r, 2), self._log(r)
+        p2, lg = self._pow(g, 2), self._log(g)
         return (
             self._closed_form(p2, t, lg, m * (m - 1.0), 2.0 * m * w, -w),
             hrt,
             self._closed_form(p2, t, lg, m - k * k, w),
         )
 
-    def laplacians(self, r, theta):
-        t = self._trig(theta)
+    def laplacians(self, g: PolarGrid):
+        t = self._trig(g)
         m, k = self.powers, self.freqs
         return self._closed_form(
-            self._pow(r, 2), t, self._log(r), m * m - k * k, 2.0 * m * self.logs
+            self._pow(g, 2), t, self._log(g), m * m - k * k, 2.0 * m * self.logs
         )
 
 
@@ -311,26 +350,23 @@ def cascade_basis(order: int) -> PolarBasis:
     )
 
 
-def to_polar(points) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(points, dtype=float)
-    return np.hypot(p[..., 0], p[..., 1]), np.arctan2(p[..., 1], p[..., 0])
-
-
-def _cartesian(theta, *frame):
+def _cartesian(g: PolarGrid, *frame):
     """Polar-frame components, one (N,) or (N, q) array each, rotated to
     Cartesian axes: (v_r, v_theta) to (..., 2) vectors, (H_rr, H_rtheta,
-    H_thetatheta) to (..., 2, 2) symmetric matrices."""
-    ct, st = np.cos(theta), np.sin(theta)
-    if frame[0].ndim > 1:  # a trailing field axis
-        ct, st = ct[:, None], st[:, None]
+    H_thetatheta) to (..., 2, 2) symmetric matrices.  Each row's cos/sin
+    pair is broadcast over its points."""
+    shape = frame[0].shape
+    ct, st = (c.reshape((-1,) + (1,) * len(shape)) for c in g.directions)
+    frame = [f.reshape((ct.shape[0], -1) + shape[1:]) for f in frame]
     if len(frame) == 2:
         vr, vt = frame
-        return np.stack([vr * ct - vt * st, vr * st + vt * ct], axis=-1)
+        out = np.stack([vr * ct - vt * st, vr * st + vt * ct], axis=-1)
+        return out.reshape(shape + (2,))
     hrr, hrt, htt = frame
     hxx = ct * ct * hrr - 2.0 * ct * st * hrt + st * st * htt
     hxy = ct * st * (hrr - htt) + (ct * ct - st * st) * hrt
     hyy = st * st * hrr + 2.0 * ct * st * hrt + ct * ct * htt
-    return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(hrr.shape + (2, 2))
+    return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(shape + (2, 2))
 
 
 def fit(rows, rhs) -> tuple[np.ndarray, float]:
@@ -360,32 +396,20 @@ class PolarField:
             return table @ self.coeffs
         return np.stack([table @ np.ascontiguousarray(c) for c in self.coeffs.T], axis=-1)
 
-    def value_polar(self, r, theta):
-        return self._dot(self.basis.values(r, theta))
+    def value(self, g: PolarGrid):
+        return self._dot(self.basis.values(g))
 
-    def value(self, points):
-        return self.value_polar(*to_polar(points))
+    def gradient(self, g: PolarGrid):
+        return _cartesian(g, *map(self._dot, self.basis.gradients(g)))
 
-    def gradient_polar(self, r, theta):
-        return _cartesian(theta, *map(self._dot, self.basis.gradients(r, theta)))
+    def hessian(self, g: PolarGrid):
+        return _cartesian(g, *map(self._dot, self.basis.hessian_frame(g)))
 
-    def gradient(self, points):
-        return self.gradient_polar(*to_polar(points))
+    def laplacian(self, g: PolarGrid):
+        return self._dot(self.basis.laplacians(g))
 
-    def hessian_polar(self, r, theta):
-        return _cartesian(theta, *map(self._dot, self.basis.hessian_frame(r, theta)))
-
-    def hessian(self, points):
-        return self.hessian_polar(*to_polar(points))
-
-    def laplacian_polar(self, r, theta):
-        return self._dot(self.basis.laplacians(r, theta))
-
-    def laplacian(self, points):
-        return self.laplacian_polar(*to_polar(points))
-
-    def radial_derivative(self, r, theta):
-        return self._dot(self.basis.radial_derivative(r, theta))
+    def radial_derivative(self, g: PolarGrid):
+        return self._dot(self.basis.radial_derivative(g))
 
     def poisson_preimage(self) -> "PolarField":
         """F with Laplacian F = self: each r^m T maps to r^{m+2} T / ((m+2)^2 - k^2).

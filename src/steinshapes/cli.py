@@ -125,9 +125,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_expansion(args) -> int:
     eps = _parse_eps(args.eps)
-    if sum(e > 0.0 for e in eps) < 2:
-        # the log-log slope needs two points, and eps = 0 is none
-        raise InputError("slope fits need >= 2 positive amplitudes")
+    if len({e for e in eps if e > 0.0}) < 2:
+        # the log-log slope needs two distinct points, and eps = 0 is none
+        raise InputError("slope fits need >= 2 distinct positive amplitudes")
     reports = experiments.expansion_validator(args.k, eps)
     status = 0
     for rep in reports:

@@ -252,7 +252,8 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         value = abs(ball_part - ratio * moment) / cert
         features.append((f"radial-power 2j={power}", value, "even"))
 
-    pts, wq = bulk_grid(domain, 256, 64)
+    grid = bulk_grid(domain, 256, 64)
+    pts, wq = grid.points, grid.weights
     cert_affine = 1.0 + _interpolated_seminorm(1.0, 1.0, rho, alpha)
     for idx in range(DICTIONARY_SIZE):
         phi = math.pi * idx / DICTIONARY_SIZE
@@ -262,13 +263,13 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         value = ratio * abs(float(wq @ clipped)) / cert_affine
         features.append((f"clipped-affine phi={phi:.3f}", value, "odd"))
 
-    disk_pts, disk_w = disk_grid(256, 64)
+    disk = disk_grid(256, 64)
     for idx in range(DICTIONARY_SIZE):
         ang = TWO_PI * idx / DICTIONARY_SIZE
         x0 = np.array([math.cos(ang), math.sin(ang)])
-        bump_ball = np.minimum(1.0, np.hypot(*(disk_pts - x0).T) ** alpha)
+        bump_ball = np.minimum(1.0, np.hypot(*(disk.points - x0).T) ** alpha)
         bump_dom = np.minimum(1.0, np.hypot(*(pts - x0).T) ** alpha)
-        value = abs(float(disk_w @ bump_ball) - ratio * float(wq @ bump_dom)) / 2.0
+        value = abs(float(disk.weights @ bump_ball) - ratio * float(wq @ bump_dom)) / 2.0
         features.append((f"cusp-bump angle={ang:.3f}", value, "none"))
 
     best = max(features, key=lambda item: item[1])

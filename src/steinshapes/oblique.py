@@ -84,16 +84,11 @@ class RhsExpansion:
             (self.label + "+" + other.label).strip("+"),
         )
 
-    def evaluate(self, points) -> np.ndarray:
-        return self.field.value(points)
-
     def sup_disk(self) -> float:
         """Grid estimate of sup |h| over the closed unit disk."""
         theta, _ = circle_grid(256)
-        r = np.linspace(0.0, 1.0, 65)
-        rr = np.repeat(r, theta.size)
-        tt = np.tile(theta, r.size)
-        return float(np.abs(self.field.value_polar(rr, tt)).max())
+        r = np.broadcast_to(np.linspace(0.0, 1.0, 65), (theta.size, 65))
+        return float(np.abs(self.field.value(_polar.PolarGrid(theta, r))).max())
 
 
 def _term(power: int, freq: int, kind: int, label: str, coeff: float = 1.0) -> RhsExpansion:
@@ -160,36 +155,32 @@ class ObliqueSolution:
     grid_interior: int
 
 
-def _zero_mean_shift(field_wo_const: _polar.PolarField) -> float:
-    """Constant a_0 imposing a zero integral over the unit ball."""
-    pts, w = disk_grid(128, 48)
-    total = float(w @ field_wo_const.value(pts))
-    return -total / math.pi
-
-
-def _with_constant(basis: _polar.PolarBasis, coeffs: np.ndarray, a0: float):
+def _zero_mean(basis: _polar.PolarBasis, coeffs: np.ndarray) -> _polar.PolarField:
+    """basis @ coeffs plus the constant that zeroes its integral over B_1."""
+    grid = disk_grid(128, 48)
+    total = float(grid.weights @ _polar.PolarField(basis, coeffs).value(grid))
     const = _polar.PolarBasis([0.0], [0.0], [_polar.COS])
     return _polar.PolarField(
-        _polar.concat(const, basis), np.concatenate([[a0], coeffs])
+        _polar.concat(const, basis), np.concatenate([[-total / math.pi], coeffs])
     )
 
 
 def _mean_domain(domain: StarDomain, h: RhsExpansion) -> float:
-    pts, w = bulk_grid(domain, 256, 64)
+    grid = bulk_grid(domain, 256, 64)
     volume = geometric_functionals(domain).volume
-    return float(w @ h.evaluate(pts)) / volume
+    return float(grid.weights @ h.field.value(grid)) / volume
 
 
 def _boundary_flux(field: _polar.PolarField) -> float:
     """Integral of grad f . rhat over the unit circle (the divergence value)."""
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        return field.radial_derivative(np.ones_like(theta), theta)
+        return field.radial_derivative(_polar.PolarGrid.circle(theta))
 
     # the quadrature round-off floor is set by the cancellation volume of
     # the expansion, not by the size of the evaluated integrand
     probe, _ = circle_grid(256)
-    rows = np.abs(field.basis.radial_derivative(np.ones_like(probe), probe))
+    rows = np.abs(field.basis.radial_derivative(_polar.PolarGrid.circle(probe)))
     cancel = float((rows @ np.abs(field.coeffs)).max())
     tol = max(1e-13, 64.0 * np.finfo(float).eps * cancel)
     value, _ = doubling_quadrature(integrand, tol=tol)
@@ -214,16 +205,16 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     """
     kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
-    ones = np.ones(m)
+    circle = _polar.PolarGrid.circle(theta)
     nu_r, nu_t = frame_at(domain, theta).polar_normal
     if nu_r.min() <= 0.0:
         raise NotOblique("transported normal has a non-positive radial part")
 
     harm = _polar.harmonic_basis(kf)
-    cols_harm = harm.normal_derivative(ones, theta, nu_r, nu_t)
+    cols_harm = harm.normal_derivative(circle, nu_r, nu_t)
     col_c = (-0.5) * nu_r  # normal derivative of -r^2/4 at r = 1
     part = h.field.poisson_preimage()
-    rhs = -(part.basis.normal_derivative(ones, theta, nu_r, nu_t) @ part.coeffs)
+    rhs = -(part.basis.normal_derivative(circle, nu_r, nu_t) @ part.coeffs)
     sol, cond = _polar.fit(np.column_stack([cols_harm, col_c]), rhs)
     harm_coeffs = sol[:-1]
     c_star = float(sol[-1])
@@ -232,21 +223,18 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     sq_radius = _polar.PolarBasis([2.0], [0.0], [_polar.COS])
     basis = _polar.concat(harm, part.basis, sq_radius)
     coeffs = np.concatenate([harm_coeffs, part.coeffs, [-c_star / 4.0]])
-    a0 = _zero_mean_shift(_polar.PolarField(basis, coeffs))
-    field = _with_constant(basis, coeffs, a0)
+    field = _zero_mean(basis, coeffs)
 
     # residuals: interior on a polar probe grid, boundary on a refined circle
-    probe_pts, _ = disk_grid(96, 24)
+    probe = disk_grid(96, 24)
     interior = float(
-        np.abs(
-            field.laplacian(probe_pts) - (h.evaluate(probe_pts) - c_star)
-        ).max()
+        np.abs(field.laplacian(probe) - (h.field.value(probe) - c_star)).max()
     )
     theta_f, _ = circle_grid(4 * m)
     normal_f = frame_at(domain, theta_f).polar_normal
     bres = float(
         np.abs(
-            field.basis.normal_derivative(np.ones(theta_f.size), theta_f, *normal_f)
+            field.basis.normal_derivative(_polar.PolarGrid.circle(theta_f), *normal_f)
             @ field.coeffs
         ).max()
     )
@@ -304,28 +292,26 @@ def solve_oblique_kernel_variant(
 
     m = VARIANT_BOUNDARY_GRID
     n_theta, n_r = VARIANT_BULK
-    pts, w_int = disk_grid(n_theta, n_r)
-    r_int, th_int = _polar.to_polar(pts)
+    grid = disk_grid(n_theta, n_r)
     basis = _polar.cascade_basis(CASCADE_ORDER)
-    r_ang, rp_ang = domain.radius_derivatives(th_int)
-    lap = basis.laplacians(r_int, th_int)
-    hrt = basis.hessian_rtheta(r_int, th_int)
-    sq_int = np.sqrt(w_int)
+    # R and R' depend on the angle only: one value per row, repeated
+    r_ang, rp_ang = np.repeat(domain.radius_derivatives(grid.theta), n_r, axis=1)
+    lap = basis.laplacians(grid)
+    hrt = basis.hessian_rtheta(grid)
+    sq_int = np.sqrt(grid.weights)
     rows_int = sq_int[:, None] * (
         r_ang[:, None] * lap - rp_ang[:, None] * hrt
     )
-    col_c_int = sq_int
-    rhs_int = sq_int * h.field.value_polar(r_int, th_int)
+    rhs_int = sq_int * h.field.value(grid)
 
     theta_b, dth = circle_grid(m)
-    ones_b = np.ones(m)
     rows_bnd = math.sqrt(dth) * (
         domain.radius(theta_b)[:, None]
-        * basis.radial_derivative(ones_b, theta_b)
+        * basis.radial_derivative(_polar.PolarGrid.circle(theta_b))
     )
     matrix = np.block(
         [
-            [rows_int, col_c_int[:, None]],
+            [rows_int, sq_int[:, None]],
             [rows_bnd, np.zeros((m, 1))],
         ]
     )
@@ -333,24 +319,18 @@ def solve_oblique_kernel_variant(
     sol, cond = _polar.fit(matrix, rhs)
     coeffs = sol[:-1]
     c_star = float(sol[-1])
-    a0 = _zero_mean_shift(_polar.PolarField(basis, coeffs))
-    field = _with_constant(basis, coeffs, a0)
+    field = _zero_mean(basis, coeffs)
 
     # refined residual probes
-    pts_f, w_f = disk_grid(2 * n_theta, 2 * n_r)
-    r_f, th_f = _polar.to_polar(pts_f)
-    lap_f = field.laplacian_polar(r_f, th_f)
-    hrt_f = np.einsum("nj,j->n", field.basis.hessian_rtheta(r_f, th_f), field.coeffs)
-    r_ang_f, rp_ang_f = domain.radius_derivatives(th_f)
-    resid_f = (
-        r_ang_f * lap_f
-        - rp_ang_f * hrt_f
-        - (h.field.value_polar(r_f, th_f) - c_star)
-    )
-    interior = float(math.sqrt((w_f @ resid_f**2) / w_f.sum()))
+    fine = disk_grid(2 * n_theta, 2 * n_r)
+    lap_f = field.laplacian(fine)
+    hrt_f = np.einsum("nj,j->n", field.basis.hessian_rtheta(fine), field.coeffs)
+    r_ang_f, rp_ang_f = np.repeat(domain.radius_derivatives(fine.theta), 2 * n_r, axis=1)
+    resid_f = r_ang_f * lap_f - rp_ang_f * hrt_f - (h.field.value(fine) - c_star)
+    interior = float(math.sqrt((fine.weights @ resid_f**2) / fine.weights.sum()))
     theta_fb, _ = circle_grid(4 * m)
     bres_vals = domain.radius(theta_fb) * field.radial_derivative(
-        np.ones(theta_fb.size), theta_fb
+        _polar.PolarGrid.circle(theta_fb)
     )
     bres = float(math.sqrt(np.mean(bres_vals**2)))
     sup_h = h.sup_disk()
@@ -368,7 +348,7 @@ def solve_oblique_kernel_variant(
         condition=cond,
         reliable=bool(reliable),
         grid_boundary=m,
-        grid_interior=r_int.size,
+        grid_interior=grid.size,
     )
 
 
@@ -396,14 +376,15 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
     if not 0.0 < alpha <= 1.0:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     probes = tuple(probes)
-    pts, _ = disk_grid(96, 24)
-    data = [h.evaluate(pts) for h in probes]
+    grid = disk_grid(96, 24)
+    pts = grid.points
+    data = [h.field.value(grid) for h in probes]
     sups = [float(np.abs(vals).max()) for vals in data]
     for h, sup in zip(probes, sups):
         # the seminorm is >= 0, so the norm is zero exactly when sup|h| is
         if sup <= 0.0:
             raise InputError(f"probe {h.label or h} has zero grid norm")
-    hessians = [solve_oblique(domain, h).field.hessian(pts) for h in probes]
+    hessians = [solve_oblique(domain, h).field.hessian(grid) for h in probes]
     semis = _kernels.pair_seminorms(
         pts, data + [m.reshape(len(pts), -1) for m in hessians], alpha
     )

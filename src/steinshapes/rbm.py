@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
 from .oblique import ObliqueSolution, RhsExpansion
 from .shapes import StarDomain, _validate
@@ -133,7 +133,7 @@ def simulate(domain: StarDomain, config: PathConfig) -> PathStats:
 
 def _evaluate_forcing(h, points: np.ndarray) -> np.ndarray:
     if isinstance(h, RhsExpansion):
-        return h.evaluate(points)
+        return h.field.value(_polar.PolarGrid.at(points))
     return np.asarray(h(points), dtype=float)
 
 

@@ -26,6 +26,8 @@ All circle quadratures are uniform periodic trapezoid sums (spectrally
 accurate for smooth periodic integrands) with Richardson-style doubling.
 Bulk integrals over the domain use the polar pushforward grid: uniform
 angles crossed with Gauss-Legendre radial nodes scaled by R(theta).
+``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``,
+and ``BoundaryFrame.grid`` holds a frame's points as one-point rays.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _kernels
+from ._polar import PolarGrid
 from .errors import (
     GridTooCoarse,
     InputError,
@@ -145,10 +148,10 @@ class StarDomain:
 class BoundaryFrame:
     """Boundary geometry at a set of angles, built by ``frame_at``.
 
-    ``points``, ``normals``, ``polar_normal`` and ``curvature`` are computed
-    on first use, so a caller that reads only R, R' and the Jacobian pays
-    for nothing more, and kappa never evaluates a curvature that
-    R^2 + R'^2 may overflow.
+    ``grid``, ``points``, ``normals``, ``polar_normal`` and ``curvature``
+    are computed on first use, so a caller that reads only R, R' and the
+    Jacobian pays for nothing more, and kappa never evaluates a curvature
+    that R^2 + R'^2 may overflow.
     """
 
     theta: np.ndarray
@@ -159,19 +162,19 @@ class BoundaryFrame:
     dtheta: float                 # trapezoid weight; nan off a uniform grid
 
     @cached_property
-    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.cos(self.theta), np.sin(self.theta)
+    def grid(self) -> PolarGrid:
+        """The boundary points as a grid of one point per ray."""
+        return PolarGrid(self.theta, self.radius)
 
-    @cached_property
+    @property
     def points(self) -> np.ndarray:
         """(M, 2) boundary points R (cos theta, sin theta)."""
-        ct, st = self._directions
-        return np.stack([self.radius * ct, self.radius * st], axis=1)
+        return self.grid.points
 
     @cached_property
     def normals(self) -> np.ndarray:
         """(M, 2) unit outward normals."""
-        ct, st = self._directions
+        ct, st = self.grid.directions
         r, rp, speed = self.radius, self.radius_prime, self.jacobian
         # nu = (R rhat - R' thetahat)/speed with rhat=(ct,st), thetahat=(-st,ct)
         return np.stack(
@@ -354,29 +357,23 @@ def segmented_circle_quadrature(
     )
 
 
-def bulk_grid(
-    domain: StarDomain, n_theta: int = 256, n_r: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
+def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGrid:
     """Polar pushforward quadrature over the domain.
 
-    Returns points (N, 2) and weights w with sum w_i f(x_i) ~ integral of f
-    over the domain.  Radial nodes are Gauss-Legendre on [0, 1] scaled by
-    R(theta); the polar Jacobian r dr dtheta is folded into the weights.
+    Returns a PolarGrid of n_theta rays with n_r points each, whose weights
+    w satisfy sum w_i f(x_i) ~ integral of f over the domain.  Radial nodes
+    are Gauss-Legendre on [0, 1] scaled by R(theta); the polar Jacobian
+    r dr dtheta is folded into the weights.
     """
     theta, dtheta = circle_grid(n_theta)
     r_node, r_weight = np.polynomial.legendre.leggauss(n_r)
     t = 0.5 * (r_node + 1.0)
-    wt = 0.5 * r_weight
     radius = domain.radius(theta)
-    rr = np.multiply.outer(radius, t)            # (n_theta, n_r)
-    ww = np.multiply.outer(radius ** 2 * dtheta, t * wt)
-    ct = np.cos(theta)[:, None]
-    st = np.sin(theta)[:, None]
-    pts = np.stack([(rr * ct).ravel(), (rr * st).ravel()], axis=1)
-    return pts, ww.ravel()
+    ww = np.multiply.outer(radius ** 2 * dtheta, t * (0.5 * r_weight))
+    return PolarGrid(theta, np.multiply.outer(radius, t), ww.ravel())
 
 
-def disk_grid(n_theta: int = 256, n_r: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def disk_grid(n_theta: int = 256, n_r: int = 64) -> PolarGrid:
     """Bulk quadrature grid for the unit ball."""
     return bulk_grid(StarDomain(1.0), n_theta, n_r)
 

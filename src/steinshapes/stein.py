@@ -125,8 +125,7 @@ class SteinKernelResult:
     domain: StarDomain
     potentials: _polar.PolarField  # g_1, g_2 as its two coefficient columns
     tau: np.ndarray                # (N, 2, 2) on the bulk grid
-    grid_points: np.ndarray        # (N, 2)
-    grid_weights: np.ndarray       # (N,)
+    grid: _polar.PolarGrid         # the bulk quadrature grid
     neumann_residual: float
     discrepancy_l1: float          # integral of ||I - tau||_HS
     discrepancy_l2: float          # integral of ||I - tau||_HS^2
@@ -138,26 +137,26 @@ class SteinKernelResult:
     bulk_shape: tuple[int, int]
 
 
-def _discrepancies(potentials, pts, wq):
-    """tau = Dg at the points, and the integrals of ||I - tau||_HS and of
-    its square against the weights."""
-    tau = potentials.gradient(pts)
+def _discrepancies(potentials, grid):
+    """tau = Dg on the bulk grid, and the integrals of ||I - tau||_HS and of
+    its square against its weights."""
+    tau = potentials.gradient(grid)
     gap = np.eye(2) - tau
     gap2 = np.einsum("nab,nab->n", gap, gap)
-    return tau, float(wq @ np.sqrt(gap2)), float(wq @ gap2)
+    return tau, float(grid.weights @ np.sqrt(gap2)), float(grid.weights @ gap2)
 
 
-def _panel(domain, tau, pts, wq):
+def _panel(domain, tau, grid):
     """(label, int tau : Du, int_dOmega (x . u) dS) for each test field u."""
     coeffs = np.array([row[1:] for row in _PANEL], dtype=float).reshape(-1, 6)
     tests = _polar.PolarField(_polar.full_basis(2, include_constant=True), coeffs.T)
-    grads = tests.gradient(pts).reshape(len(pts), len(_PANEL), 2, 2)
-    lhs = wq @ np.einsum("njd,nijd->ni", tau, grads)
+    grads = tests.gradient(grid).reshape(grid.size, len(_PANEL), 2, 2)
+    lhs = grid.weights @ np.einsum("njd,nijd->ni", tau, grads)
 
     def boundary_integrand(theta: np.ndarray) -> np.ndarray:
         frame = frame_at(domain, theta)
         x = frame.points
-        u = tests.value(x).reshape(len(x), len(_PANEL), 2)
+        u = tests.value(frame.grid).reshape(len(x), len(_PANEL), 2)
         return np.einsum("nd,nid->ni", x, u) * frame.jacobian[:, None]
 
     rhs, _ = doubling_quadrature(boundary_integrand)
@@ -190,19 +189,19 @@ def stein_kernel_solve(
     frame = boundary_frame(domain, m)
     sqrt_w = np.sqrt(frame.jacobian * frame.dtheta)
     basis = _polar.harmonic_basis(k)
-    rows = basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal)
+    rows = basis.normal_derivative(frame.grid, *frame.polar_normal)
     coeffs, cond = _polar.fit(rows * sqrt_w[:, None], frame.points * sqrt_w[:, None])
     potentials = _polar.PolarField(basis, coeffs)
 
-    pts, wq = bulk_grid(domain, *BULK_SHAPE)
-    tau, disc1, disc2 = _discrepancies(potentials, pts, wq)
-    energy = float(wq @ np.einsum("nab,nab->n", tau, tau))
+    grid = bulk_grid(domain, *BULK_SHAPE)
+    tau, disc1, disc2 = _discrepancies(potentials, grid)
+    energy = float(grid.weights @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
-    rows_f = basis.normal_derivative(frame_f.radius, frame_f.theta, *frame_f.polar_normal)
+    rows_f = basis.normal_derivative(frame_f.grid, *frame_f.polar_normal)
     neumann = float(np.abs(rows_f @ coeffs - frame_f.points).max())
 
-    panel = _panel(domain, tau, pts, wq)
+    panel = _panel(domain, tau, grid)
     worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)
     if worst > PANEL_TOL:
         raise IdentityViolated(
@@ -213,8 +212,7 @@ def stein_kernel_solve(
         domain=domain,
         potentials=potentials,
         tau=tau,
-        grid_points=pts,
-        grid_weights=wq,
+        grid=grid,
         neumann_residual=neumann,
         discrepancy_l1=disc1,
         discrepancy_l2=disc2,
@@ -237,7 +235,5 @@ def stein_discrepancy(
     if not requadrature:
         return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
     nt, nr = result.bulk_shape
-    _, disc1, disc2 = _discrepancies(
-        result.potentials, *bulk_grid(result.domain, 2 * nt, 2 * nr)
-    )
+    _, disc1, disc2 = _discrepancies(result.potentials, bulk_grid(result.domain, 2 * nt, 2 * nr))
     return disc1 if order == 1 else disc2

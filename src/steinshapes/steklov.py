@@ -49,8 +49,8 @@ class SteklovResult:
 def _assemble(domain: StarDomain, k: int, m: int):
     frame = boundary_frame(domain, m)
     basis = _polar.harmonic_basis(k, include_constant=True)
-    vals = basis.values(frame.radius, frame.theta)
-    dnu = basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal)
+    vals = basis.values(frame.grid)
+    dnu = basis.normal_derivative(frame.grid, *frame.polar_normal)
     scale = 1.0 / np.abs(vals).max(axis=0)
     vals = vals * scale
     dnu = dnu * scale
@@ -147,8 +147,8 @@ def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     """
     frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
-    trace = u.value(frame.points)
-    dnu = u.basis.normal_derivative(frame.radius, frame.theta, *frame.polar_normal) @ u.coeffs
+    trace = u.value(frame.grid)
+    dnu = u.basis.normal_derivative(frame.grid, *frame.polar_normal) @ u.coeffs
     numerator = float(w @ (trace * dnu))
     mean = float(w @ trace) / float(w.sum())
     centered = trace - mean
@@ -165,16 +165,16 @@ def trace_inequality_check(domain: StarDomain, components, c_bw: float) -> float
     vector trace; components are PolarField entries of u.  The energy is
     a bulk quadrature, so non-harmonic polynomial fields are admissible.
     """
-    pts, wb = bulk_grid(domain)
+    grid = bulk_grid(domain)
     energy = 0.0
     for comp in components:
-        grad = comp.gradient(pts)
-        energy += float(wb @ np.einsum("nd,nd->n", grad, grad))
+        grad = comp.gradient(grid)
+        energy += float(grid.weights @ np.einsum("nd,nd->n", grad, grad))
     frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
     variance = 0.0
     for comp in components:
-        trace = comp.value(frame.points)
+        trace = comp.value(frame.grid)
         mean = float(w @ trace) / float(w.sum())
         variance += float(w @ (trace - mean) ** 2)
     return c_bw * energy - variance

@@ -228,6 +228,7 @@ class TestExitCodes:
             ["expansion", "--eps", "0.2,0.3"],
             ["expansion", "--eps", "0.05"],
             ["expansion", "--eps", "0.0,0.05"],
+            ["expansion", "--eps", "0.05,0.05"],
             ["expansion", "--k", "0"],
             ["analyze", "{bump}", "--alpha", "2"],
             ["analyze", "{bump}", "--grid", "0"],

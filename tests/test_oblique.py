@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steinshapes import StarDomain, normalize, solve_oblique, solve_oblique_kernel_variant
+from steinshapes._polar import PolarGrid
 from steinshapes.oblique import (
     RhsExpansion,
     divergence_functional,
@@ -36,17 +37,19 @@ def default_family():
 def test_rhs_expansion_algebra():
     h = rhs_x1() + rhs_constant(0.5)
     assert h.label == "x1+one"
-    pts, _ = disk_grid(32, 8)
-    np.testing.assert_allclose(h.evaluate(pts), pts[:, 0] + 0.5, rtol=0.0, atol=1e-15)
+    grid = disk_grid(32, 8)
+    np.testing.assert_allclose(
+        h.field.value(grid), grid.points[:, 0] + 0.5, rtol=0.0, atol=1e-15
+    )
 
 
 def test_parse_rhs_tokens():
     # expansions hold a field, so they compare by label and values
-    pts, _ = disk_grid(32, 8)
+    grid = disk_grid(32, 8)
     for token, build in (("x1", rhs_x1), ("r2", rhs_sq_radius), ("one", rhs_constant)):
         got, want = parse_rhs(token), build()
         assert got.label == want.label == token
-        assert np.array_equal(got.evaluate(pts), want.evaluate(pts))
+        assert np.array_equal(got.field.value(grid), want.field.value(grid))
     with pytest.raises(ValueError):
         parse_rhs("potato")
 
@@ -55,11 +58,12 @@ def test_ball_x1_matches_separation_of_variables():
     # Radial-derivative condition on the ball: f = (r^3 - 3r)/8 cos(theta)
     sol = solve_oblique(ball(), rhs_x1())
     assert abs(sol.c_star) < 1e-12
-    pts, _ = disk_grid(128, 32)
+    grid = disk_grid(128, 32)
+    pts = grid.points
     r = np.hypot(pts[:, 0], pts[:, 1])
     th = np.arctan2(pts[:, 1], pts[:, 0])
     want = (r**3 - 3 * r) / 8.0 * np.cos(th)
-    got = sol.field.value(pts)
+    got = sol.field.value(grid)
     gap = got - want
     gap -= gap.mean()
     assert np.abs(gap).max() < 1e-8
@@ -69,10 +73,11 @@ def test_ball_sq_radius_matches_separation_of_variables():
     # f = r^4/16 - r^2/8 up to a constant, c_star = 1/2
     sol = solve_oblique(ball(), rhs_sq_radius())
     assert abs(sol.c_star - 0.5) < 1e-12
-    pts, _ = disk_grid(128, 32)
+    grid = disk_grid(128, 32)
+    pts = grid.points
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     want = r2**2 / 16.0 - r2 / 8.0
-    got = sol.field.value(pts)
+    got = sol.field.value(grid)
     gap = got - want
     gap -= gap.mean()
     assert np.abs(gap).max() < 1e-8
@@ -111,12 +116,13 @@ def test_divergence_functional_vanishes():
 def test_solution_laplacian_matches_data():
     h = rhs_harmonic(2) + rhs_constant(0.25)
     sol = solve_oblique(ball(), h)
-    pts, _ = disk_grid(64, 16)
+    grid = disk_grid(64, 16)
+    pts = grid.points
     r = np.hypot(pts[:, 0], pts[:, 1])
     th = np.arctan2(pts[:, 1], pts[:, 0])
     data = r**2 * np.cos(2 * th) + 0.25
     np.testing.assert_allclose(
-        sol.field.laplacian(pts), data - sol.c_star, atol=1e-10
+        sol.field.laplacian(grid), data - sol.c_star, atol=1e-10
     )
 
 
@@ -137,10 +143,8 @@ def test_kernel_variant_matches_classic_on_ball():
     b = solve_oblique_kernel_variant(ball(), rhs_sq_radius())
     assert abs(a.c_star - b.c_star) < 1e-8
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    r = np.full_like(theta, 0.7)
-    np.testing.assert_allclose(
-        b.field.value_polar(r, theta), a.field.value_polar(r, theta), atol=1e-8
-    )
+    circle = PolarGrid(theta, np.full((theta.size, 1), 0.7))
+    np.testing.assert_allclose(b.field.value(circle), a.field.value(circle), atol=1e-8)
 
 
 def test_kernel_variant_reliable_on_gentle_domain():
@@ -175,11 +179,12 @@ def test_schauder_probe_is_continuous_in_eps():
 def test_schauder_probe_matches_the_per_probe_route(domain):
     # one shared pass over the pairs gives the bits of one pass per seminorm
     probes = (rhs_sq_radius(), rhs_x1(), rhs_harmonic(2))
-    pts, _ = disk_grid(96, 24)
-    hessians = [solve_oblique(domain, h).field.hessian(pts) for h in probes]
+    grid = disk_grid(96, 24)
+    pts = grid.points
+    hessians = [solve_oblique(domain, h).field.hessian(grid) for h in probes]
     for alpha in (0.5, 1.0):
         rep = schauder_probe(domain, probes, alpha=alpha)
-        dens = [holder_norm(pts, h.evaluate(pts), alpha) for h in probes]
+        dens = [holder_norm(pts, h.field.value(grid), alpha) for h in probes]
         nums = [
             float(np.sqrt(np.einsum("nab,nab->n", m, m)).max())
             + matrix_holder_seminorm(pts, m, alpha)

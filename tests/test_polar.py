@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from steinshapes import _polar, oblique
-from steinshapes._polar import COS, SIN, PolarBasis
+from steinshapes._polar import COS, SIN, PolarBasis, PolarGrid
 from steinshapes.errors import IllConditioned
+from steinshapes.shapes import StarDomain, bulk_grid
 
 STEP = 1e-5
 METHODS = (
     "values",
     "radial_derivative",
-    "angular_over_r",
     "gradients",
     "hessian_rtheta",
     "hessian_frame",
@@ -40,6 +40,11 @@ def points():
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
+@pytest.fixture(scope="module")
+def grid(points):
+    return PolarGrid.at(points)
+
+
 def blocks(out):
     """The (N, n) blocks of a basis evaluation: one, or a tuple of them."""
     return out if isinstance(out, tuple) else (out,)
@@ -51,7 +56,8 @@ def central_difference(fn, pts):
     for axis in (0, 1):
         shift = np.zeros(2)
         shift[axis] = STEP
-        parts.append((fn(pts + shift) - fn(pts - shift)) / (2.0 * STEP))
+        ahead, behind = PolarGrid.at(pts + shift), PolarGrid.at(pts - shift)
+        parts.append((fn(ahead) - fn(behind)) / (2.0 * STEP))
     return np.stack(parts, axis=-1)
 
 
@@ -62,106 +68,104 @@ def test_table_holds_every_term_family(basis):
     assert basis.n == _polar.cascade_basis(12).n + _polar.full_basis(6, True).n
 
 
-def test_gradients_match_central_differences(field, points):
-    exact = field.gradient(points)
+def test_gradients_match_central_differences(field, points, grid):
+    exact = field.gradient(grid)
     approx = central_difference(field.value, points)
     assert np.abs(exact - approx).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
-def test_hessians_match_central_differences(field, points):
-    exact = field.hessian(points)
+def test_hessians_match_central_differences(field, points, grid):
+    exact = field.hessian(grid)
     approx = central_difference(field.gradient, points)
     assert np.abs(exact - approx).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
-def test_hessian_trace_is_the_laplacian(field, points):
-    hess = field.hessian(points)
-    lap = field.laplacian(points)
+def test_hessian_trace_is_the_laplacian(field, grid):
+    hess = field.hessian(grid)
+    lap = field.laplacian(grid)
     trace = hess[..., 0, 0] + hess[..., 1, 1]
     assert np.abs(trace - lap).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
 
-def test_radial_and_angular_parts_rebuild_the_gradient(basis, points):
-    r, theta = _polar.to_polar(points)
-    fr, ftr = basis.gradients(r, theta)
-    np.testing.assert_array_equal(fr, basis.radial_derivative(r, theta))
-    np.testing.assert_array_equal(ftr, basis.angular_over_r(r, theta))
+def test_radial_and_angular_parts_rebuild_the_gradient(field, grid):
+    fr, ftr = field.basis.gradients(grid)
+    np.testing.assert_array_equal(fr, field.basis.radial_derivative(grid))
+    # the Cartesian gradient projects back onto rhat and thetahat
+    ct, st = grid.directions
+    grad = field.gradient(grid)
+    want = (fr @ field.coeffs, ftr @ field.coeffs)
+    scale = np.abs(grad).max()
+    back = (grad[:, 0] * ct + grad[:, 1] * st, grad[:, 1] * ct - grad[:, 0] * st)
+    for got, w in zip(back, want):
+        assert np.abs(got - w).max() <= 1e-13 * scale
 
 
-def test_normal_derivative_is_the_cartesian_gradient_along_the_normal(field, points):
+def test_normal_derivative_is_the_cartesian_gradient_along_the_normal(field, grid):
     rng = np.random.default_rng(7)
-    r, theta = _polar.to_polar(points)
+    theta = grid.theta
     phi = rng.uniform(-np.pi, np.pi, theta.size)
     nu = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     # polar components of nu: its projections on rhat and thetahat
     nu_r = nu[:, 0] * np.cos(theta) + nu[:, 1] * np.sin(theta)
     nu_t = -nu[:, 0] * np.sin(theta) + nu[:, 1] * np.cos(theta)
-    got = field.basis.normal_derivative(r, theta, nu_r, nu_t) @ field.coeffs
-    want = np.sum(field.gradient(points) * nu, axis=1)
+    got = field.basis.normal_derivative(grid, nu_r, nu_t) @ field.coeffs
+    want = np.sum(field.gradient(grid) * nu, axis=1)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", [COS, SIN], ids=["cos", "sin"])
-def test_resonant_log_terms_have_polynomial_laplacians(points, kind):
-    r, theta = _polar.to_polar(points)
+def test_resonant_log_terms_have_polynomial_laplacians(grid, kind):
+    r, theta = grid.r[:, 0], grid.theta
     ks = np.arange(2, 13)
     resonant = PolarBasis(ks, ks, np.full(ks.size, kind), np.ones(ks.size))
     trig = np.cos(np.outer(theta, ks)) if kind == COS else np.sin(np.outer(theta, ks))
     expected = r[:, None] ** (ks - 2.0) * 2.0 * ks * trig
     np.testing.assert_allclose(
-        resonant.laplacians(r, theta), expected, rtol=1e-13, atol=1e-14
+        resonant.laplacians(grid), expected, rtol=1e-13, atol=1e-14
     )
 
 
 def test_every_method_is_finite_at_the_origin(basis):
-    theta = np.linspace(-np.pi, np.pi, 9)
-    r = np.zeros_like(theta)
+    origin = PolarGrid(np.linspace(-np.pi, np.pi, 9), np.zeros((9, 1)))
     for method in METHODS:
-        for block in blocks(getattr(basis, method)(r, theta)):
+        for block in blocks(getattr(basis, method)(origin)):
             assert np.isfinite(block).all(), method
 
 
-def test_concat_keeps_each_part_columnwise(basis, points):
+def test_concat_keeps_each_part_columnwise(basis, grid):
     parts = (_polar.cascade_basis(12), _polar.full_basis(6, True))
-    r, theta = _polar.to_polar(points)
     for method in ("values", "laplacians", "gradients"):
-        pieces = zip(*(blocks(getattr(p, method)(r, theta)) for p in parts))
-        for got, want in zip(blocks(getattr(basis, method)(r, theta)), pieces):
+        pieces = zip(*(blocks(getattr(p, method)(grid)) for p in parts))
+        for got, want in zip(blocks(getattr(basis, method)(grid)), pieces):
             np.testing.assert_array_equal(got, np.concatenate(want, axis=1))
 
 
-def test_concat_with_itself_duplicates_every_column(basis, points):
+def test_concat_with_itself_duplicates_every_column(basis, grid):
     # the doubled table repeats every frequency and exponent, so this checks
     # that the gather indices send each column its own transcendentals
-    r, theta = _polar.to_polar(points)
     doubled = _polar.concat(basis, basis)
     for method in METHODS:
-        once = blocks(getattr(basis, method)(r, theta))
-        twice = blocks(getattr(doubled, method)(r, theta))
+        once = blocks(getattr(basis, method)(grid))
+        twice = blocks(getattr(doubled, method)(grid))
         for a, b in zip(once, twice):
             assert np.array_equal(np.concatenate([a, a], axis=1), b), method
 
 
-def test_hessian_rtheta_is_the_frame_component(basis, points):
-    r, theta = _polar.to_polar(points)
-    assert np.array_equal(basis.hessian_rtheta(r, theta), basis.hessian_frame(r, theta)[1])
+def test_hessian_rtheta_is_the_frame_component(basis, grid):
+    assert np.array_equal(basis.hessian_rtheta(grid), basis.hessian_frame(grid)[1])
 
 
-def test_multi_column_field_matches_its_columns(basis, points):
+def test_multi_column_field_matches_its_columns(basis, grid):
     # (n, q) coefficients are q fields on one basis evaluation, each column
     # bit for bit its own (n,) field
     coeffs = np.random.default_rng(3).standard_normal((basis.n, 3))
     joint = _polar.PolarField(basis, coeffs)
     single = [_polar.PolarField(basis, coeffs[:, j].copy()) for j in range(3)]
-    r, theta = _polar.to_polar(points)
-    for method in ("value", "gradient", "hessian", "laplacian"):
-        got = getattr(joint, method)(points)
-        assert got.shape[:2] == (len(points), 3), method
+    for method in ("value", "gradient", "hessian", "laplacian", "radial_derivative"):
+        got = getattr(joint, method)(grid)
+        assert got.shape[:2] == (grid.size, 3), method
         for j, field in enumerate(single):
-            assert np.array_equal(got[:, j], getattr(field, method)(points)), method
-    got = joint.radial_derivative(r, theta)
-    for j, field in enumerate(single):
-        assert np.array_equal(got[:, j], field.radial_derivative(r, theta))
+            assert np.array_equal(got[:, j], getattr(field, method)(grid)), method
 
 
 @pytest.mark.parametrize(
@@ -207,11 +211,11 @@ def test_fit_gates_the_condition_and_solves_two_right_hand_sides():
     [["x1"], ["x2"], ["r2"], ["one"], ["quadrupole"], ["x1", "r2", "quadrupole"]],
     ids="+".join,
 )
-def test_poisson_preimage_inverts_the_laplacian(tokens, points):
+def test_poisson_preimage_inverts_the_laplacian(tokens, grid):
     h = sum((oblique.parse_rhs(t) for t in tokens[1:]), oblique.parse_rhs(tokens[0]))
     field = h.field
-    got = field.poisson_preimage().laplacian(points)
-    want = field.value(points)
+    got = field.poisson_preimage().laplacian(grid)
+    want = field.value(grid)
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
@@ -225,3 +229,44 @@ def test_poisson_preimage_inverts_the_laplacian(tokens, points):
 def test_poisson_preimage_rejects_untabled_terms(basis, message):
     with pytest.raises(ValueError, match=message):
         _polar.PolarField(basis, np.ones(1)).poisson_preimage()
+
+
+# -- the grid contract -----------------------------------------------------------
+
+FIELD_METHODS = ("value", "gradient", "hessian", "laplacian", "radial_derivative")
+
+
+@pytest.fixture(scope="module")
+def bulk():
+    return bulk_grid(StarDomain(1.0, (0.05, 0.1), (0.02, -0.03)), 32, 8)
+
+
+@pytest.mark.parametrize("q", [None, 3], ids=["one-field", "three-fields"])
+def test_rows_broadcast_like_one_point_rays(basis, bulk, q):
+    # each of the 32 angle rows carries 8 points; the same points as 256
+    # one-point rays must give the same bits, so a misaligned row broadcast
+    # (trig factors or rotations sent to the wrong points) fails here
+    shape = (basis.n,) if q is None else (basis.n, q)
+    field = _polar.PolarField(basis, np.random.default_rng(4).standard_normal(shape))
+    rays = PolarGrid(np.repeat(bulk.theta, 8), bulk.r.reshape(-1, 1))
+    for method in FIELD_METHODS:
+        got = getattr(field, method)(bulk)
+        assert got.shape[0] == bulk.size, method
+        assert np.array_equal(got, getattr(field, method)(rays)), method
+
+
+def test_at_recovers_the_grid_from_its_points(field, bulk):
+    again = PolarGrid.at(bulk.points)
+    np.testing.assert_allclose(again.r[:, 0], bulk.r.ravel(), rtol=1e-13)
+    assert np.abs(again.points - bulk.points).max() <= 1e-13 * np.abs(bulk.points).max()
+    for method in FIELD_METHODS:
+        want = getattr(field, method)(bulk)
+        got = getattr(field, method)(again)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), method
+
+
+def test_grid_size_is_its_point_count(bulk):
+    # the benchmark's point counter reads np.size of an evaluation's first
+    # argument, which for a grid is its size
+    assert np.size(bulk) == bulk.size == len(bulk.points) == 256
+    assert bulk.weights.shape == (bulk.size,)

@@ -270,16 +270,16 @@ def test_regularity_bump_frozen():
 
 
 def test_bulk_grid_ball_moments():
-    pts, w = bulk_grid(StarDomain(1.0))
+    grid = bulk_grid(StarDomain(1.0))
+    w = grid.weights
     assert abs(w.sum() - np.pi) < 1e-12
-    assert abs(pts[:, 0] ** 2 @ w - np.pi / 4) < 1e-12
+    assert abs(grid.points[:, 0] ** 2 @ w - np.pi / 4) < 1e-12
 
 
 def test_bulk_grid_matches_boundary_route():
     # bulk integral of 1 must agree with the boundary volume formula
     dom = bump()
-    _, w = bulk_grid(dom)
-    assert abs(w.sum() - BUMP_VOLUME) < 1e-10
+    assert abs(bulk_grid(dom).weights.sum() - BUMP_VOLUME) < 1e-10
 
 
 def test_bulk_map_round_trip():

@@ -88,10 +88,10 @@ def test_kernel_is_the_gradient_of_its_potentials():
     # row i bit for bit the gradient of g_i alone
     res = stein_kernel_solve(bump_vn())
     pot = res.potentials
-    assert np.array_equal(res.tau, pot.gradient(res.grid_points))
+    assert np.array_equal(res.tau, pot.gradient(res.grid))
     for i in range(2):
         g = PolarField(pot.basis, pot.coeffs[:, i].copy())
-        assert np.array_equal(res.tau[:, i], g.gradient(res.grid_points))
+        assert np.array_equal(res.tau[:, i], g.gradient(res.grid))
 
 
 def test_trace_integral_matches_momentum():
