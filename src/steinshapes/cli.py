@@ -10,22 +10,13 @@ with its traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import experiments, oblique, rbm
 from .errors import InputError, IoFailure, SteinShapesError
-from .shapes import build_domain
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+from .shapes import build_domain, config_value, load_json_object
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -48,32 +39,23 @@ def _family_from_path(path: str, alpha: float | None) -> experiments.Perturbatio
         return experiments.PerturbationFamily(
             alpha=1.0 if alpha is None else alpha
         )
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise IoFailure(f"family config {path} is not a JSON object")
+    data = load_json_object(path, "family config")
     if "amplitudes" not in data and "eps" not in data:
         return [build_domain(data)]
     unknown = set(data) - _FAMILY_KEYS
     if unknown:
         raise IoFailure(f"unknown family config keys: {sorted(unknown)}")
-    try:
-        k = data.get("k", 2)
-        # int() would truncate a mode such as 2.7, and True is an int
-        if isinstance(k, bool) or not float(k).is_integer():
-            raise IoFailure(f"family mode k must be an integer, got {k!r}")
-        k = int(k)
-        amplitudes = tuple(float(e) for e in data.get("amplitudes", data.get("eps")))
-        normalization = str(data.get("normalization", "volume"))
-        alpha = float(data.get("alpha", 1.0 if alpha is None else alpha))
-        base_radius = float(data.get("base_radius", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise IoFailure(f"malformed family config value: {exc}") from exc
+    k = config_value(data, "k", float, 2.0)
+    # int() would truncate a mode such as 2.7
+    if not k.is_integer():
+        raise IoFailure(f"family mode k must be an integer, got {k!r}")
+    amplitude_key = "amplitudes" if "amplitudes" in data else "eps"
     return experiments.PerturbationFamily(
-        k=k,
-        amplitudes=amplitudes,
-        normalization=normalization,
-        alpha=alpha,
-        base_radius=base_radius,
+        k=int(k),
+        amplitudes=config_value(data, amplitude_key, tuple),
+        normalization=config_value(data, "normalization", str, "volume"),
+        alpha=config_value(data, "alpha", float, 1.0 if alpha is None else alpha),
+        base_radius=config_value(data, "base_radius", float, 1.0),
     )
 
 

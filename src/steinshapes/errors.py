@@ -28,7 +28,8 @@ class NonPositiveRadius(InputError):
 
 
 class NotStarShaped(InputError):
-    """Radial graph condition fails: kappa = min R / sqrt(R^2 + R'^2) <= 0."""
+    """kappa = min R / sqrt(R^2 + R'^2) cannot be certified positive.  Once
+    R > 0 is certified this happens only when R^2 + R'^2 overflows."""
 
 
 class GridTooCoarse(InputError):

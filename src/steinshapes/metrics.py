@@ -42,7 +42,6 @@ from .shapes import (
     disk_grid,
     doubling_quadrature,
     geometric_functionals,
-    segmented_circle_quadrature,
     trig_zeros,
 )
 
@@ -163,7 +162,7 @@ def fraenkel_polar_oracle(domain: StarDomain) -> float:
     theta, _ = circle_grid(m)
     base, a, b = _fourier_fit(domain.radius(theta) ** 2, order)
     breaks = trig_zeros(base - r_sq, a, b)
-    val, _ = segmented_circle_quadrature(integrand, breaks)
+    val, _ = doubling_quadrature(integrand, breaks=breaks)
     return float(val) / fun.volume
 
 
@@ -297,6 +296,11 @@ def zolotarev_lp(
     Any feasible node vector extends to a function of the same norm
     (McShane extension clipped at the sup bound), so the optimum is the
     exact shape distance of the discretized pair of measures.
+
+    Over the columns (h, m, s), A_ub is the block matrix
+    [[D, ., -d], [-D, ., -d], [I, -1, .], [-I, -1, .], [., 1, 1]] of the
+    pair, box and budget rows, where D is the pair-incidence block (one row
+    per pair i < j, +1 at i and -1 at j) and d the column of d_ij^alpha.
     """
     from scipy import sparse  # deferred: keeps the package import light
     from scipy.optimize import linprog
@@ -307,41 +311,24 @@ def zolotarev_lp(
     if n < 2:
         raise InputError("LP needs >= 2 nodes")
     ii, jj = np.triu_indices(n, k=1)
-    dist = np.hypot(*(pts[ii] - pts[jj]).T) ** alpha
     p = ii.size
-
-    # rows: 2p pair constraints, 2n box couplings, 1 budget; cols: h, m, s
-    rows = np.concatenate(
-        [
-            np.repeat(np.arange(p), 3),
-            np.repeat(p + np.arange(p), 3),
-            np.repeat(2 * p + np.arange(n), 2),
-            np.repeat(2 * p + n + np.arange(n), 2),
-            np.array([2 * p + 2 * n, 2 * p + 2 * n]),
-        ]
+    dist = (np.hypot(*(pts[ii] - pts[jj]).T) ** alpha)[:, None]
+    pair = np.tile(np.arange(p), 2)
+    incidence = sparse.coo_matrix(
+        (np.repeat([1.0, -1.0], p), (pair, np.concatenate([ii, jj]))), shape=(p, n)
     )
-    cols = np.concatenate(
+    eye, column, one = sparse.identity(n), np.ones((n, 1)), np.ones((1, 1))
+    a_ub = sparse.bmat(
         [
-            np.stack([ii, jj, np.full(p, n + 1)], axis=1).ravel(),
-            np.stack([jj, ii, np.full(p, n + 1)], axis=1).ravel(),
-            np.stack([np.arange(n), np.full(n, n)], axis=1).ravel(),
-            np.stack([np.arange(n), np.full(n, n)], axis=1).ravel(),
-            np.array([n, n + 1]),
-        ]
+            [incidence, None, -dist],
+            [-incidence, None, -dist],
+            [eye, -column, None],
+            [-eye, -column, None],
+            [None, one, one],
+        ],
+        format="csr",
     )
-    vals = np.concatenate(
-        [
-            np.stack([np.ones(p), -np.ones(p), -dist], axis=1).ravel(),
-            np.stack([np.ones(p), -np.ones(p), -dist], axis=1).ravel(),
-            np.stack([np.ones(n), -np.ones(n)], axis=1).ravel(),
-            np.stack([-np.ones(n), -np.ones(n)], axis=1).ravel(),
-            np.array([1.0, 1.0]),
-        ]
-    )
-    a_ub = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(2 * p + 2 * n + 1, n + 2)
-    ).tocsr()
-    b_ub = np.zeros(2 * p + 2 * n + 1)
+    b_ub = np.zeros(a_ub.shape[0])
     b_ub[-1] = 1.0
     c = np.concatenate([-g, [0.0, 0.0]])
     bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]

@@ -22,8 +22,10 @@ pointwise with the frame's ``normals``, and its polar components
 (R / J, -R' / J) are the frame's ``polar_normal``, the form in which the
 harmonic solvers read it (``_polar.PolarBasis.normal_derivative``).
 
-All circle quadratures are uniform periodic trapezoid sums (spectrally
-accurate for smooth periodic integrands) with Richardson-style doubling.
+There is one circle quadrature, ``doubling_quadrature``: the uniform
+periodic trapezoid sum (spectrally accurate for smooth periodic
+integrands), or composite Gauss-Legendre between given break angles for
+integrands with kinks there, refined by doubling until it converges.
 Bulk integrals over the domain use the polar pushforward grid: uniform
 angles crossed with Gauss-Legendre radial nodes scaled by R(theta).
 ``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``,
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping
@@ -251,35 +254,45 @@ def circle_grid(m: int) -> tuple[np.ndarray, float]:
 
 
 def doubling_quadrature(
-    integrand: Callable[[np.ndarray], np.ndarray], tol: float = QUAD_TOL
+    integrand: Callable[[np.ndarray], np.ndarray],
+    tol: float = QUAD_TOL,
+    breaks=(),
 ) -> tuple[np.ndarray, int]:
-    """Periodic trapezoid quadrature with grid doubling.
+    """Integral over [0, 2 pi) of ``integrand(theta)``, of shape (M,) or
+    (M, q), refined by doubling until successive rules agree componentwise
+    within ``tol`` relative (absolute for magnitudes < 1).  Returns the
+    integral and the node count of the last rule.
 
-    ``integrand(theta)`` may return shape (M,) or (M, q); the integral of
-    each component over [0, 2 pi) is returned once successive grids agree
-    componentwise within ``tol`` relative (absolute for magnitudes < 1).
-    The grid doubles from QUAD_START up to QUAD_CAP angles.
-
-    Raises
-    ------
-    NoConvergence
-        if the cap grid is reached without agreement.
+    Without ``breaks`` the rule is the periodic trapezoid sum on QUAD_START
+    up to QUAD_CAP angles.  With ``breaks``, for integrands analytic between
+    them but kinked there, it is composite Gauss-Legendre on the arcs
+    between the sorted breaks, SEGMENT_START up to SEGMENT_CAP nodes per
+    arc, with one integrand call per level on the nodes of all arcs.
+    Raises NoConvergence if the cap is reached without agreement.
     """
+    breaks = np.sort(np.mod(np.asarray(breaks, dtype=float), TWO_PI))
+    arcs = max(breaks.size, 1)
+    edges = np.concatenate([breaks, breaks[:1] + TWO_PI])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    n, cap = (SEGMENT_START, SEGMENT_CAP) if breaks.size else (QUAD_START, QUAD_CAP)
     prev = None
-    m = QUAD_START
-    while m <= QUAD_CAP:
-        theta, _ = circle_grid(m)
-        vals = np.asarray(integrand(theta), dtype=float)
-        cur = vals.mean(axis=0) * TWO_PI
+    while n <= cap:
+        if breaks.size:
+            x, w = np.polynomial.legendre.leggauss(n)
+            theta = (mid[:, None] + half[:, None] * x).ravel()
+            vals = np.asarray(integrand(theta), dtype=float)
+            parts = [h * (w @ v) for h, v in zip(half, vals.reshape(arcs, n, *vals.shape[1:]))]
+            cur = sum(parts[1:], parts[0])
+        else:
+            theta, _ = circle_grid(n)
+            cur = np.asarray(integrand(theta), dtype=float).mean(axis=0) * TWO_PI
         if prev is not None:
             scale = np.maximum(np.abs(cur), 1.0)
             if np.all(np.abs(cur - prev) <= tol * scale):
-                return cur, m
+                return cur, n * arcs
         prev = cur
-        m *= 2
-    raise NoConvergence(
-        f"periodic quadrature did not reach {tol:g} by grid {QUAD_CAP}"
-    )
+        n *= 2
+    raise NoConvergence(f"circle quadrature did not reach {tol:g} by {cap * arcs} nodes")
 
 
 def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
@@ -322,41 +335,6 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     return angles
 
 
-def segmented_circle_quadrature(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    breaks,
-    tol: float = QUAD_TOL,
-) -> tuple[np.ndarray, int]:
-    """Composite Gauss-Legendre quadrature over [0, 2 pi) split at the given
-    break angles, for integrands that are analytic between breaks but only
-    continuous across them (absolute-value cusps).  Falls back to periodic
-    trapezoid doubling when no breaks are supplied."""
-    breaks = np.sort(np.mod(np.asarray(breaks, dtype=float), TWO_PI))
-    if breaks.size == 0:
-        return doubling_quadrature(integrand, tol=tol)
-    edges = np.concatenate([breaks, [breaks[0] + TWO_PI]])
-    prev = None
-    n = SEGMENT_START
-    while n <= SEGMENT_CAP:
-        x, w = np.polynomial.legendre.leggauss(n)
-        total = None
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            theta = 0.5 * (lo + hi) + half * x
-            vals = np.asarray(integrand(theta), dtype=float)
-            part = half * (w @ vals)
-            total = part if total is None else total + part
-        if prev is not None:
-            scale = np.maximum(np.abs(total), 1.0)
-            if np.all(np.abs(total - prev) <= tol * scale):
-                return total, n * breaks.size
-        prev = total
-        n *= 2
-    raise NoConvergence(
-        f"segmented quadrature did not reach {tol:g} by {SEGMENT_CAP} nodes per panel"
-    )
-
-
 def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGrid:
     """Polar pushforward quadrature over the domain.
 
@@ -395,7 +373,7 @@ def _radius_samples(domain: StarDomain, m: int) -> np.ndarray:
 
 
 def _validate(domain: StarDomain) -> None:
-    """Certify min R > 0, then check kappa on the VALIDATION_GRID circle.
+    """Certify min R > 0, then certify kappa > 0.
 
     Every angle lies within pi/M of a node of the M-point grid and
     |R'| <= L = sum_k k (|a_k| + |b_k|), so
@@ -404,6 +382,9 @@ def _validate(domain: StarDomain) -> None:
 
     M doubles from VALIDATION_GRID while that bound is inconclusive, up to
     VALIDATION_CAP; a non-positive sample rejects the domain at once.
+    Given min R > 0, kappa = R / sqrt(R^2 + R'^2) is positive at every
+    angle unless R^2 + R'^2 overflows, and |R| <= A = |a_0| + sum_k
+    (|a_k| + |b_k|), so a finite 2 (A^2 + L^2) certifies kappa > 0.
     """
     a, b, k = domain._packed
     slope = float(k @ (np.abs(a) + np.abs(b)))
@@ -426,52 +407,86 @@ def _validate(domain: StarDomain) -> None:
                 f"on the {m}-point grid"
             )
         m *= 2
-    kappa = frame_at(domain, *circle_grid(VALIDATION_GRID)).kappa
-    if kappa <= 0.0:
-        raise NotStarShaped(f"kappa = {kappa:.6g} <= 0 on the check grid")
+    # Python floats: inf on overflow, where numpy would warn
+    if not math.isfinite(2.0 * (amplitude * amplitude + slope * slope)):
+        raise NotStarShaped("R^2 + R'^2 overflows, so kappa is not positive")
 
 
-def parse_shape_spec(data: Mapping) -> ShapeSpec:
-    """Strict mapping -> ShapeSpec conversion; unknown keys are rejected."""
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise IoFailure(f"unknown shape config keys: {sorted(unknown)}")
-    try:
-        dimension = int(data.get("dimension", 2))
-        spec = ShapeSpec(
-            base_radius=float(data.get("base_radius", 1.0)),
-            fourier_cos=tuple(float(v) for v in data.get("fourier_cos", ())),
-            fourier_sin=tuple(float(v) for v in data.get("fourier_sin", ())),
-            normalize_volume=bool(data.get("normalize_volume", False)),
-            recenter=bool(data.get("recenter", False)),
-            label=str(data.get("label", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise IoFailure(f"malformed shape config value: {exc}") from exc
-    if dimension != 2:
-        raise IoFailure("only dimension = 2 is computable")
-    return spec
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def load_shape_spec(path) -> ShapeSpec:
-    """Load a JSON shape config.  Decimal literals parse to nearest double."""
+# kind -> (the JSON values it takes, description); a bool is never a number
+_CONFIG_KINDS = {
+    float: (numbers.Real, "a number"),
+    int: (numbers.Integral, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    tuple: ((list, tuple), "a list of numbers"),
+}
+
+
+def config_value(data: Mapping, key: str, kind: type, default=None):
+    """``data[key]`` read as ``kind``, or ``default`` when the key is absent.
+
+    float takes any number and int an integer (numpy scalars too, never a
+    bool), bool only a bool, str only a string, and tuple a list or tuple
+    of numbers, returned as floats.  Anything else raises IoFailure naming
+    the key.
+    """
+    if key not in data:
+        return default
+    value = data[key]
+    accepted, description = _CONFIG_KINDS[kind]
+    valid = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+    if valid and kind is tuple:
+        valid = all(map(_is_number, value))
+    if not valid:
+        raise IoFailure(f"config key {key!r} must be {description}, got {value!r}")
+    return tuple(map(float, value)) if kind is tuple else kind(value)
+
+
+def load_json_object(path, what: str) -> Mapping:
+    """The JSON object in the file at ``path``; ``what`` names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"cannot read shape config {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, Mapping):
-        raise IoFailure(f"shape config {path} is not a JSON object")
-    return parse_shape_spec(data)
+        raise IoFailure(f"{what} {path} is not a JSON object")
+    return data
+
+
+def parse_shape_spec(data: Mapping) -> ShapeSpec:
+    """Strict mapping -> ShapeSpec conversion; unknown keys and values of
+    the wrong JSON type are rejected."""
+    unknown = set(data) - _SPEC_KEYS
+    if unknown:
+        raise IoFailure(f"unknown shape config keys: {sorted(unknown)}")
+    if config_value(data, "dimension", int, 2) != 2:
+        raise IoFailure("only dimension = 2 is computable")
+    return ShapeSpec(
+        base_radius=config_value(data, "base_radius", float, 1.0),
+        fourier_cos=config_value(data, "fourier_cos", tuple, ()),
+        fourier_sin=config_value(data, "fourier_sin", tuple, ()),
+        normalize_volume=config_value(data, "normalize_volume", bool, False),
+        recenter=config_value(data, "recenter", bool, False),
+        label=config_value(data, "label", str, ""),
+    )
+
+
+def load_shape_spec(path) -> ShapeSpec:
+    """Load a JSON shape config.  Decimal literals parse to nearest double."""
+    return parse_shape_spec(load_json_object(path, "shape config"))
 
 
 def build_domain(spec) -> StarDomain:
     """Construct and validate a StarDomain from a spec, mapping, or path.
 
-    Validation certifies R > 0 (see ``_validate``) and checks kappa on a
-    uniform check grid; the normalization flags of the spec are applied in
-    the order recenter, then volume (rescaling about the origin preserves a
-    zero barycenter).
+    Validation certifies R > 0 and kappa > 0 (see ``_validate``); the
+    normalization flags of the spec are applied in the order recenter, then
+    volume (rescaling about the origin preserves a zero barycenter).
     """
     if isinstance(spec, (str,)) or hasattr(spec, "__fspath__"):
         spec = load_shape_spec(spec)
@@ -708,6 +723,8 @@ def holder_norm(points, values, alpha: float) -> float:
 
 def matrix_holder_seminorm(points, matrices, alpha: float) -> float:
     """C^alpha seminorm of a matrix field under the Frobenius distance."""
+    if not 0.0 < alpha <= 1.0:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     pts = np.asarray(points, dtype=float)
     mats = np.asarray(matrices, dtype=float).reshape(pts.shape[0], -1)
     return _kernels.matrix_pair_seminorm(pts, mats, alpha)

@@ -32,7 +32,6 @@ from .shapes import (
     doubling_quadrature,
     frame_at,
     geometric_functionals,
-    segmented_circle_quadrature,
     trig_zeros,
 )
 
@@ -100,8 +99,8 @@ def boundary_deficits(domain: StarDomain) -> DeficitReport:
     # the L1 oscillation integrand carries |R'| cusps, so it is integrated
     # piecewise-analytically between the zeros of R'
     a, b, k = domain._packed
-    osc1_val, _ = segmented_circle_quadrature(
-        osc_part, trig_zeros(0.0, k * b, -k * a), tol=DEFICIT_TOL
+    osc1_val, _ = doubling_quadrature(
+        osc_part, tol=DEFICIT_TOL, breaks=trig_zeros(0.0, k * b, -k * a)
     )
     osc1 = float(osc1_val)
     fun = geometric_functionals(domain)

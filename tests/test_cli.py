@@ -39,6 +39,11 @@ def configs(tmp_path):
             "normalisation": "recenter",
             "alpah": 0.5,
         },
+        "string_flag": {"base_radius": 1.0, "normalize_volume": "false"},
+        "word_flag": {"base_radius": 1.0, "recenter": "no"},
+        "boolean_radius": {"base_radius": True},
+        "fractional_dimension": {"base_radius": 1.0, "dimension": 2.5},
+        "boolean_alpha": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": True},
         "json_string": "eps",
         "json_number": 3,
         "json_path": str(tmp_path / "ball.json"),
@@ -233,6 +238,11 @@ class TestExitCodes:
             ["analyze", "{bump}", "--alpha", "2"],
             ["analyze", "{bump}", "--grid", "0"],
             ["analyze", "{bump}", "--grid", "-4"],
+            ["analyze", "{string_flag}"],
+            ["analyze", "{word_flag}"],
+            ["analyze", "{boolean_radius}"],
+            ["analyze", "{fractional_dimension}"],
+            ["verify", "{boolean_alpha}", "--theorem", "thm-main"],
             ["verify", "{half_alpha_family}", "--theorem", "thm-main", "--alpha", "1.0"],
             ["verify", "{scalar_amplitudes}", "--theorem", "thm-main"],
             ["verify", "{word_mode}", "--theorem", "thm-main"],

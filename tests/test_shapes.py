@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steinshapes import (
+    InputError,
     IoFailure,
     NoConvergence,
     NonPositiveRadius,
@@ -23,9 +24,9 @@ from steinshapes.shapes import (
     doubling_quadrature,
     holder_norm,
     load_shape_spec,
+    matrix_holder_seminorm,
     parse_shape_spec,
     regularity_params,
-    segmented_circle_quadrature,
     trig_zeros,
     _radius_samples,
     _validate,
@@ -120,6 +121,12 @@ def test_parse_shape_spec_accepts_only_dimension_two():
     assert parse_shape_spec({"dimension": 2}) == parse_shape_spec({})
     with pytest.raises(IoFailure, match="dimension"):
         parse_shape_spec({"dimension": 3})
+
+
+def test_parse_shape_spec_names_the_key_of_a_mistyped_value():
+    # a string is iterable, so "05" once read as the coefficients (0.0, 5.0)
+    with pytest.raises(IoFailure, match="fourier_cos"):
+        parse_shape_spec({"fourier_cos": "05"})
 
 
 def test_load_shape_spec_round_trip(tmp_path):
@@ -230,13 +237,25 @@ def test_trig_zeros_constant_has_none():
 
 def test_segmented_quadrature_abs_cos():
     breaks = trig_zeros(0.0, np.array([1.0]), np.array([0.0]))
-    val, _ = segmented_circle_quadrature(lambda th: np.abs(np.cos(th)), breaks)
+    val, _ = doubling_quadrature(lambda th: np.abs(np.cos(th)), breaks=breaks)
     assert abs(val - 4.0) < 1e-12
 
 
 def test_segmented_quadrature_no_breaks_falls_back():
-    val, _ = segmented_circle_quadrature(lambda th: np.cos(th) ** 2, np.array([]))
+    val, _ = doubling_quadrature(lambda th: np.cos(th) ** 2, breaks=np.array([]))
     assert abs(val - np.pi) < 1e-12
+
+
+def test_segmented_quadrature_vector_integrand():
+    # |cos| and |sin| kink at the zeros of cos theta sin theta = sin(2 theta) / 2
+    breaks = trig_zeros(0.0, (), (0.0, 0.5))
+    assert breaks.size == 4
+    val, nodes = doubling_quadrature(
+        lambda th: np.stack([np.abs(np.cos(th)), np.abs(np.sin(th))], axis=-1),
+        breaks=breaks,
+    )
+    np.testing.assert_allclose(val, [4.0, 4.0], rtol=0.0, atol=1e-12)
+    assert nodes % breaks.size == 0
 
 
 def test_boundary_frame_ball():
@@ -298,6 +317,13 @@ def test_holder_norm_linear_profile():
     vals = np.array([0.0, 3.0, 6.0])
     # sup norm 6 plus Lipschitz constant 3
     assert holder_norm(pts, vals, 1.0) == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0])
+def test_matrix_holder_seminorm_rejects_alpha_outside_the_unit_interval(alpha):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match="alpha"):
+        matrix_holder_seminorm(pts, np.zeros((2, 2, 2)), alpha)
 
 
 def test_holder_norm_alpha_half():
