@@ -56,7 +56,6 @@ from .metrics import (
 )
 from .oblique import (
     ObliqueSolution,
-    RhsExpansion,
     SchauderReport,
     divergence_functional,
     ellipticity_margin,

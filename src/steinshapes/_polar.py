@@ -50,11 +50,11 @@ one field or (n, q) for q fields over one basis, evaluated from one block
 into (N, q, ...) results.  The q columns are contracted one at a time, so
 each equals its own (n,) field bit for bit; one (N, n) @ (n, q) matmul would reorder
 the sums and, through the BLAS gemm buffers, raise the peak memory of a
-Stein-kernel verification by about 6 MB.  The boundary solvers share
-three more pieces of this calculus, kept here alone:
-``PolarBasis.normal_derivative`` against a normal given in the polar
-frame, ``fit``, the equilibrated least squares with its condition gate,
-and ``PolarField.poisson_preimage``.
+Stein-kernel verification by about 6 MB.  Outside this module a term
+table is read only as least-squares rows (``fit``, the equilibrated least
+squares with its condition gate) and as a flux cancellation bound: every
+field value, including the normal derivative against a normal given in
+the polar frame, comes from a ``PolarField`` method.
 """
 
 from __future__ import annotations
@@ -410,6 +410,18 @@ class PolarField:
 
     def radial_derivative(self, g: PolarGrid):
         return self._dot(self.basis.radial_derivative(g))
+
+    def normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
+        return self._dot(self.basis.normal_derivative(g, nu_r, nu_theta))
+
+    def hessian_rtheta(self, g: PolarGrid):
+        return self._dot(self.basis.hessian_rtheta(g))
+
+    def __add__(self, other: "PolarField") -> "PolarField":
+        """The terms of self, then those of other."""
+        return PolarField(
+            concat(self.basis, other.basis), np.concatenate([self.coeffs, other.coeffs])
+        )
 
     def poisson_preimage(self) -> "PolarField":
         """F with Laplacian F = self: each r^m T maps to r^{m+2} T / ((m+2)^2 - k^2).

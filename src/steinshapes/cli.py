@@ -10,6 +10,7 @@ with its traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -95,8 +96,8 @@ def _cmd_sweep(args) -> int:
         if args.out is not None:
             target = args.out
             if "," in args.k:
-                stem, dot, ext = args.out.rpartition(".")
-                target = f"{stem}.k{k}{dot}{ext}" if dot else f"{args.out}.k{k}"
+                stem, ext = os.path.splitext(args.out)
+                target = f"{stem}.k{k}{ext}"
             fmt = "json" if target.endswith(".json") else "csv"
             experiments.emit_report(result, format=fmt, path=target)
             print(f"wrote {target}")
@@ -134,7 +135,7 @@ def _cmd_mc(args) -> int:
     )
     h = oblique.parse_rhs(args.h)
     if args.fk:
-        fk = rbm.feynman_kac_check(domain, h, oblique.solve_oblique(domain, h), config)
+        fk = rbm.feynman_kac_check(domain, oblique.solve_oblique(domain, h), config)
         estimate = fk.estimate
     else:
         estimate = rbm.stationary_mean(domain, h, config)

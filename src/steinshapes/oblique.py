@@ -18,6 +18,15 @@ a star-shaped domain:
     least-squares collocation over the full polynomial-trigonometric
     basis (best effort, residual-gated).
 
+The data h are ``PolarField``s over the closed dictionary of terms with
+known Poisson preimages: the constant, the harmonics r^k cos(k theta) and
+r^k sin(k theta), and the radial powers r^{2j}.  ``poisson_preimage()``
+maps each term to its preimage:
+    Laplacian(r^{k+2} cos k theta / (4k+4)) = r^k cos k theta,
+    Laplacian(r^{2j+2} / (2j+2)^2) = r^{2j},   Laplacian(r^2/4) = 1.
+The ``rhs_*`` builders make one-term fields, and ``+`` joins the terms of
+two fields.
+
 The compatibility scalar c_star and the domain average of h are both
 reported; the gap between them is a measured quantity, not an assumption.
 """
@@ -58,63 +67,30 @@ VARIANT_BULK = (128, 16)       # kernel variant: 2048 interior collocation point
 # right-hand sides
 
 
-@dataclass(frozen=True, eq=False)
-class RhsExpansion:
-    """Data h as a PolarField over the closed dictionary of terms with known
-    Poisson preimages, and a label.
-
-    The dictionary holds the constant, the harmonics r^k cos(k theta) and
-    r^k sin(k theta), and the radial powers r^{2j};
-    ``field.poisson_preimage()`` maps each term to its preimage:
-    Laplacian(r^{k+2} cos k theta / (4k+4)) = r^k cos k theta,
-    Laplacian(r^{2j+2} / (2j+2)^2) = r^{2j}, Laplacian(r^2/4) = 1.
-    The ``rhs_*`` builders make one-term fields, and ``+`` concatenates
-    the terms of two expansions.
-    """
-
-    field: _polar.PolarField
-    label: str = ""
-
-    def __add__(self, other: "RhsExpansion") -> "RhsExpansion":
-        a, b = self.field, other.field
-        return RhsExpansion(
-            _polar.PolarField(
-                _polar.concat(a.basis, b.basis), np.concatenate([a.coeffs, b.coeffs])
-            ),
-            (self.label + "+" + other.label).strip("+"),
-        )
-
-    def sup_disk(self) -> float:
-        """Grid estimate of sup |h| over the closed unit disk."""
-        theta, _ = circle_grid(256)
-        r = np.broadcast_to(np.linspace(0.0, 1.0, 65), (theta.size, 65))
-        return float(np.abs(self.field.value(_polar.PolarGrid(theta, r))).max())
-
-
-def _term(power: int, freq: int, kind: int, label: str, coeff: float = 1.0) -> RhsExpansion:
+def _term(power: int, freq: int, kind: int, coeff: float = 1.0) -> _polar.PolarField:
     basis = _polar.PolarBasis([power], [freq], [kind])
-    return RhsExpansion(_polar.PolarField(basis, np.array([coeff], dtype=float)), label)
+    return _polar.PolarField(basis, np.array([coeff], dtype=float))
 
 
-def rhs_x1() -> RhsExpansion:
-    return _term(1, 1, _polar.COS, "x1")
+def rhs_x1() -> _polar.PolarField:
+    return _term(1, 1, _polar.COS)
 
 
-def rhs_x2() -> RhsExpansion:
-    return _term(1, 1, _polar.SIN, "x2")
+def rhs_x2() -> _polar.PolarField:
+    return _term(1, 1, _polar.SIN)
 
 
-def rhs_sq_radius() -> RhsExpansion:
-    return _term(2, 0, _polar.COS, "r2")
+def rhs_sq_radius() -> _polar.PolarField:
+    return _term(2, 0, _polar.COS)
 
 
-def rhs_constant(value: float = 1.0) -> RhsExpansion:
-    return _term(0, 0, _polar.COS, "one", value)
+def rhs_constant(value: float = 1.0) -> _polar.PolarField:
+    return _term(0, 0, _polar.COS, value)
 
 
-def rhs_harmonic(k: int) -> RhsExpansion:
+def rhs_harmonic(k: int) -> _polar.PolarField:
     """The harmonic r^k cos(k theta)."""
-    return _term(k, k, _polar.COS, f"cos{k}")
+    return _term(k, k, _polar.COS)
 
 
 _RHS_TOKENS = {
@@ -126,7 +102,7 @@ _RHS_TOKENS = {
 }
 
 
-def parse_rhs(token: str) -> RhsExpansion:
+def parse_rhs(token: str) -> _polar.PolarField:
     try:
         return _RHS_TOKENS[token]()
     except KeyError:
@@ -141,7 +117,7 @@ def parse_rhs(token: str) -> RhsExpansion:
 
 @dataclass(frozen=True)
 class ObliqueSolution:
-    h: RhsExpansion
+    h: _polar.PolarField
     method: str
     kf: int
     c_star: float
@@ -155,20 +131,24 @@ class ObliqueSolution:
     grid_interior: int
 
 
-def _zero_mean(basis: _polar.PolarBasis, coeffs: np.ndarray) -> _polar.PolarField:
-    """basis @ coeffs plus the constant that zeroes its integral over B_1."""
+def _zero_mean(field: _polar.PolarField) -> _polar.PolarField:
+    """field plus the constant that zeroes its integral over B_1."""
     grid = disk_grid(128, 48)
-    total = float(grid.weights @ _polar.PolarField(basis, coeffs).value(grid))
-    const = _polar.PolarBasis([0.0], [0.0], [_polar.COS])
-    return _polar.PolarField(
-        _polar.concat(const, basis), np.concatenate([[-total / math.pi], coeffs])
-    )
+    total = float(grid.weights @ field.value(grid))
+    return _term(0, 0, _polar.COS, -total / math.pi) + field
 
 
-def _mean_domain(domain: StarDomain, h: RhsExpansion) -> float:
+def _mean_domain(domain: StarDomain, h: _polar.PolarField) -> float:
     grid = bulk_grid(domain, 256, 64)
     volume = geometric_functionals(domain).volume
-    return float(grid.weights @ h.field.value(grid)) / volume
+    return float(grid.weights @ h.value(grid)) / volume
+
+
+def _sup_disk(h: _polar.PolarField) -> float:
+    """Grid estimate of sup |h| over the closed unit disk."""
+    theta, _ = circle_grid(256)
+    r = np.broadcast_to(np.linspace(0.0, 1.0, 65), (theta.size, 65))
+    return float(np.abs(h.value(_polar.PolarGrid(theta, r))).max())
 
 
 def _boundary_flux(field: _polar.PolarField) -> float:
@@ -187,11 +167,11 @@ def _boundary_flux(field: _polar.PolarField) -> float:
     return float(value)
 
 
-def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
+def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
     """Spectral solve of the oblique problem with free centering scalar.
 
     The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
-    with F_h = h.field.poisson_preimage(); the harmonic coefficients
+    with F_h = h.poisson_preimage(); the harmonic coefficients
     and c minimize the boundary residual |grad f . nu_transported| in the
     discrete L2 sense over M collocation angles, and a_0 pins the average
     of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
@@ -213,30 +193,26 @@ def solve_oblique(domain: StarDomain, h: RhsExpansion) -> ObliqueSolution:
     harm = _polar.harmonic_basis(kf)
     cols_harm = harm.normal_derivative(circle, nu_r, nu_t)
     col_c = (-0.5) * nu_r  # normal derivative of -r^2/4 at r = 1
-    part = h.field.poisson_preimage()
-    rhs = -(part.basis.normal_derivative(circle, nu_r, nu_t) @ part.coeffs)
+    part = h.poisson_preimage()
+    rhs = -part.normal_derivative(circle, nu_r, nu_t)
     sol, cond = _polar.fit(np.column_stack([cols_harm, col_c]), rhs)
     harm_coeffs = sol[:-1]
     c_star = float(sol[-1])
 
     # assemble f without the constant, then pin the disk average to zero
-    sq_radius = _polar.PolarBasis([2.0], [0.0], [_polar.COS])
-    basis = _polar.concat(harm, part.basis, sq_radius)
-    coeffs = np.concatenate([harm_coeffs, part.coeffs, [-c_star / 4.0]])
-    field = _zero_mean(basis, coeffs)
+    field = _zero_mean(
+        _polar.PolarField(harm, harm_coeffs) + part + _term(2, 0, _polar.COS, -c_star / 4.0)
+    )
 
     # residuals: interior on a polar probe grid, boundary on a refined circle
     probe = disk_grid(96, 24)
     interior = float(
-        np.abs(field.laplacian(probe) - (h.field.value(probe) - c_star)).max()
+        np.abs(field.laplacian(probe) - (h.value(probe) - c_star)).max()
     )
     theta_f, _ = circle_grid(4 * m)
     normal_f = frame_at(domain, theta_f).polar_normal
     bres = float(
-        np.abs(
-            field.basis.normal_derivative(_polar.PolarGrid.circle(theta_f), *normal_f)
-            @ field.coeffs
-        ).max()
+        np.abs(field.normal_derivative(_polar.PolarGrid.circle(theta_f), *normal_f)).max()
     )
 
     return ObliqueSolution(
@@ -267,7 +243,7 @@ def ellipticity_margin(domain: StarDomain) -> float:
 
 
 def solve_oblique_kernel_variant(
-    domain: StarDomain, h: RhsExpansion
+    domain: StarDomain, h: _polar.PolarField
 ) -> ObliqueSolution:
     """Best-effort collocation solve of the variable-coefficient variant.
 
@@ -302,7 +278,7 @@ def solve_oblique_kernel_variant(
     rows_int = sq_int[:, None] * (
         r_ang[:, None] * lap - rp_ang[:, None] * hrt
     )
-    rhs_int = sq_int * h.field.value(grid)
+    rhs_int = sq_int * h.value(grid)
 
     theta_b, dth = circle_grid(m)
     rows_bnd = math.sqrt(dth) * (
@@ -319,21 +295,21 @@ def solve_oblique_kernel_variant(
     sol, cond = _polar.fit(matrix, rhs)
     coeffs = sol[:-1]
     c_star = float(sol[-1])
-    field = _zero_mean(basis, coeffs)
+    field = _zero_mean(_polar.PolarField(basis, coeffs))
 
     # refined residual probes
     fine = disk_grid(2 * n_theta, 2 * n_r)
     lap_f = field.laplacian(fine)
-    hrt_f = np.einsum("nj,j->n", field.basis.hessian_rtheta(fine), field.coeffs)
+    hrt_f = field.hessian_rtheta(fine)
     r_ang_f, rp_ang_f = np.repeat(domain.radius_derivatives(fine.theta), 2 * n_r, axis=1)
-    resid_f = r_ang_f * lap_f - rp_ang_f * hrt_f - (h.field.value(fine) - c_star)
+    resid_f = r_ang_f * lap_f - rp_ang_f * hrt_f - (h.value(fine) - c_star)
     interior = float(math.sqrt((fine.weights @ resid_f**2) / fine.weights.sum()))
     theta_fb, _ = circle_grid(4 * m)
     bres_vals = domain.radius(theta_fb) * field.radial_derivative(
         _polar.PolarGrid.circle(theta_fb)
     )
     bres = float(math.sqrt(np.mean(bres_vals**2)))
-    sup_h = h.sup_disk()
+    sup_h = _sup_disk(h)
     reliable = interior <= RELIABLE_FACTOR * max(sup_h, 1e-300)
 
     return ObliqueSolution(
@@ -376,14 +352,16 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
     if not 0.0 < alpha <= 1.0:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     probes = tuple(probes)
+    if not probes:
+        raise InputError("need at least one probe")
     grid = disk_grid(96, 24)
     pts = grid.points
-    data = [h.field.value(grid) for h in probes]
+    data = [h.value(grid) for h in probes]
     sups = [float(np.abs(vals).max()) for vals in data]
-    for h, sup in zip(probes, sups):
+    for i, sup in enumerate(sups):
         # the seminorm is >= 0, so the norm is zero exactly when sup|h| is
         if sup <= 0.0:
-            raise InputError(f"probe {h.label or h} has zero grid norm")
+            raise InputError(f"probe {i} has zero grid norm")
     hessians = [solve_oblique(domain, h).field.hessian(grid) for h in probes]
     semis = _kernels.pair_seminorms(
         pts, data + [m.reshape(len(pts), -1) for m in hessians], alpha

@@ -8,10 +8,11 @@ positive root of a quadratic, closed-form on the disk).  Containment
 |X| <= 1 holds exactly after every step.
 
 The invariant measure of this process is the adjoint-stationary measure
-of the oblique boundary problem, so time averages of a forcing h
-estimate the same compatibility constant the spectral solver computes;
-``feynman_kac_check`` exposes that comparison.  For the ball the
-reflection is radial and the invariant measure is uniform, which the
+of the oblique boundary problem, so time averages of a forcing h (a
+``PolarField`` or a callable on points) estimate the same compatibility
+constant the spectral solver computes; ``feynman_kac_check`` compares a
+solution's c_star with the time average of its own data h.  For the ball
+the reflection is radial and the invariant measure is uniform, which the
 chi-square radial test exercises.  Its p-value is the closed-form tail of
 a chi-square law with an odd number of degrees of freedom (erfc plus a
 finite sum, Abramowitz & Stegun 26.4.4), so the module needs no scipy.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
-from .oblique import ObliqueSolution, RhsExpansion
+from .oblique import ObliqueSolution
 from .shapes import StarDomain, _validate
 
 BATCHES = 20
@@ -132,8 +133,8 @@ def simulate(domain: StarDomain, config: PathConfig) -> PathStats:
 
 
 def _evaluate_forcing(h, points: np.ndarray) -> np.ndarray:
-    if isinstance(h, RhsExpansion):
-        return h.field.value(_polar.PolarGrid.at(points))
+    if isinstance(h, _polar.PolarField):
+        return h.value(_polar.PolarGrid.at(points))
     return np.asarray(h(points), dtype=float)
 
 
@@ -162,12 +163,9 @@ def stationary_mean(
 
 
 def feynman_kac_check(
-    domain: StarDomain,
-    h: RhsExpansion,
-    solution: ObliqueSolution,
-    config: PathConfig,
+    domain: StarDomain, solution: ObliqueSolution, config: PathConfig
 ) -> FKReport:
-    """Monte Carlo occupation mean of h against the solver's c_star.
+    """Monte Carlo occupation mean of the solution's data h against its c_star.
 
     Both numbers estimate the adjoint-stationary average of h for the
     obliquely reflected process, by independent routes.
@@ -176,7 +174,7 @@ def feynman_kac_check(
         raise ResidualTooLarge(
             f"solution residual {solution.boundary_residual:.3g} outside gate"
         )
-    estimate = stationary_mean(domain, h, config)
+    estimate = stationary_mean(domain, solution.h, config)
     gap = estimate.mean - solution.c_star
     if estimate.standard_error > 0.0:
         sigma = abs(gap) / estimate.standard_error

@@ -38,7 +38,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -253,6 +253,15 @@ def circle_grid(m: int) -> tuple[np.ndarray, float]:
     return np.arange(m) * (TWO_PI / m), TWO_PI / m
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def doubling_quadrature(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: float = QUAD_TOL,
@@ -278,7 +287,7 @@ def doubling_quadrature(
     prev = None
     while n <= cap:
         if breaks.size:
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = _gauss_legendre(n)
             theta = (mid[:, None] + half[:, None] * x).ravel()
             vals = np.asarray(integrand(theta), dtype=float)
             parts = [h * (w @ v) for h, v in zip(half, vals.reshape(arcs, n, *vals.shape[1:]))]
@@ -344,7 +353,7 @@ def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGri
     r dr dtheta is folded into the weights.
     """
     theta, dtheta = circle_grid(n_theta)
-    r_node, r_weight = np.polynomial.legendre.leggauss(n_r)
+    r_node, r_weight = _gauss_legendre(n_r)
     t = 0.5 * (r_node + 1.0)
     radius = domain.radius(theta)
     ww = np.multiply.outer(radius ** 2 * dtheta, t * (0.5 * r_weight))

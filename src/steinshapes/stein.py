@@ -197,8 +197,8 @@ def stein_kernel_solve(
     energy = float(grid.weights @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
-    rows_f = basis.normal_derivative(frame_f.grid, *frame_f.polar_normal)
-    neumann = float(np.abs(rows_f @ coeffs - frame_f.points).max())
+    flux_f = potentials.normal_derivative(frame_f.grid, *frame_f.polar_normal)
+    neumann = float(np.abs(flux_f - frame_f.points).max())
 
     panel = _panel(domain, tau, grid)
     worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)

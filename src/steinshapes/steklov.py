@@ -148,7 +148,7 @@ def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     frame = boundary_frame(domain, CHECK_GRID)
     w = frame.jacobian * frame.dtheta
     trace = u.value(frame.grid)
-    dnu = u.basis.normal_derivative(frame.grid, *frame.polar_normal) @ u.coeffs
+    dnu = u.normal_derivative(frame.grid, *frame.polar_normal)
     numerator = float(w @ (trace * dnu))
     mean = float(w @ trace) / float(w.sum())
     centered = trace - mean

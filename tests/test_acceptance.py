@@ -241,7 +241,7 @@ def test_10_monte_carlo_cross_check(criterion):
         domain = StarDomain(1.0, (0.0, 0.05))
         h = parse_rhs("r2")
         solution = solve_oblique(domain, h)
-        report = rbm.feynman_kac_check(domain, h, solution, rbm.PathConfig(seed=3))
+        report = rbm.feynman_kac_check(domain, solution, rbm.PathConfig(seed=3))
         c.check(
             "occupation mean within 3 standard errors of c_star at eps 0.05",
             report.gap_sigma <= 3.0,

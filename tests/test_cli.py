@@ -118,6 +118,16 @@ class TestSweep:
             assert (configs["dir"] / f"sweep.k{k}.csv").exists()
         assert capsys.readouterr().out.count("wrote") == 2
 
+    def test_multi_k_suffix_ignores_dots_in_directory_names(self, configs, capsys):
+        run_dir = configs["dir"] / "run.v1"
+        run_dir.mkdir()
+        code = main(
+            ["sweep", "--k", "1,2", "--eps", "0.02,0.04,0.06,0.08",
+             "--quantities", "deficit_perimeter", "--out", str(run_dir / "sweep")]
+        )
+        assert code == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == ["sweep.k1", "sweep.k2"]
+
     def test_json_out(self, configs, capsys):
         target = configs["dir"] / "sweep.json"
         code = main(

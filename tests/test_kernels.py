@@ -50,9 +50,10 @@ class TestSeminormAgreement:
         )
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    @pytest.mark.parametrize("m", [2, 3, 2 * K.LAG_BLOCK + 1, 4096])
+    @pytest.mark.parametrize("m", [2, 3, 2 * K.LAG_BLOCK + 1, 1030, 1031])
     def test_circle_lags_match_the_loop_across_blocks(self, m, alpha):
-        # the validation grid size, odd rings and rings shorter than a block
+        # rings shorter than a block, odd and even rings, and 515 lags: 16
+        # full blocks and a partial last block of 3
         circ = np.random.default_rng(m).standard_normal(m)
         assert K.circle_lag_seminorm(circ, alpha) == K._circle_lag_seminorm_loop(
             circ, alpha

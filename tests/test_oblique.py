@@ -5,8 +5,8 @@ import pytest
 
 from steinshapes import StarDomain, normalize, solve_oblique, solve_oblique_kernel_variant
 from steinshapes._polar import PolarGrid
+from steinshapes.errors import InputError
 from steinshapes.oblique import (
-    RhsExpansion,
     divergence_functional,
     ellipticity_margin,
     parse_rhs,
@@ -36,20 +36,18 @@ def default_family():
 
 def test_rhs_expansion_algebra():
     h = rhs_x1() + rhs_constant(0.5)
-    assert h.label == "x1+one"
     grid = disk_grid(32, 8)
     np.testing.assert_allclose(
-        h.field.value(grid), grid.points[:, 0] + 0.5, rtol=0.0, atol=1e-15
+        h.value(grid), grid.points[:, 0] + 0.5, rtol=0.0, atol=1e-15
     )
 
 
 def test_parse_rhs_tokens():
-    # expansions hold a field, so they compare by label and values
+    # right-hand sides are fields, so they compare by values
     grid = disk_grid(32, 8)
     for token, build in (("x1", rhs_x1), ("r2", rhs_sq_radius), ("one", rhs_constant)):
         got, want = parse_rhs(token), build()
-        assert got.label == want.label == token
-        assert np.array_equal(got.field.value(grid), want.field.value(grid))
+        assert np.array_equal(got.value(grid), want.value(grid))
     with pytest.raises(ValueError):
         parse_rhs("potato")
 
@@ -171,6 +169,11 @@ def test_schauder_probe_is_continuous_in_eps():
     assert max(ratios) / min(ratios) < 1.5
 
 
+def test_schauder_probe_needs_a_probe():
+    with pytest.raises(InputError, match="at least one probe"):
+        schauder_probe(ball(), [])
+
+
 @pytest.mark.parametrize(
     "domain",
     [StarDomain(1.0, (0.0, 0.05)), normalize(StarDomain(1.0, (0.0, 0.0, 0.08)), "volume")],
@@ -184,7 +187,7 @@ def test_schauder_probe_matches_the_per_probe_route(domain):
     hessians = [solve_oblique(domain, h).field.hessian(grid) for h in probes]
     for alpha in (0.5, 1.0):
         rep = schauder_probe(domain, probes, alpha=alpha)
-        dens = [holder_norm(pts, h.field.value(grid), alpha) for h in probes]
+        dens = [holder_norm(pts, h.value(grid), alpha) for h in probes]
         nums = [
             float(np.sqrt(np.einsum("nab,nab->n", m, m)).max())
             + matrix_holder_seminorm(pts, m, alpha)

@@ -147,9 +147,7 @@ class TestFeynmanKac:
         domain = StarDomain(1.0, (0.0, 0.05))
         h = parse_rhs("r2")
         solution = solve_oblique(domain, h)
-        report = rbm.feynman_kac_check(
-            domain, h, solution, rbm.PathConfig(seed=3)
-        )
+        report = rbm.feynman_kac_check(domain, solution, rbm.PathConfig(seed=3))
         assert report.gap == pytest.approx(FK_GAP, rel=1e-12)
         assert report.gap_sigma == pytest.approx(FK_SIGMA, rel=1e-12)
         assert report.gap_sigma < 3.0
@@ -159,7 +157,7 @@ class TestFeynmanKac:
     def test_constant_forcing_gap_is_exact(self):
         h = parse_rhs("one")
         solution = solve_oblique(BALL, h)
-        report = rbm.feynman_kac_check(BALL, h, solution, rbm.PathConfig(seed=7))
+        report = rbm.feynman_kac_check(BALL, solution, rbm.PathConfig(seed=7))
         assert report.gap == 0.0
         assert report.gap_sigma == 0.0
 
@@ -168,10 +166,10 @@ class TestFeynmanKac:
         solution = solve_oblique(BALL, h)
         doctored = dataclasses.replace(solution, reliable=False)
         with pytest.raises(ResidualTooLarge):
-            rbm.feynman_kac_check(BALL, h, doctored, rbm.PathConfig(seed=7))
+            rbm.feynman_kac_check(BALL, doctored, rbm.PathConfig(seed=7))
         loose = dataclasses.replace(solution, boundary_residual=1e-3)
         with pytest.raises(ResidualTooLarge):
-            rbm.feynman_kac_check(BALL, h, loose, rbm.PathConfig(seed=7))
+            rbm.feynman_kac_check(BALL, loose, rbm.PathConfig(seed=7))
 
 
 class TestRadialChi2:
