@@ -25,16 +25,14 @@ factor m^2 - k^2 vanishes on the needed power m = k.  The log term fills
 that hole, since its resonant members (m = k) have the purely polynomial
 Laplacian 2k r^{k-2} T.
 
-Every evaluation runs on a ``PolarGrid``: angles theta (n_theta,) and
-radii r (n_theta, n_r), point i n_r + j at radius r[i, j] on the ray at
-theta[i].  Grids keep the polar coordinates they are built from: recovering
-them from Cartesian points costs a hypot and an arctan per point and gives
-one ray different angle bits at different radii.  ``PolarGrid.at`` takes
-arbitrary points as one-point rays.  Transcendentals are computed once per
-distinct value: cos and sin of k theta once per row and frequency, r^p once
-per exponent, log r once per point.  Gather indices spread them over the
-columns and each trig row is broadcast over its n_r points, so every entry
-is the same floating point product as a point-by-point evaluation.
+Every evaluation runs on a ``PolarGrid``, a tensor product of its factors:
+angles theta (n_theta,), ray radii R (n_theta,) and radial fractions t
+(n_t,), point i n_t + j at radius r = R[i] t[j] on the ray at theta[i].
+Bulk and disk quadratures are such products; ``PolarGrid.at`` takes
+arbitrary points, and circles and boundary frames their angles, as
+one-point rays (t = (1,)).  Grids keep the polar coordinates they are built
+from: recovering them from Cartesian points costs a hypot and an arctan per
+point and gives one ray different angle bits at different radii.
 
 Negative exponents only occur where the prefactor vanishes (m <= 1 with
 the parity rule), so powers are clipped at zero and the zero multiplier
@@ -43,18 +41,34 @@ has a continuous gradient at the origin; the Hessian components of the
 m = 2 log terms diverge like log r there, which stays square integrable on
 the disk, and are evaluated with a finite stand-in for log 0.
 
-A basis evaluates polar-frame components only, one (N, n) block each; a
-field contracts its coefficients first and rotates the results to
-Cartesian axes with one cos/sin pair per row.  Coefficients are (n,) for
-one field or (n, q) for q fields over one basis, evaluated from one block
-into (N, q, ...) results.  The q columns are contracted one at a time, so
-each equals its own (n,) field bit for bit; one (N, n) @ (n, q) matmul would reorder
-the sums and, through the BLAS gemm buffers, raise the peak memory of a
-Stein-kernel verification by about 6 MB.  Outside this module a term
-table is read only as least-squares rows (``fit``, the equilibrated least
-squares with its condition gate) and as a flux cancellation bound: every
-field value, including the normal derivative against a normal given in
-the polar frame, comes from a ``PolarField`` method.
+A basis evaluates (N, n) term tables, one per polar-frame component: cos
+and sin of k theta once per row and frequency, r^p once per exponent and
+log r once per point, spread over the columns by gather indices, each trig
+row broadcast over its n_t points, so every entry is the same floating
+point product as a point-by-point evaluation.  A term table is read only as
+least-squares rows (``fit``, the equilibrated least squares with its
+condition gate) and, outside this module, as a flux cancellation bound.
+
+A field never builds a term table.  On the tensor grid each component is a
+sum over the E distinct exponents of r (a few dozen, against hundreds of
+terms):
+
+    f[i, j] = sum_e R_i^e A[i, e] t_j^e,    A = cs @ C,
+
+with cs the (n_theta, 2K) [cos | sin] table of the K distinct frequencies
+and C (2K, E) the formula coefficients times the field's coefficients,
+summed over the terms of each (frequency, exponent) cell.  A log term
+splits as log r = log R + log t into two more such columns: R^e log R
+against t^e, and R^e against t^e log t.  Each component then costs one
+(n_theta, 2K) @ (2K, E) and one (n_theta, E) @ (E, n_t) product per
+coefficient column; gradients and Hessians rotate A to Cartesian axes with
+each row's cos/sin pair between the two.  Coefficients are (n,) for one
+field or (n, q) for q fields over one basis, contracted one column at a
+time, so each column equals its own (n,) field bit for bit.  Field values
+agree with the term tables to round-off, not bit for bit: R^e t^e is not
+(R t)^e, and the sums run in another order.  Every field value, including
+the normal derivative against a normal given in the polar frame, comes
+from a ``PolarField`` method.
 """
 
 from __future__ import annotations
@@ -72,13 +86,15 @@ COND_GATE = 1e12
 
 
 class PolarGrid:
-    """Points on rays: point i n_r + j lies at radius r[i, j] on the ray at
-    angle theta[i]; an (n_theta,) r is one point per ray.  ``weights`` (N,)
-    are quadrature weights, when the grid is a quadrature."""
+    """Points on rays, a tensor product of ray radii and radial fractions:
+    point i n_t + j lies at radius r[i, j] = radius[i] t[j] on the ray at
+    angle theta[i].  One-point rays have t = (1,), so r = radius.
+    ``weights`` (N,) are quadrature weights, when the grid is a quadrature."""
 
-    def __init__(self, theta, r, weights=None):
+    def __init__(self, theta, radius, t=(1.0,), weights=None):
         self.theta = np.asarray(theta, dtype=float)
-        self.r = np.asarray(r, dtype=float).reshape(self.theta.size, -1)
+        self.radius = np.asarray(radius, dtype=float).reshape(self.theta.shape)
+        self.t = np.asarray(t, dtype=float)
         self.weights = weights
 
     @classmethod
@@ -94,7 +110,12 @@ class PolarGrid:
 
     @property
     def size(self) -> int:
-        return self.r.size
+        return self.radius.size * self.t.size
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """(n_theta, n_t) radii, the outer product of radius and t."""
+        return np.multiply.outer(self.radius, self.t)
 
     @cached_property
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +127,16 @@ class PolarGrid:
         """(N, 2) Cartesian points r (cos theta, sin theta)."""
         ct, st = self.directions
         return np.stack([self.r * ct[:, None], self.r * st[:, None]], axis=-1).reshape(-1, 2)
+
+
+def _log(x):
+    """log x with a finite stand-in at 0; every use is multiplied by
+    r^{m-2} >= r^0."""
+    return np.log(np.maximum(x, np.finfo(float).tiny))
+
+
+GRADIENT = ("f_r", "f_theta/r")
+HESSIAN = ("H_rr", "H_rtheta", "H_thetatheta")
 
 
 class PolarBasis:
@@ -142,9 +173,15 @@ class PolarBasis:
         self._t_cols = np.where(on_cos, k_col, sin_col)
         self._td_cols = np.where(on_cos, sin_col, k_col)
         self._td_scale = np.where(on_cos, -self.freqs, self.freqs)
-        # distinct exponents of r^{m - shift} and their columns, by shift
+        # distinct exponents of r^{m - shift} and their columns, by shift;
+        # then the same over the log terms alone (all have m >= 2)
         self._expos = tuple(
             np.unique(np.maximum(self.powers - shift, 0.0), return_inverse=True)
+            for shift in (0, 1, 2)
+        )
+        self._log_terms = np.flatnonzero(self.logs)
+        self._log_expos = tuple(
+            np.unique(self.powers[self._log_terms] - shift, return_inverse=True)
             for shift in (0, 1, 2)
         )
 
@@ -152,30 +189,42 @@ class PolarBasis:
     def n(self) -> int:
         return self.powers.size
 
+    @cached_property
+    def _forms(self):
+        """The closed form of each polar-frame component, the module
+        docstring's table, as (shift, derivative, a, addends): r^{m - shift}
+        (a l + addends) times T, or T' when ``derivative``.  ``a`` and the
+        addends are per-term vectors (or scalars)."""
+        m, k, w = self.powers, self.freqs, self.logs
+        return {
+            "value": (0, False, 1.0, ()),
+            "f_r": (1, False, m, (w,)),
+            "f_theta/r": (1, True, 1.0, ()),
+            "H_rr": (2, False, m * (m - 1.0), (2.0 * m * w, -w)),
+            "H_rtheta": (2, True, m - 1.0, (w,)),
+            "H_thetatheta": (2, False, m - k * k, (w,)),
+            "laplacian": (2, False, m * m - k * k, (2.0 * m * w,)),
+        }
+
     # -- radial and angular factors -------------------------------------------
 
-    def _pow(self, g: PolarGrid, shift: int):
-        expo, cols = self._expos[shift]
-        return np.take(g.r.reshape(-1, 1) ** expo, cols, axis=1)
-
-    def _log(self, g: PolarGrid):
-        """log r per point; None for tables without log terms."""
-        if not self.logs.any():
-            return None
-        # finite stand-in at r = 0; every use is multiplied by r^{m-2} >= r^0
-        return np.log(np.maximum(g.r.reshape(-1), np.finfo(float).tiny))
-
-    def _trig(self, g: PolarGrid, value: bool = True, derivative: bool = False):
-        """T, T' or (T, T') per angle row, (n_theta, n), gathered from one
-        cos/sin table of the distinct frequencies; T' = -k sin(k theta) on
-        cos terms, k cos(k theta) on sin."""
+    def _cos_sin(self, g: PolarGrid):
+        """[cos | sin](k theta) of the distinct frequencies, (n_theta, 2K)."""
         ang = np.multiply.outer(g.theta, self._ks)
-        cs = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
+        return np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
+
+    def _trig(self, cs, derivative: bool):
+        """T or T' per angle row, (n_theta, n), gathered from the cos/sin
+        table; T' = -k sin(k theta) on cos terms, k cos(k theta) on sin."""
         if not derivative:
             return np.take(cs, self._t_cols, axis=1)
         td = np.take(cs, self._td_cols, axis=1)
         td *= self._td_scale
-        return (np.take(cs, self._t_cols, axis=1), td) if value else td
+        return td
+
+    def _pow(self, g: PolarGrid, shift: int):
+        expo, cols = self._expos[shift]
+        return np.take(g.r.reshape(-1, 1) ** expo, cols, axis=1)
 
     def _closed_form(self, power, trig, lg, a, *addends):
         """power (a l + addends) trig, summed left to right, in one temporary.
@@ -196,24 +245,27 @@ class PolarBasis:
         rows *= trig[:, None, :]
         return out
 
-    # -- evaluations ------------------------------------------------------------
+    def _tables(self, g: PolarGrid, *names):
+        """(N, n) term tables of the named components, which share one shift."""
+        cs, power = self._cos_sin(g), self._pow(g, self._forms[names[0]][0])
+        lg = _log(g.r.reshape(-1)) if self.logs.any() else None
+        out = []
+        for name in names:
+            _, derivative, a, addends = self._forms[name]
+            out.append(self._closed_form(power, self._trig(cs, derivative), lg, a, *addends))
+        return out
+
+    # -- term tables ------------------------------------------------------------
 
     def values(self, g: PolarGrid):
-        t = self._trig(g)
-        return self._closed_form(self._pow(g, 0), t, self._log(g), 1.0)
+        return self._tables(g, "value")[0]
 
     def radial_derivative(self, g: PolarGrid):
-        t = self._trig(g)
-        return self._closed_form(self._pow(g, 1), t, self._log(g), self.powers, self.logs)
+        return self._tables(g, "f_r")[0]
 
     def gradients(self, g: PolarGrid):
         """Polar-frame gradient components (f_r, f_theta / r), each (N, n)."""
-        t, td = self._trig(g, derivative=True)
-        p1, lg = self._pow(g, 1), self._log(g)
-        return (
-            self._closed_form(p1, t, lg, self.powers, self.logs),
-            self._closed_form(p1, td, lg, 1.0),
-        )
+        return tuple(self._tables(g, *GRADIENT))
 
     def normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
         """f_r nu_r + (f_theta / r) nu_theta, (N, n), against a normal given
@@ -223,29 +275,14 @@ class PolarBasis:
 
     def hessian_rtheta(self, g: PolarGrid):
         """H_rtheta alone, (N, n): the middle component of ``hessian_frame``."""
-        td = self._trig(g, value=False, derivative=True)
-        return self._closed_form(
-            self._pow(g, 2), td, self._log(g), self.powers - 1.0, self.logs
-        )
+        return self._tables(g, "H_rtheta")[0]
 
     def hessian_frame(self, g: PolarGrid):
         """(H_rr, H_rtheta, H_thetatheta), each (N, n)."""
-        hrt = self.hessian_rtheta(g)
-        t = self._trig(g)
-        m, k, w = self.powers, self.freqs, self.logs
-        p2, lg = self._pow(g, 2), self._log(g)
-        return (
-            self._closed_form(p2, t, lg, m * (m - 1.0), 2.0 * m * w, -w),
-            hrt,
-            self._closed_form(p2, t, lg, m - k * k, w),
-        )
+        return tuple(self._tables(g, *HESSIAN))
 
     def laplacians(self, g: PolarGrid):
-        t = self._trig(g)
-        m, k = self.powers, self.freqs
-        return self._closed_form(
-            self._pow(g, 2), t, self._log(g), m * m - k * k, 2.0 * m * self.logs
-        )
+        return self._tables(g, "laplacian")[0]
 
 
 def concat(*parts: PolarBasis) -> PolarBasis:
@@ -351,22 +388,19 @@ def cascade_basis(order: int) -> PolarBasis:
 
 
 def _cartesian(g: PolarGrid, *frame):
-    """Polar-frame components, one (N,) or (N, q) array each, rotated to
-    Cartesian axes: (v_r, v_theta) to (..., 2) vectors, (H_rr, H_rtheta,
-    H_thetatheta) to (..., 2, 2) symmetric matrices.  Each row's cos/sin
-    pair is broadcast over its points."""
-    shape = frame[0].shape
-    ct, st = (c.reshape((-1,) + (1,) * len(shape)) for c in g.directions)
-    frame = [f.reshape((ct.shape[0], -1) + shape[1:]) for f in frame]
+    """Polar-frame components, (n_theta, ...) arrays with one row per ray,
+    rotated to Cartesian axes with the row's cos/sin pair: (v_r, v_theta)
+    to (2, n_theta, ...) vectors, (H_rr, H_rtheta, H_thetatheta) to
+    (2, 2, n_theta, ...) symmetric matrices."""
+    ct, st = (c.reshape((-1,) + (1,) * (frame[0].ndim - 1)) for c in g.directions)
     if len(frame) == 2:
         vr, vt = frame
-        out = np.stack([vr * ct - vt * st, vr * st + vt * ct], axis=-1)
-        return out.reshape(shape + (2,))
+        return np.stack([vr * ct - vt * st, vr * st + vt * ct])
     hrr, hrt, htt = frame
     hxx = ct * ct * hrr - 2.0 * ct * st * hrt + st * st * htt
     hxy = ct * st * (hrr - htt) + (ct * ct - st * st) * hrt
     hyy = st * st * hrr + 2.0 * ct * st * hrt + ct * ct * htt
-    return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(shape + (2, 2))
+    return np.stack([hxx, hxy, hxy, hyy]).reshape((2, 2) + hrr.shape)
 
 
 def fit(rows, rhs) -> tuple[np.ndarray, float]:
@@ -390,32 +424,87 @@ class PolarField:
     basis: PolarBasis
     coeffs: np.ndarray
 
-    def _dot(self, table):
-        """table @ coeffs, a column of (n, q) coefficients at a time."""
-        if self.coeffs.ndim == 1:
-            return table @ self.coeffs
-        return np.stack([table @ np.ascontiguousarray(c) for c in self.coeffs.T], axis=-1)
+    def _contract(self, g: PolarGrid, names, combine=None):
+        """The named polar-frame components, which share one shift, by
+        exponent contraction, one coefficient column at a time.
+
+        Per column, each component is an angular array A (n_theta, width)
+        over exponent columns, radial factor included; ``combine`` maps
+        them to one (*comp, n_theta, width) array (without it, the one
+        component is taken), and the axial factor (width, n_t) contracts
+        that to the grid's points.  Returns (N, *comp) for (n,)
+        coefficients and (N, q, *comp) for (n, q).
+        """
+        b = self.basis
+        cs = b._cos_sin(g)
+        shift = b._forms[names[0]][0]
+        expo, e_col = b._expos[shift]
+        log_expo, l_col = b._log_expos[shift]
+        # radial and axial factors of the plain part r^e = R^e t^e and of
+        # the log part r^e log r = R^e log R t^e + R^e t^e log t
+        r_pow, t_pow = g.radius[:, None] ** log_expo, g.t ** log_expo[:, None]
+        radial = np.concatenate(
+            [g.radius[:, None] ** expo, r_pow * _log(g.radius)[:, None], r_pow], axis=1
+        )
+        axial = np.concatenate([g.t ** expo[:, None], t_pow, t_pow * _log(g.t)])
+        width = axial.shape[0]
+        # each entry's cell in the (2K, width) grid of [cos | sin] columns by
+        # exponent columns, and its formula weight: one entry per term for
+        # the plain part, two more per log term for the log part
+        logs = b._log_terms
+        terms = np.concatenate([np.arange(b.n), logs, logs])
+        e_cells = np.concatenate([e_col, expo.size + l_col, expo.size + log_expo.size + l_col])
+        forms = []
+        for name in names:
+            _, derivative, a, addends = b._forms[name]
+            rows, scale = (b._td_cols, b._td_scale) if derivative else (b._t_cols, 1.0)
+            plain = (a * (1.0 - b.logs) + sum(addends)) * scale
+            logged = (a * b.logs * scale)[logs]
+            forms.append(
+                (rows[terms] * width + e_cells, np.concatenate([plain, logged, logged]))
+            )
+        columns = self.coeffs.reshape(b.n, -1).T
+        out = None
+        for j, c in enumerate(columns):
+            entries, angular = c[terms], []
+            for cells, weights in forms:
+                cell_sums = np.bincount(cells, weights * entries, cs.shape[1] * width)
+                ang = cs @ cell_sums.reshape(cs.shape[1], width)
+                ang *= radial
+                angular.append(ang)
+            block = combine(g, *angular) if combine else angular[0]
+            if out is None:
+                out = np.empty((len(columns),) + block.shape[:-1] + (g.t.size,))
+            np.matmul(block, axial, out=out[j])
+        # (q, *comp, n_theta, n_t) to (N, q, *comp)
+        out = np.moveaxis(out.reshape(out.shape[:-2] + (-1,)), -1, 0)
+        return np.ascontiguousarray(out if self.coeffs.ndim == 2 else out[:, 0])
 
     def value(self, g: PolarGrid):
-        return self._dot(self.basis.values(g))
+        return self._contract(g, ("value",))
 
     def gradient(self, g: PolarGrid):
-        return _cartesian(g, *map(self._dot, self.basis.gradients(g)))
+        return self._contract(g, GRADIENT, _cartesian)
 
     def hessian(self, g: PolarGrid):
-        return _cartesian(g, *map(self._dot, self.basis.hessian_frame(g)))
+        return self._contract(g, HESSIAN, _cartesian)
 
     def laplacian(self, g: PolarGrid):
-        return self._dot(self.basis.laplacians(g))
+        return self._contract(g, ("laplacian",))
 
     def radial_derivative(self, g: PolarGrid):
-        return self._dot(self.basis.radial_derivative(g))
+        return self._contract(g, ("f_r",))
 
     def normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
-        return self._dot(self.basis.normal_derivative(g, nu_r, nu_theta))
+        """f_r nu_r + (f_theta / r) nu_theta against a normal given by its
+        polar components at each point."""
+        frame = self._contract(g, GRADIENT, lambda g, *frame: np.stack(frame))
+        axes = (-1,) + (1,) * (frame.ndim - 2)
+        nu_r, nu_theta = np.reshape(nu_r, axes), np.reshape(nu_theta, axes)
+        return frame[..., 0] * nu_r + frame[..., 1] * nu_theta
 
     def hessian_rtheta(self, g: PolarGrid):
-        return self._dot(self.basis.hessian_rtheta(g))
+        return self._contract(g, ("H_rtheta",))
 
     def __add__(self, other: "PolarField") -> "PolarField":
         """The terms of self, then those of other."""

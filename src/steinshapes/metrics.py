@@ -10,9 +10,17 @@ unnormalized form
                      ||h||_{C^alpha} <= 1 },
 
 so the alpha -> 0 total-variation limit holds up to the |B_1| mass
-factor.  Dictionary features carry analytically certified norms (never
-grid estimates), so every reported dictionary value is a true lower
-bound up to quadrature error of the two integrals.
+factor.  Dictionary features carry closed-form norms on the disk of
+radius rho = max(sup R, 1), which holds Omega and B_1, so every reported
+dictionary value is a lower bound up to quadrature error of the two
+integrals and up to the error of rho.  rho is not certified: it is the
+largest of 4096 samples of R (``_sup_radius``), which under-read sup R
+by up to 4.4e-7 relative on random shapes of order <= 5.  An under-read
+rho makes the norm of a degree-k feature too small, and its value too
+large, by up to a factor (1 + 4.4e-7)^k, with k <= DICTIONARY_SIZE.  A
+certified rho (the largest of M samples plus (pi/M) times a bound on
+|R'|, as star-shape validation bounds min R) would move the reported
+bounds by more than 1e-8.
 
 The grid LP oracle solves only on the nodes that carry mass.  A raster
 cell inside both B_1 and Omega has gap cell * (1 - |B_1|/|Omega|), which

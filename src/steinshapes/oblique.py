@@ -147,8 +147,8 @@ def _mean_domain(domain: StarDomain, h: _polar.PolarField) -> float:
 def _sup_disk(h: _polar.PolarField) -> float:
     """Grid estimate of sup |h| over the closed unit disk."""
     theta, _ = circle_grid(256)
-    r = np.broadcast_to(np.linspace(0.0, 1.0, 65), (theta.size, 65))
-    return float(np.abs(h.value(_polar.PolarGrid(theta, r))).max())
+    grid = _polar.PolarGrid(theta, np.ones(theta.size), np.linspace(0.0, 1.0, 65))
+    return float(np.abs(h.value(grid)).max())
 
 
 def _boundary_flux(field: _polar.PolarField) -> float:

@@ -28,8 +28,9 @@ integrands), or composite Gauss-Legendre between given break angles for
 integrands with kinks there, refined by doubling until it converges.
 Bulk integrals over the domain use the polar pushforward grid: uniform
 angles crossed with Gauss-Legendre radial nodes scaled by R(theta).
-``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``,
-and ``BoundaryFrame.grid`` holds a frame's points as one-point rays.
+``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``
+of its factors (theta, R(theta), t), and ``BoundaryFrame.grid`` holds a
+frame's points as one-point rays.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGri
     t = 0.5 * (r_node + 1.0)
     radius = domain.radius(theta)
     ww = np.multiply.outer(radius ** 2 * dtheta, t * (0.5 * r_weight))
-    return PolarGrid(theta, np.multiply.outer(radius, t), ww.ravel())
+    return PolarGrid(theta, radius, t, ww.ravel())
 
 
 def disk_grid(n_theta: int = 256, n_r: int = 64) -> PolarGrid:

@@ -8,7 +8,7 @@ import pytest
 from steinshapes import _polar, oblique
 from steinshapes._polar import COS, SIN, PolarBasis, PolarGrid
 from steinshapes.errors import IllConditioned
-from steinshapes.shapes import StarDomain, bulk_grid
+from steinshapes.shapes import StarDomain, bulk_grid, circle_grid, disk_grid
 
 STEP = 1e-5
 METHODS = (
@@ -19,6 +19,9 @@ METHODS = (
     "hessian_frame",
     "laplacians",
 )
+
+
+FIELD_METHODS = ("value", "gradient", "hessian", "laplacian", "radial_derivative")
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,11 @@ def points():
 @pytest.fixture(scope="module")
 def grid(points):
     return PolarGrid.at(points)
+
+
+@pytest.fixture(scope="module")
+def bulk():
+    return bulk_grid(StarDomain(1.0, (0.05, 0.1), (0.02, -0.03)), 32, 8)
 
 
 def blocks(out):
@@ -155,17 +163,18 @@ def test_hessian_rtheta_is_the_frame_component(basis, grid):
     assert np.array_equal(basis.hessian_rtheta(grid), basis.hessian_frame(grid)[1])
 
 
-def test_multi_column_field_matches_its_columns(basis, grid):
+def test_multi_column_field_matches_its_columns(basis, grid, bulk):
     # (n, q) coefficients are q fields on one basis evaluation, each column
-    # bit for bit its own (n,) field
+    # bit for bit its own (n,) field, on one-point rays and on a tensor grid
     coeffs = np.random.default_rng(3).standard_normal((basis.n, 3))
     joint = _polar.PolarField(basis, coeffs)
     single = [_polar.PolarField(basis, coeffs[:, j].copy()) for j in range(3)]
-    for method in ("value", "gradient", "hessian", "laplacian", "radial_derivative"):
-        got = getattr(joint, method)(grid)
-        assert got.shape[:2] == (grid.size, 3), method
-        for j, field in enumerate(single):
-            assert np.array_equal(got[:, j], getattr(field, method)(grid)), method
+    for g in (grid, bulk):
+        for method in FIELD_METHODS + ("hessian_rtheta",):
+            got = getattr(joint, method)(g)
+            assert got.shape[:2] == (g.size, 3), method
+            for j, field in enumerate(single):
+                assert np.array_equal(got[:, j], getattr(field, method)(g)), method
 
 
 @pytest.mark.parametrize(
@@ -232,26 +241,106 @@ def test_poisson_preimage_rejects_untabled_terms(basis, message):
 
 # -- the grid contract -----------------------------------------------------------
 
-FIELD_METHODS = ("value", "gradient", "hessian", "laplacian", "radial_derivative")
-
-
-@pytest.fixture(scope="module")
-def bulk():
-    return bulk_grid(StarDomain(1.0, (0.05, 0.1), (0.02, -0.03)), 32, 8)
-
 
 @pytest.mark.parametrize("q", [None, 3], ids=["one-field", "three-fields"])
 def test_rows_broadcast_like_one_point_rays(basis, bulk, q):
     # each of the 32 angle rows carries 8 points; the same points as 256
-    # one-point rays must give the same bits, so a misaligned row broadcast
-    # (trig factors or rotations sent to the wrong points) fails here
+    # one-point rays give the same values up to round-off (the contraction
+    # factors r^e as R^e t^e on the tensor grid), while the same rays with
+    # their angles rolled by one row miss that by orders of magnitude, so a
+    # misaligned row broadcast (trig factors or rotations sent to the wrong
+    # points) fails here
     shape = (basis.n,) if q is None else (basis.n, q)
     field = _polar.PolarField(basis, np.random.default_rng(4).standard_normal(shape))
     rays = PolarGrid(np.repeat(bulk.theta, 8), bulk.r.reshape(-1, 1))
+    rolled = PolarGrid(np.repeat(np.roll(bulk.theta, 1), 8), bulk.r.reshape(-1, 1))
     for method in FIELD_METHODS:
-        got = getattr(field, method)(bulk)
-        assert got.shape[0] == bulk.size, method
-        assert np.array_equal(got, getattr(field, method)(rays)), method
+        got, want = getattr(field, method)(bulk), getattr(field, method)(rays)
+        assert got.shape == want.shape and got.shape[0] == bulk.size, method
+        bound = 1e-13 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound, method
+        assert np.abs(getattr(field, method)(rolled) - want).max() > 1e6 * bound, method
+
+
+ALL_FIELD_METHODS = FIELD_METHODS + ("hessian_rtheta", "normal_derivative")
+TABLES = (
+    "values",
+    "radial_derivative",
+    "gradients",
+    "normal_derivative",
+    "hessian_rtheta",
+    "hessian_frame",
+    "laplacians",
+)
+
+
+def table_route(field, method, g, nu):
+    """A field method evaluated from the basis term tables, rotated to
+    Cartesian axes point by point."""
+    b, c = field.basis, field.coeffs
+    if method == "normal_derivative":
+        return b.normal_derivative(g, *nu) @ c
+    if method not in ("gradient", "hessian"):
+        table = {"value": "values", "laplacian": "laplacians"}.get(method, method)
+        return getattr(b, table)(g) @ c
+    theta = np.repeat(g.theta, g.t.size)
+    ct, st = np.cos(theta), np.sin(theta)
+    rot = np.moveaxis(np.array([[ct, -st], [st, ct]]), -1, 0)  # (N, 2, 2)
+    if method == "gradient":
+        fr, ft = (t @ c for t in b.gradients(g))
+        return np.einsum("nab,n...b->n...a", rot, np.stack([fr, ft], axis=-1))
+    hrr, hrt, htt = (t @ c for t in b.hessian_frame(g))
+    polar = np.stack([np.stack([hrr, hrt], -1), np.stack([hrt, htt], -1)], -2)
+    return np.einsum("nab,n...bc,ndc->n...ad", rot, polar, rot)
+
+
+def field_route(field, method, g, nu):
+    if method == "normal_derivative":
+        return field.normal_derivative(g, *nu)
+    return getattr(field, method)(g)
+
+
+@pytest.mark.parametrize("q", [None, 3], ids=["one-field", "three-fields"])
+@pytest.mark.parametrize("layout", ["bulk", "disk", "sup-disk", "rays"])
+def test_contraction_matches_the_term_tables(basis, bulk, grid, layout, q):
+    # the field methods contract exponents on the grid's factors; the basis
+    # tables evaluate r^m term by term at each point.  The sup-disk layout
+    # has t = 0, where the log terms' Hessians take the finite stand-in
+    g = {
+        "bulk": bulk,
+        "disk": disk_grid(32, 8),
+        "sup-disk": PolarGrid(circle_grid(32)[0], np.ones(32), np.linspace(0.0, 1.0, 65)),
+        "rays": grid,
+    }[layout]
+    rng = np.random.default_rng(9)
+    shape = (basis.n,) if q is None else (basis.n, q)
+    field = _polar.PolarField(basis, rng.standard_normal(shape))
+    phi = rng.uniform(-np.pi, np.pi, g.size)
+    nu = (np.cos(phi), np.sin(phi))
+    for method in ALL_FIELD_METHODS:
+        got = field_route(field, method, g, nu)
+        want = table_route(field, method, g, nu)
+        assert got.shape == want.shape, method
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), method
+
+
+def test_field_methods_build_no_term_table(monkeypatch):
+    # a field evaluates by exponent contraction alone: with every term-table
+    # method of the basis disabled, each field method still returns, so no
+    # (N, n) table is built behind a field value (8192 x 379 here)
+    basis = _polar.cascade_basis(16)
+    field = _polar.PolarField(basis, np.random.default_rng(6).standard_normal(basis.n))
+    g = disk_grid(256, 32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field evaluation built a term table")
+
+    for name in TABLES + ("_closed_form", "_pow"):
+        monkeypatch.setattr(PolarBasis, name, refuse)
+    nu = (np.ones(g.size), np.zeros(g.size))
+    for method in ALL_FIELD_METHODS:
+        got = field_route(field, method, g, nu)
+        assert got.shape[0] == g.size and np.isfinite(got).all(), method
 
 
 def test_at_recovers_the_grid_from_its_points(field, bulk):
