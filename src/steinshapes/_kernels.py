@@ -13,9 +13,14 @@ boolean-masked copies of each block go away.  The sums follow the
 association of the reference loops ``_*_loop`` below, coordinate by
 coordinate in the loops' order.  numpy's vectorized power may round one
 ulp away from libm's pow, so the kernels agree with the loops to within a
-couple of ulp, not bit for bit; the tests hold them to that.  The
-reflected-path stepper is inherently sequential and runs as a plain Python
-loop.
+couple of ulp, not bit for bit; the tests hold them to that.
+
+The reflected-path stepper is inherently sequential.  It runs on Python
+floats, which round each operation as numpy scalars do but skip their
+boxing.  It converts increments and stores positions PATH_BLOCK steps at a
+time: as Python floats (32 bytes each with their list slot), the
+increments and positions of a whole 2e5-step path take about 25 MB, and
+those of one block 0.5 MB.
 """
 
 from __future__ import annotations
@@ -171,12 +176,19 @@ def circle_lag_seminorm(vals, alpha):
     return best
 
 
+# steps per block of reflect_path: one .tolist() per block of increments and
+# one slice write per block of positions
+PATH_BLOCK = 4096
+
+
 def reflect_path(x0, y0, dx, dy, base, cosc, sinc):
     # Pull-back reflection: on exit from the unit ball, march back along the
     # transported normal of the star-shaped domain until |X| = 1 again.
     # R, R' and the normal are evaluated here in scalar form rather than by
     # shapes.frame_at: they are needed at one angle per reflection inside
     # this sequential loop, and the frozen trajectory hash pins their bits.
+    # The steps stay sequential and scalar; only their operands are Python
+    # floats instead of numpy scalars, with the same IEEE operations.
     n = dx.shape[0]
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
@@ -185,40 +197,54 @@ def reflect_path(x0, y0, dx, dy, base, cosc, sinc):
     x = x0
     y = y0
     n_reflect = 0
-    kmax = cosc.shape[0]
-    for i in range(n):
-        x = x + dx[i]
-        y = y + dy[i]
-        r2 = x * x + y * y
-        if r2 > 1.0:
-            theta = math.atan2(y, x)
-            rv = base
-            rp = 0.0
-            for k in range(kmax):
-                ck = math.cos((k + 1) * theta)
-                sk = math.sin((k + 1) * theta)
-                rv += cosc[k] * ck + sinc[k] * sk
-                rp += (k + 1) * (sinc[k] * ck - cosc[k] * sk)
-            speed = math.sqrt(rv * rv + rp * rp)
-            ct = math.cos(theta)
-            st = math.sin(theta)
-            nx = (rv * ct + rp * st) / speed
-            ny = (rv * st - rp * ct) / speed
-            b = x * nx + y * ny
-            cq = r2 - 1.0
-            disc = b * b - cq
-            if disc < 0.0 or b <= 0.0:
-                xs[i + 1] = x
-                ys[i + 1] = y
-                return xs, ys, n_reflect, i
-            s = b - math.sqrt(disc)
-            x = x - s * nx
-            y = y - s * ny
-            # containment is a hard contract: |X| <= 1 after every step
-            while x * x + y * y > 1.0:
-                x *= 1.0 - 2e-16
-                y *= 1.0 - 2e-16
-            n_reflect += 1
-        xs[i + 1] = x
-        ys[i + 1] = y
+    cosc = cosc.tolist()
+    sinc = sinc.tolist()
+    kmax = len(cosc)
+    for i0 in range(0, n, PATH_BLOCK):
+        block = slice(i0, i0 + PATH_BLOCK)
+        px = []
+        py = []
+        keep_x = px.append
+        keep_y = py.append
+        for step_x, step_y in zip(dx[block].tolist(), dy[block].tolist()):
+            x = x + step_x
+            y = y + step_y
+            r2 = x * x + y * y
+            if r2 > 1.0:
+                theta = math.atan2(y, x)
+                rv = base
+                rp = 0.0
+                for k in range(kmax):
+                    ck = math.cos((k + 1) * theta)
+                    sk = math.sin((k + 1) * theta)
+                    rv += cosc[k] * ck + sinc[k] * sk
+                    rp += (k + 1) * (sinc[k] * ck - cosc[k] * sk)
+                speed = math.sqrt(rv * rv + rp * rp)
+                ct = math.cos(theta)
+                st = math.sin(theta)
+                nx = (rv * ct + rp * st) / speed
+                ny = (rv * st - rp * ct) / speed
+                b = x * nx + y * ny
+                cq = r2 - 1.0
+                disc = b * b - cq
+                if disc < 0.0 or b <= 0.0:
+                    keep_x(x)
+                    keep_y(y)
+                    done = slice(i0 + 1, i0 + 1 + len(px))
+                    xs[done] = px
+                    ys[done] = py
+                    return xs, ys, n_reflect, i0 + len(px) - 1
+                s = b - math.sqrt(disc)
+                x = x - s * nx
+                y = y - s * ny
+                # containment is a hard contract: |X| <= 1 after every step
+                while x * x + y * y > 1.0:
+                    x *= 1.0 - 2e-16
+                    y *= 1.0 - 2e-16
+                n_reflect += 1
+            keep_x(x)
+            keep_y(y)
+        done = slice(i0 + 1, i0 + 1 + len(px))
+        xs[done] = px
+        ys[done] = py
     return xs, ys, n_reflect, -1

@@ -10,11 +10,15 @@ solved by harmonic Ritz least squares on boundary collocation points.
 The two potentials are the columns of one PolarField, and tau = Dg is
 its gradient on the polar bulk quadrature grid over Omega.  The defining
 identity is audited on a fixed panel of ten polynomial test fields, kept
-as a coefficient table ``_PANEL`` over the quadratic basis: their twenty
-components are one (6, 20) field, so the left-hand sides come from one
-gradient on the bulk grid and the right-hand sides from one vector-valued
-boundary quadrature.  The kernel requires a boundary-centered domain:
-pairing with constant fields forces the boundary barycenter to vanish.
+as a coefficient table ``_PANEL`` over the six quadratic basis terms.
+Both sides of the identity are linear in the test field, so they are
+integrated against the six terms, not the ten fields: the (2, 6) left
+moments int tau_jd d_d phi_t come from one gradient of the basis on the
+bulk grid and one (4, N) @ (N, 12) product, the (2, 6) right moments
+int x_j phi_t dS from one 12-column boundary quadrature, and each panel
+row is its coefficients against the moments.  The kernel requires a
+boundary-centered domain: pairing with constant fields forces the
+boundary barycenter to vanish.
 """
 
 from __future__ import annotations
@@ -146,19 +150,22 @@ def _discrepancies(potentials, grid):
 
 
 def _panel(domain, tau, grid):
-    """(label, int tau : Du, int_dOmega (x . u) dS) for each test field u."""
-    coeffs = np.array([row[1:] for row in _PANEL], dtype=float).reshape(-1, 6)
-    tests = _polar.PolarField(_polar.full_basis(2, include_constant=True), coeffs.T)
-    grads = tests.gradient(grid).reshape(grid.size, len(_PANEL), 2, 2)
-    lhs = grid.weights @ np.einsum("njd,nijd->ni", tau, grads)
+    """(label, int tau : Du, int_dOmega (x . u) dS) for each test field u,
+    read off the left and right moments of the six basis terms phi_t."""
+    coeffs = np.array([row[1:] for row in _PANEL], dtype=float).reshape(len(_PANEL), 12)
+    terms = _polar.PolarField(_polar.full_basis(2, include_constant=True), np.eye(6))
+    # (4, N) @ (N, 12) pairs every (j, d) with every (t, d'); keep d = d'
+    weighted = (grid.weights[:, None] * tau.reshape(grid.size, 4)).T
+    pairs = (weighted @ terms.gradient(grid).reshape(grid.size, 12)).reshape(2, 2, 6, 2)
+    lhs = coeffs @ (pairs[:, 0, :, 0] + pairs[:, 1, :, 1]).ravel()
 
     def boundary_integrand(theta: np.ndarray) -> np.ndarray:
         frame = frame_at(domain, theta)
-        x = frame.points
-        u = tests.value(frame.grid).reshape(len(x), len(_PANEL), 2)
-        return np.einsum("nd,nid->ni", x, u) * frame.jacobian[:, None]
+        phi = terms.value(frame.grid) * frame.jacobian[:, None]
+        return (frame.points[:, :, None] * phi[:, None, :]).reshape(len(theta), 12)
 
-    rhs, _ = doubling_quadrature(boundary_integrand)
+    moments, _ = doubling_quadrature(boundary_integrand)
+    rhs = coeffs @ moments
     return tuple(
         (row[0], float(l), float(r)) for row, l, r in zip(_PANEL, lhs, rhs)
     )

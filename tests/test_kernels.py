@@ -119,6 +119,54 @@ class TestSharedDenominator:
         assert K.pair_seminorms(pts, fields, 0.5) == [0.0, 0.0]
 
 
+def reflect_path_loop(x0, y0, dx, dy, base, cosc, sinc):
+    """The reflected path step by step on numpy scalars: the reference the
+    blocked Python-float stepper must match bit for bit."""
+    n = dx.shape[0]
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    xs[0] = x0
+    ys[0] = y0
+    x = x0
+    y = y0
+    n_reflect = 0
+    kmax = cosc.shape[0]
+    for i in range(n):
+        x = x + dx[i]
+        y = y + dy[i]
+        r2 = x * x + y * y
+        if r2 > 1.0:
+            theta = math.atan2(y, x)
+            rv = base
+            rp = 0.0
+            for k in range(kmax):
+                ck = math.cos((k + 1) * theta)
+                sk = math.sin((k + 1) * theta)
+                rv += cosc[k] * ck + sinc[k] * sk
+                rp += (k + 1) * (sinc[k] * ck - cosc[k] * sk)
+            speed = math.sqrt(rv * rv + rp * rp)
+            ct = math.cos(theta)
+            st = math.sin(theta)
+            nx = (rv * ct + rp * st) / speed
+            ny = (rv * st - rp * ct) / speed
+            b = x * nx + y * ny
+            disc = b * b - (r2 - 1.0)
+            if disc < 0.0 or b <= 0.0:
+                xs[i + 1] = x
+                ys[i + 1] = y
+                return xs, ys, n_reflect, i
+            s = b - math.sqrt(disc)
+            x = x - s * nx
+            y = y - s * ny
+            while x * x + y * y > 1.0:
+                x *= 1.0 - 2e-16
+                y *= 1.0 - 2e-16
+            n_reflect += 1
+        xs[i + 1] = x
+        ys[i + 1] = y
+    return xs, ys, n_reflect, -1
+
+
 class TestReflectPath:
     def _run(self, domain, x0, y0, dx, dy):
         a, b, _ = domain._packed
@@ -166,6 +214,50 @@ class TestReflectPath:
         assert fail == 0
         assert n_reflect == 0
         assert xs[1] ** 2 + ys[1] ** 2 > 1.0
+
+    def _assert_matches_the_loop(self, domain, x0, y0, dx, dy):
+        a, b, _ = domain._packed
+        args = (x0, y0, dx, dy, domain.base_radius, a, b)
+        xs, ys, n_reflect, fail = K.reflect_path(*args)
+        xs_ref, ys_ref, n_ref, fail_ref = reflect_path_loop(*args)
+        assert (n_reflect, fail) == (n_ref, fail_ref)
+        # past a failing step the arrays hold no positions
+        end = len(dx) + 1 if fail < 0 else fail + 2
+        assert np.array_equal(xs[:end], xs_ref[:end])
+        assert np.array_equal(ys[:end], ys_ref[:end])
+        return n_reflect, fail
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8195])
+    @pytest.mark.parametrize(
+        "domain",
+        [StarDomain(1.0, (0.0, 0.15)), StarDomain(0.95, (0.02, -0.03, 0.04), (0.03, 0.0, -0.02))],
+        ids=["bump", "order3"],
+    )
+    def test_blocks_match_the_numpy_scalar_loop(self, domain, n):
+        # strided increments, as rbm.path passes them, from near the wall
+        steps = math.sqrt(1e-3) * np.random.default_rng(n).standard_normal((n, 2))
+        n_reflect, fail = self._assert_matches_the_loop(
+            domain, 0.9, -0.2, steps[:, 0], steps[:, 1]
+        )
+        assert fail == -1
+        assert (n_reflect > 0) == (n >= 4095)
+
+    def test_failure_in_the_second_block(self):
+        # the near-tangent step of the spiky domain, taken after a first
+        # block of reflected random steps and a step back to its start
+        spiky = StarDomain(1.0, (0.0,) * 9 + (0.3,))
+        theta = math.pi / 20.0
+        x0, y0 = 0.999 * math.cos(theta), 0.999 * math.sin(theta)
+        first = math.sqrt(1e-4) * np.random.default_rng(4).standard_normal((K.PATH_BLOCK, 2))
+        xs, ys, _, _ = self._run(spiky, x0, y0, first[:, 0], first[:, 1])
+        back = [x0 - xs[-1], y0 - ys[-1]]
+        out = [0.06 * math.cos(theta), 0.06 * math.sin(theta)]
+        steps = np.concatenate([first, [back, out]])
+        n_reflect, fail = self._assert_matches_the_loop(
+            spiky, x0, y0, steps[:, 0], steps[:, 1]
+        )
+        assert fail == K.PATH_BLOCK + 1
+        assert n_reflect > 0
 
 
 class TestBackendBitIdentity:

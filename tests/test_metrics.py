@@ -3,6 +3,8 @@ certified dictionary bounds, the node LP, and the oscillation index."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from steinshapes import (
     zolotarev_tv,
 )
 from steinshapes import metrics
-from steinshapes.shapes import BALL_VOLUME
+from steinshapes.shapes import TWO_PI, BALL_VOLUME, bulk_grid, disk_grid, geometric_functionals
 from steinshapes.errors import GridTooCoarse
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -199,3 +201,59 @@ def test_alpha_validation():
         zolotarev_lower(ball(), alpha=0.0)
     with pytest.raises(ValueError):
         zolotarev_oracle(ball(), alpha=1.5)
+
+
+def order3() -> StarDomain:
+    return StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("make", [bump_vn, unnormalized, order3])
+def test_cusp_bumps_match_the_per_bump_loop(make, alpha):
+    # the cached ball side and the (8, N) domain side give every feature
+    # the bits of one bump at a time
+    domain = make()
+    ratio = BALL_VOLUME / geometric_functionals(domain).volume
+    grid, disk = bulk_grid(domain, 256, 64), disk_grid(256, 64)
+    loop = []
+    for idx in range(metrics.DICTIONARY_SIZE):
+        ang = TWO_PI * idx / metrics.DICTIONARY_SIZE
+        x0 = np.array([math.cos(ang), math.sin(ang)])
+        bump_ball = np.minimum(1.0, np.hypot(*(disk.points - x0).T) ** alpha)
+        bump_dom = np.minimum(1.0, np.hypot(*(grid.points - x0).T) ** alpha)
+        value = abs(float(disk.weights @ bump_ball) - ratio * float(grid.weights @ bump_dom)) / 2.0
+        loop.append((f"cusp-bump angle={ang:.3f}", value, "none"))
+    features = zolotarev_lower(domain, alpha).features
+    assert [f for f in features if f[0].startswith("cusp-bump")] == loop
+
+
+def test_ball_bumps_are_built_once_per_alpha():
+    metrics._ball_bumps.cache_clear()
+    for domain in (bump_vn(), order3()):
+        for alpha in (1.0, 0.5):
+            zolotarev_lower(domain, alpha)
+    info = metrics._ball_bumps.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def full_raster_coverage(domain, x, y, h):
+    rho = np.hypot(x, y)
+    theta = np.arctan2(y, x)
+    return np.clip((domain.radius(theta) - rho) / h + 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [128, 255, 256])
+@pytest.mark.parametrize("order", [0, 2, 4, 6])
+def test_coverage_matches_the_full_raster(order, n):
+    # cells more than one width off the annulus |rho - base| <= spread are
+    # set to 1 or 0 without evaluating R; they are exactly what the clip gives
+    rng = np.random.default_rng(order)
+    base = rng.uniform(0.6, 1.6)
+    amp = rng.uniform(0.05, 0.3) * base / max(order, 1)
+    domain = StarDomain(
+        base, tuple(rng.uniform(-amp, amp, order)), tuple(rng.uniform(-amp, amp, order))
+    )
+    x, y, h = metrics._raster_axes(rng.uniform(1.2, 2.5) * base, n)
+    coverage = metrics._domain_coverage(domain, x, y, h)
+    assert np.array_equal(coverage, full_raster_coverage(domain, x, y, h))
+    assert 0.0 < coverage.mean() < 1.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from steinshapes import (
+    PerturbationFamily,
     StarDomain,
     boundary_deficits,
     geometric_functionals,
@@ -16,8 +17,10 @@ from steinshapes import (
     stein_discrepancy,
     stein_kernel_solve,
 )
-from steinshapes._polar import PolarField
+from steinshapes import stein
+from steinshapes._polar import PolarField, full_basis
 from steinshapes.errors import NotCentered
+from steinshapes.shapes import doubling_quadrature, frame_at
 
 # frozen oracle values, printed once at %.17g and pinned
 BUMP_D1 = 0.97221000850566797
@@ -130,3 +133,61 @@ def test_discrepancy_order_validation():
     res = stein_kernel_solve(ball())
     with pytest.raises(ValueError):
         stein_discrepancy(res, order=3)
+
+
+def per_field_panel(domain, tau, grid):
+    """The panel field by field: the twenty test components as one field,
+    contracted with tau point by point, and their ten boundary integrands."""
+    coeffs = np.array([row[1:] for row in stein._PANEL], dtype=float).reshape(-1, 6)
+    tests = PolarField(full_basis(2, include_constant=True), coeffs.T)
+    grads = tests.gradient(grid).reshape(grid.size, len(stein._PANEL), 2, 2)
+    lhs = grid.weights @ np.einsum("njd,nijd->ni", tau, grads)
+
+    def boundary_integrand(theta):
+        frame = frame_at(domain, theta)
+        u = tests.value(frame.grid).reshape(len(theta), len(stein._PANEL), 2)
+        return np.einsum("nd,nid->ni", frame.points, u) * frame.jacobian[:, None]
+
+    rhs, _ = doubling_quadrature(boundary_integrand)
+    return lhs, rhs
+
+
+PANEL_DOMAINS = {
+    "ball": ball,
+    "k2-vn": lambda: PerturbationFamily(k=2).members()[2],
+    "k4-vn": lambda: PerturbationFamily(k=4).members()[2],
+    "order3-recentered": lambda: normalize(
+        StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03)), "recenter"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PANEL_DOMAINS)
+def test_panel_matches_the_per_field_route(name):
+    # the moment form reassociates the sums, so the rows agree at round-off
+    domain = PANEL_DOMAINS[name]()
+    res = stein_kernel_solve(domain)
+    lhs, rhs = per_field_panel(domain, res.tau, res.grid)
+    assert [label for label, _, _ in res.panel] == [row[0] for row in stein._PANEL]
+    for (_, l_moment, r_moment), l_field, r_field in zip(res.panel, lhs, rhs):
+        bound = 1e-13 * max(1.0, abs(r_field))
+        assert abs(l_moment - l_field) <= bound
+        assert abs(r_moment - r_field) <= bound
+
+
+def test_panel_evaluates_the_six_basis_terms(monkeypatch):
+    # one field of six coefficient columns, not the twenty test components
+    res = stein_kernel_solve(bump_vn())
+    columns = []
+    for method in ("value", "gradient"):
+        original = getattr(PolarField, method)
+
+        def spy(self, g, _original=original, _method=method):
+            columns.append((_method, self.coeffs.shape))
+            return _original(self, g)
+
+        monkeypatch.setattr(PolarField, method, spy)
+    stein._panel(res.domain, res.tau, res.grid)
+    assert ("gradient", (6, 6)) in columns and ("value", (6, 6)) in columns
+    assert {shape for _, shape in columns} == {(6, 6)}
+    assert sum(method == "gradient" for method, _ in columns) == 1
