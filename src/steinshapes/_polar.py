@@ -41,33 +41,28 @@ has a continuous gradient at the origin; the Hessian components of the
 m = 2 log terms diverge like log r there, which stays square integrable on
 the disk, and are evaluated with a finite stand-in for log 0.
 
-A basis evaluates (N, n) term tables, one per polar-frame component: cos
-and sin of k theta once per row and frequency, r^p once per exponent and
-log r once per point, spread over the columns by gather indices, each trig
-row broadcast over its n_t points, so every entry is the same floating
-point product as a point-by-point evaluation.  A term table is read only as
-least-squares rows (``fit``, the equilibrated least squares with its
-condition gate) and, outside this module, as a flux cancellation bound.
+Both readers of a basis go through one cell map per component, built from
+the basis alone and kept with it.  A cell pairs a column of cs, the
+(n_theta, 2K) [cos | sin] table of the K distinct frequencies, with an
+exponent column.  Each term has an entry at its T or T' column and its
+exponent, weighted by the plain part of its formula; a log term has two
+more, weighted by the log part, since log r = log R + log t splits r^e log r
+into R^e log R t^e and R^e t^e log t.  The grid factors are cs, the radial
+columns (n_theta, width) and the axial rows (width, n_t):
 
-A field never builds a term table.  On the tensor grid each component is a
-sum over the E distinct exponents of r (a few dozen, against hundreds of
-terms):
+- a field scatters its coefficients into the (2K, width) cells, one
+  ``bincount`` per component and coefficient column, and contracts:
+  (n_theta, 2K) @ (2K, width), times the radial columns, @ (width, n_t).
+  Gradients and Hessians rotate to Cartesian axes between the two products.
+  (n, q) coefficients go one column at a time, so each column equals its
+  own (n,) field bit for bit;
+- a term table (N, n) gathers: each entry's cs column times its radial
+  column, times its axial row with the weight folded in; each log entry
+  then adds into its term's column.  Tables are read only as least-squares
+  rows (``fit``, with its condition gate) and, outside this module, as a
+  flux cancellation bound.
 
-    f[i, j] = sum_e R_i^e A[i, e] t_j^e,    A = cs @ C,
-
-with cs the (n_theta, 2K) [cos | sin] table of the K distinct frequencies
-and C (2K, E) the formula coefficients times the field's coefficients,
-summed over the terms of each (frequency, exponent) cell.  A log term
-splits as log r = log R + log t into two more such columns: R^e log R
-against t^e, and R^e against t^e log t.  Each component then costs one
-(n_theta, 2K) @ (2K, E) and one (n_theta, E) @ (E, n_t) product per
-coefficient column; gradients and Hessians rotate A to Cartesian axes with
-each row's cos/sin pair between the two.  Coefficients are (n,) for one
-field or (n, q) for q fields over one basis, contracted one column at a
-time, so each column equals its own (n,) field bit for bit.  Field values
-agree with the term tables to round-off, not bit for bit: R^e t^e is not
-(R t)^e, and the sums run in another order.  Every field value, including
-the normal derivative against a normal given in the polar frame, comes
+The readers agree to round-off, not bit for bit.  Every field value comes
 from a ``PolarField`` method.
 """
 
@@ -75,7 +70,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,12 +143,10 @@ class PolarBasis:
     """
 
     def __init__(self, powers, freqs, kinds, logs=None):
-        self.powers = np.asarray(powers, dtype=float)
-        self.freqs = np.asarray(freqs, dtype=float)
-        self.kinds = np.asarray(kinds, dtype=int)
-        if logs is None:
-            logs = np.zeros(self.powers.shape)
-        self.logs = np.asarray(logs, dtype=float)
+        self.powers = np.array(powers, dtype=float)
+        self.freqs = np.array(freqs, dtype=float)
+        self.kinds = np.array(kinds, dtype=int)
+        self.logs = np.zeros(self.powers.shape) if logs is None else np.array(logs, dtype=float)
         shapes = {a.shape for a in (self.powers, self.freqs, self.kinds, self.logs)}
         if len(shapes) != 1:
             raise ValueError("term arrays must share a shape")
@@ -165,25 +159,11 @@ class PolarBasis:
         polynomial = (self.freqs <= self.powers) & ((self.powers - self.freqs) % 2 == 0)
         if np.any((self.powers < 2) & ~polynomial):
             raise ValueError("terms with m < 2 must satisfy m >= k with m - k even")
-        # gather tables: the distinct frequencies, the columns of the
-        # [cos | sin] table holding each term's T and T', and the scale of T'
-        self._ks, k_col = np.unique(self.freqs, return_inverse=True)
-        on_cos = self.kinds == COS
-        sin_col = k_col + self._ks.size
-        self._t_cols = np.where(on_cos, k_col, sin_col)
-        self._td_cols = np.where(on_cos, sin_col, k_col)
-        self._td_scale = np.where(on_cos, -self.freqs, self.freqs)
-        # distinct exponents of r^{m - shift} and their columns, by shift;
-        # then the same over the log terms alone (all have m >= 2)
-        self._expos = tuple(
-            np.unique(np.maximum(self.powers - shift, 0.0), return_inverse=True)
-            for shift in (0, 1, 2)
-        )
-        self._log_terms = np.flatnonzero(self.logs)
-        self._log_expos = tuple(
-            np.unique(self.powers[self._log_terms] - shift, return_inverse=True)
-            for shift in (0, 1, 2)
-        )
+        # read-only: the cell maps, and every holder of a cached basis, rely
+        # on the terms never changing
+        for column in (self.powers, self.freqs, self.kinds, self.logs):
+            column.flags.writeable = False
+        self._maps: dict[str, CellMap] = {}
 
     @property
     def n(self) -> int:
@@ -206,56 +186,63 @@ class PolarBasis:
             "laplacian": (2, False, m * m - k * k, (2.0 * m * w,)),
         }
 
-    # -- radial and angular factors -------------------------------------------
+    def _cells(self, name: str) -> CellMap:
+        """The cell map of one component, the only reader of ``_forms``.  The
+        maps of all components of its shift are built on first use and kept.
 
-    def _cos_sin(self, g: PolarGrid):
-        """[cos | sin](k theta) of the distinct frequencies, (n_theta, 2K)."""
-        ang = np.multiply.outer(g.theta, self._ks)
-        return np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
-
-    def _trig(self, cs, derivative: bool):
-        """T or T' per angle row, (n_theta, n), gathered from the cos/sin
-        table; T' = -k sin(k theta) on cos terms, k cos(k theta) on sin."""
-        if not derivative:
-            return np.take(cs, self._t_cols, axis=1)
-        td = np.take(cs, self._td_cols, axis=1)
-        td *= self._td_scale
-        return td
-
-    def _pow(self, g: PolarGrid, shift: int):
-        expo, cols = self._expos[shift]
-        return np.take(g.r.reshape(-1, 1) ** expo, cols, axis=1)
-
-    def _closed_form(self, power, trig, lg, a, *addends):
-        """power (a l + addends) trig, summed left to right, in one temporary.
-
-        ``a`` and ``addends`` are per-term coefficient vectors of the formula
-        table.  l is log r on log terms and 1 elsewhere, folded in as
-        a w log r + a (1 - w); without log terms the sum stays a vector.
-        """
-        if lg is None:
-            coeff = a * 1.0  # a copy: the addends accumulate in place
-        else:
-            coeff = lg[:, None] * (a * self.logs)
-            coeff += a * (1.0 - self.logs)
-        for b in addends:
-            coeff += b
-        out = power * coeff
-        rows = out.reshape(trig.shape[0], -1, trig.shape[1])  # a view, by angle row
-        rows *= trig[:, None, :]
-        return out
+        Entries run over the terms, then the log terms twice.  T' is -k
+        sin(k theta) on cos terms and k cos(k theta) on sin terms, its scale
+        folded into the weight.  Exponent columns are r^{m - shift} clipped
+        at zero, then R^e log R and R^e over the log terms' exponents."""
+        if name in self._maps:
+            return self._maps[name]
+        m, w, shift = self.powers, self.logs, self._forms[name][0]
+        ks, k_col = np.unique(self.freqs, return_inverse=True)
+        on_cos = self.kinds == COS
+        logs = np.flatnonzero(w)
+        terms = np.concatenate([np.arange(self.n), logs, logs])
+        # consecutive log terms, as in every named family, are one slice of a
+        # table's columns, which adds several times faster than an index array
+        consecutive = logs.size and logs[-1] - logs[0] + 1 == logs.size
+        log_cols = slice(logs[0], logs[-1] + 1) if consecutive else logs
+        expo, e_col = np.unique(np.maximum(m - shift, 0.0), return_inverse=True)
+        log_expo, l_col = np.unique(m[logs] - shift, return_inverse=True)
+        xs = np.concatenate([e_col, expo.size + l_col, expo.size + log_expo.size + l_col])
+        width = expo.size + 2 * log_expo.size
+        for key, (s, derivative, a, addends) in self._forms.items():
+            if s == shift:
+                cols = np.where(on_cos != derivative, k_col, k_col + ks.size)[terms]
+                scale = np.where(on_cos, -self.freqs, self.freqs) if derivative else 1.0
+                plain = (a * (1.0 - w) + sum(addends)) * scale
+                logged = (a * w * scale)[logs]
+                weights = np.concatenate([plain, logged, logged])
+                flat = cols * width + xs
+                self._maps[key] = CellMap(
+                    ks, expo, log_expo, terms, cols, xs, weights, flat, log_cols
+                )
+        return self._maps[name]
 
     def _tables(self, g: PolarGrid, *names):
-        """(N, n) term tables of the named components, which share one shift."""
-        cs, power = self._cos_sin(g), self._pow(g, self._forms[names[0]][0])
-        lg = _log(g.r.reshape(-1)) if self.logs.any() else None
-        out = []
-        for name in names:
-            _, derivative, a, addends = self._forms[name]
-            out.append(self._closed_form(power, self._trig(cs, derivative), lg, a, *addends))
-        return out
-
-    # -- term tables ------------------------------------------------------------
+        """(N, n) term tables of the named components, which share one shift,
+        gathered from their cell maps."""
+        maps = [self._cells(name) for name in names]
+        cs, radial, axial = maps[0].factors(g)
+        xs, n = maps[0].xs, self.n
+        radial, axial = np.take(radial, xs, axis=1), np.take(axial.T, xs, axis=1)
+        tables = []
+        for cells in maps:
+            rows = np.take(cs, cells.cols, axis=1)
+            rows *= radial
+            # times the weighted axial rows, (n_theta, n_t, entries); in place
+            # on one-point rays, where each row is one point
+            rows, axial_w = rows[:, None, :], axial * cells.weights
+            in_place = rows[..., :n] if g.t.size == 1 else None
+            table = np.multiply(rows[..., :n], axial_w[:, :n], out=in_place).reshape(g.size, n)
+            if cells.terms.size > n:
+                logged = (rows[..., n:] * axial_w[:, n:]).reshape(g.size, 2, -1)
+                table[:, cells.log_cols] += logged[:, 0] + logged[:, 1]
+            tables.append(table)
+        return tables
 
     def values(self, g: PolarGrid):
         return self._tables(g, "value")[0]
@@ -271,62 +258,77 @@ class PolarBasis:
         """f_r nu_r + (f_theta / r) nu_theta, (N, n), against a normal given
         by its polar components at each point."""
         fr, ftr = self.gradients(g)
-        return fr * nu_r[:, None] + ftr * nu_theta[:, None]
+        fr *= nu_r[:, None]
+        fr += ftr * nu_theta[:, None]
+        return fr
 
     def hessian_rtheta(self, g: PolarGrid):
-        """H_rtheta alone, (N, n): the middle component of ``hessian_frame``."""
+        """H_rtheta, the frame component d/dr(f_theta/r), (N, n)."""
         return self._tables(g, "H_rtheta")[0]
-
-    def hessian_frame(self, g: PolarGrid):
-        """(H_rr, H_rtheta, H_thetatheta), each (N, n)."""
-        return tuple(self._tables(g, *HESSIAN))
 
     def laplacians(self, g: PolarGrid):
         return self._tables(g, "laplacian")[0]
 
 
+class CellMap(NamedTuple):
+    """One component's cell map: the (2K, width) cells pair the [cos | sin]
+    columns of the frequencies ``ks`` with exponent columns R^e t^e over
+    ``expo``, then R^e log R t^e and R^e t^e log t over ``log_expo``.  Entry
+    i adds weights[i] times term terms[i] to cell (cols[i], xs[i]), flat[i]
+    in the raveled grid; ``log_cols`` are the log terms' table columns."""
+
+    ks: np.ndarray
+    expo: np.ndarray
+    log_expo: np.ndarray
+    terms: np.ndarray
+    cols: np.ndarray
+    xs: np.ndarray
+    weights: np.ndarray
+    flat: np.ndarray
+    log_cols: slice | np.ndarray
+
+    def factors(self, g: PolarGrid):
+        """The grid factors: cs (n_theta, 2K), the radial columns
+        (n_theta, width) and the axial rows (width, n_t), with r^e = R^e t^e
+        and r^e log r = R^e log R t^e + R^e t^e log t."""
+        ang = np.multiply.outer(g.theta, self.ks)
+        cs = np.empty((g.theta.size, 2 * self.ks.size))
+        np.cos(ang, out=cs[:, : self.ks.size])
+        np.sin(ang, out=cs[:, self.ks.size :])
+        radial, axial = g.radius[:, None] ** self.expo, g.t ** self.expo[:, None]
+        if self.log_expo.size:
+            r_pow, t_pow = g.radius[:, None] ** self.log_expo, g.t ** self.log_expo[:, None]
+            radial = np.concatenate([radial, r_pow * _log(g.radius)[:, None], r_pow], axis=1)
+            axial = np.concatenate([axial, t_pow, t_pow * _log(g.t)])
+        return cs, radial, axial
+
+
 def concat(*parts: PolarBasis) -> PolarBasis:
     """One table holding the terms of ``parts`` in order."""
-    return PolarBasis(
-        *(
-            np.concatenate([getattr(p, col) for p in parts])
-            for col in ("powers", "freqs", "kinds", "logs")
-        )
-    )
+    columns = ("powers", "freqs", "kinds", "logs")
+    return PolarBasis(*(np.concatenate([getattr(p, c) for p in parts]) for c in columns))
 
 
+# The named families are cached: a basis is a constant of its order, and
+# solves at one truncation share it and the cell maps it keeps.
+
+
+@cache
 def harmonic_basis(order: int, include_constant: bool = False) -> PolarBasis:
     """Harmonic polynomials r^k cos/sin(k theta) up to degree ``order``."""
-    powers, freqs, kinds = [], [], []
-    if include_constant:
-        powers.append(0)
-        freqs.append(0)
-        kinds.append(COS)
-    for k in range(1, order + 1):
-        powers.extend([k, k])
-        freqs.extend([k, k])
-        kinds.extend([COS, SIN])
-    return PolarBasis(powers, freqs, kinds)
+    terms = [(0, 0, COS)] * include_constant
+    terms += [(k, k, kind) for k in range(1, order + 1) for kind in (COS, SIN)]
+    return PolarBasis(*np.reshape(terms, (-1, 3)).T)
 
 
+@cache
 def full_basis(order: int, include_constant: bool = False) -> PolarBasis:
     """All parity-admissible r^m trig(k theta) with m <= order."""
-    powers, freqs, kinds = [], [], []
-    if include_constant:
-        powers.append(0)
-        freqs.append(0)
-        kinds.append(COS)
+    terms = [(0, 0, COS)] * include_constant
     for m in range(1, order + 1):
         for k in range(m % 2, m + 1, 2):
-            if k == 0:
-                powers.append(m)
-                freqs.append(0)
-                kinds.append(COS)
-            else:
-                powers.extend([m, m])
-                freqs.extend([k, k])
-                kinds.extend([COS, SIN])
-    return PolarBasis(powers, freqs, kinds)
+            terms += [(m, k, kind) for kind in ((COS,) if k == 0 else (COS, SIN))]
+    return PolarBasis(*np.reshape(terms, (-1, 3)).T)
 
 
 # The three constructors below name the term families of ``cascade_basis``;
@@ -346,6 +348,7 @@ def LogPolarBasis(powers, freqs, kinds) -> PolarBasis:
 CompositeBasis = concat
 
 
+@cache
 def cascade_basis(order: int) -> PolarBasis:
     """Polynomial family closed under angle-coupled corrections.
 
@@ -362,16 +365,11 @@ def cascade_basis(order: int) -> PolarBasis:
     """
     if order < 2:
         raise ValueError(f"cascade basis needs order >= 2, got {order}")
-    loose = ([], [], [])
-    logged = ([], [], [])
+    loose, logged = [], []
 
     def add(store, m: int, k: int) -> None:
-        if m < 2 or m > order or k > order:
-            return
-        for kind in (COS,) if k == 0 else (COS, SIN):
-            store[0].append(m)
-            store[1].append(k)
-            store[2].append(kind)
+        if 2 <= m <= order and k <= order:
+            store += [(m, k, kind) for kind in ((COS,) if k == 0 else (COS, SIN))]
 
     for k in range(0, order + 1):
         add(loose, k - 2, k)
@@ -382,8 +380,8 @@ def cascade_basis(order: int) -> PolarBasis:
             add(loose, k + offset, k)
     return CompositeBasis(
         full_basis(order),
-        LoosePolarBasis(*loose),
-        LogPolarBasis(*logged),
+        LoosePolarBasis(*np.reshape(loose, (-1, 3)).T),
+        LogPolarBasis(*np.reshape(logged, (-1, 3)).T),
     )
 
 
@@ -425,51 +423,23 @@ class PolarField:
     coeffs: np.ndarray
 
     def _contract(self, g: PolarGrid, names, combine=None):
-        """The named polar-frame components, which share one shift, by
-        exponent contraction, one coefficient column at a time.
-
-        Per column, each component is an angular array A (n_theta, width)
-        over exponent columns, radial factor included; ``combine`` maps
+        """The named polar-frame components, which share one shift, one
+        coefficient column at a time: per column, each component is an
+        (n_theta, width) array, radial factor included; ``combine`` maps
         them to one (*comp, n_theta, width) array (without it, the one
-        component is taken), and the axial factor (width, n_t) contracts
-        that to the grid's points.  Returns (N, *comp) for (n,)
-        coefficients and (N, q, *comp) for (n, q).
-        """
+        component is taken) for the product with the axial rows.  Returns
+        (N, *comp) for (n,) coefficients and (N, q, *comp) for (n, q)."""
         b = self.basis
-        cs = b._cos_sin(g)
-        shift = b._forms[names[0]][0]
-        expo, e_col = b._expos[shift]
-        log_expo, l_col = b._log_expos[shift]
-        # radial and axial factors of the plain part r^e = R^e t^e and of
-        # the log part r^e log r = R^e log R t^e + R^e t^e log t
-        r_pow, t_pow = g.radius[:, None] ** log_expo, g.t ** log_expo[:, None]
-        radial = np.concatenate(
-            [g.radius[:, None] ** expo, r_pow * _log(g.radius)[:, None], r_pow], axis=1
-        )
-        axial = np.concatenate([g.t ** expo[:, None], t_pow, t_pow * _log(g.t)])
-        width = axial.shape[0]
-        # each entry's cell in the (2K, width) grid of [cos | sin] columns by
-        # exponent columns, and its formula weight: one entry per term for
-        # the plain part, two more per log term for the log part
-        logs = b._log_terms
-        terms = np.concatenate([np.arange(b.n), logs, logs])
-        e_cells = np.concatenate([e_col, expo.size + l_col, expo.size + log_expo.size + l_col])
-        forms = []
-        for name in names:
-            _, derivative, a, addends = b._forms[name]
-            rows, scale = (b._td_cols, b._td_scale) if derivative else (b._t_cols, 1.0)
-            plain = (a * (1.0 - b.logs) + sum(addends)) * scale
-            logged = (a * b.logs * scale)[logs]
-            forms.append(
-                (rows[terms] * width + e_cells, np.concatenate([plain, logged, logged]))
-            )
+        maps = [b._cells(name) for name in names]
+        cs, radial, axial = maps[0].factors(g)
+        n_cells = cs.shape[1] * axial.shape[0]
         columns = self.coeffs.reshape(b.n, -1).T
         out = None
         for j, c in enumerate(columns):
-            entries, angular = c[terms], []
-            for cells, weights in forms:
-                cell_sums = np.bincount(cells, weights * entries, cs.shape[1] * width)
-                ang = cs @ cell_sums.reshape(cs.shape[1], width)
+            entries, angular = c[maps[0].terms], []
+            for m in maps:
+                cell_sums = np.bincount(m.flat, m.weights * entries, n_cells)
+                ang = cs @ cell_sums.reshape(cs.shape[1], -1)
                 ang *= radial
                 angular.append(ang)
             block = combine(g, *angular) if combine else angular[0]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -339,6 +340,8 @@ def verify_inequality(
         raise InputError(f"unknown theorem id {theorem!r}")
     if z_method not in Z_METHODS:
         raise InputError(f"unknown Z method {z_method!r}")
+    if isinstance(refine, bool) or not isinstance(refine, numbers.Integral) or refine < 1:
+        raise InputError(f"refine must be an integer >= 1, got {refine!r}")
     domains, alpha, declared = _members_and_alpha(family, alpha)
     members = [
         _Member(dom, dom.label or f"domain-{i}", alpha, z_method, refine)

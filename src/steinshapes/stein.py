@@ -178,6 +178,8 @@ def stein_kernel_solve(
 
     Raises
     ------
+    InputError
+        if the truncation order k is below 1.
     NotCentered
         if the boundary barycenter integral exceeds 1e-8.
     IllConditioned
@@ -185,6 +187,8 @@ def stein_kernel_solve(
     IdentityViolated
         if the defining identity fails on the test panel at 1e-6 relative.
     """
+    if k < 1:
+        raise InputError(f"truncation order must be >= 1, got {k}")
     fun = geometric_functionals(domain)
     center_mag = float(np.hypot(*fun.barycenter)) * fun.perimeter
     if center_mag > CENTER_GATE:

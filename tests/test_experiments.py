@@ -228,6 +228,18 @@ class TestVerifyInequality:
         with pytest.raises(InputError, match="alpha 0.5 conflicts"):
             ex.verify_inequality(fam, "thm-main", alpha=0.5)
 
+    @pytest.mark.parametrize("refine", [0, -1, 1.5], ids=["zero", "negative", "fractional"])
+    def test_refine_must_be_a_positive_integer(self, monkeypatch, refine):
+        # rejected before any member is solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("a member was solved")
+
+        for module, name in ((ex.stein, "stein_kernel_solve"), (ex.steklov, "steklov_spectrum")):
+            monkeypatch.setattr(module, name, refuse)
+        fam = ex.PerturbationFamily(k=2, amplitudes=(0.04, 0.08))
+        with pytest.raises(InputError, match=rf"refine must be an integer >= 1, got {refine}"):
+            ex.verify_inequality(fam, "thm-bw", refine=refine)
+
     def test_gate_error_names_the_member_and_the_solve(self):
         fam = ex.PerturbationFamily(k=4, amplitudes=(0.03, 0.06, 0.09))
         with pytest.raises(IdentityViolated) as failure:

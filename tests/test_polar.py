@@ -16,7 +16,6 @@ METHODS = (
     "radial_derivative",
     "gradients",
     "hessian_rtheta",
-    "hessian_frame",
     "laplacians",
 )
 
@@ -159,10 +158,6 @@ def test_concat_with_itself_duplicates_every_column(basis, grid):
             assert np.array_equal(np.concatenate([a, a], axis=1), b), method
 
 
-def test_hessian_rtheta_is_the_frame_component(basis, grid):
-    assert np.array_equal(basis.hessian_rtheta(grid), basis.hessian_frame(grid)[1])
-
-
 def test_multi_column_field_matches_its_columns(basis, grid, bulk):
     # (n, q) coefficients are q fields on one basis evaluation, each column
     # bit for bit its own (n,) field, on one-point rays and on a tensor grid
@@ -269,29 +264,86 @@ TABLES = (
     "gradients",
     "normal_derivative",
     "hessian_rtheta",
-    "hessian_frame",
     "laplacians",
 )
+LAYOUTS = ("bulk", "disk", "sup-disk", "rays")
 
 
-def table_route(field, method, g, nu):
-    """A field method evaluated from the basis term tables, rotated to
-    Cartesian axes point by point."""
-    b, c = field.basis, field.coeffs
-    if method == "normal_derivative":
-        return b.normal_derivative(g, *nu) @ c
-    if method not in ("gradient", "hessian"):
-        table = {"value": "values", "laplacian": "laplacians"}.get(method, method)
-        return getattr(b, table)(g) @ c
+def layout_grid(layout, bulk, grid):
+    """The grid of a layout.  The sup-disk layout has t = 0, where the log
+    terms' Hessians take the finite stand-in for log 0."""
+    return {
+        "bulk": bulk,
+        "disk": disk_grid(32, 8),
+        "sup-disk": PolarGrid(circle_grid(32)[0], np.ones(32), np.linspace(0.0, 1.0, 65)),
+        "rays": grid,
+    }[layout]
+
+
+def closed_forms(basis, g):
+    """The module docstring's seven closed forms, evaluated term by term at
+    each point from r = R t, (N, n) each, with log r taking the same finite
+    stand-in at r = 0 and negative powers clipped at zero."""
+    theta = np.repeat(g.theta, g.t.size)[:, None]
+    r = g.r.reshape(-1, 1)
+    m, k, w = basis.powers, basis.freqs, basis.logs
+    on_cos = basis.kinds == COS
+    trig = np.where(on_cos, np.cos(k * theta), np.sin(k * theta))
+    trig_d = np.where(on_cos, -k * np.sin(k * theta), k * np.cos(k * theta))
+    log_r = np.log(np.maximum(r, np.finfo(float).tiny))
+    lg = np.where(w == 1.0, log_r, 1.0)
+
+    def power(shift):
+        return r ** np.maximum(m - shift, 0.0)
+
+    return {
+        "value": power(0) * lg * trig,
+        "f_r": power(1) * (m * lg + w) * trig,
+        "f_theta/r": power(1) * lg * trig_d,
+        "H_rr": power(2) * (m * (m - 1) * lg + w * (2 * m - 1)) * trig,
+        "H_rtheta": power(2) * ((m - 1) * lg + w) * trig_d,
+        "H_thetatheta": power(2) * ((m - k * k) * lg + w) * trig,
+        "laplacian": power(2) * ((m * m - k * k) * lg + 2 * m * w) * trig,
+    }
+
+
+def cartesian(g, *frame):
+    """Polar-frame gradients (v_r, v_theta) or Hessians (H_rr, H_rtheta,
+    H_thetatheta), (N, ...) each, rotated to Cartesian axes point by point."""
     theta = np.repeat(g.theta, g.t.size)
     ct, st = np.cos(theta), np.sin(theta)
     rot = np.moveaxis(np.array([[ct, -st], [st, ct]]), -1, 0)  # (N, 2, 2)
-    if method == "gradient":
-        fr, ft = (t @ c for t in b.gradients(g))
-        return np.einsum("nab,n...b->n...a", rot, np.stack([fr, ft], axis=-1))
-    hrr, hrt, htt = (t @ c for t in b.hessian_frame(g))
+    if len(frame) == 2:
+        return np.einsum("nab,n...b->n...a", rot, np.stack(frame, axis=-1))
+    hrr, hrt, htt = frame
     polar = np.stack([np.stack([hrr, hrt], -1), np.stack([hrt, htt], -1)], -2)
     return np.einsum("nab,n...bc,ndc->n...ad", rot, polar, rot)
+
+
+def table_route(field, method, g, nu):
+    """A field method other than the Hessian, evaluated from the basis term
+    tables, the gradient rotated to Cartesian axes point by point."""
+    b, c = field.basis, field.coeffs
+    if method == "normal_derivative":
+        return b.normal_derivative(g, *nu) @ c
+    if method == "gradient":
+        return cartesian(g, *(t @ c for t in b.gradients(g)))
+    table = {"value": "values", "laplacian": "laplacians"}.get(method, method)
+    return getattr(b, table)(g) @ c
+
+
+def reference_route(field, method, g, nu):
+    """A field method from the closed forms at each point."""
+    forms = {name: f @ field.coeffs for name, f in closed_forms(field.basis, g).items()}
+    if method == "normal_derivative":
+        nu_r, nu_t = (np.reshape(x, (-1,) + (1,) * (field.coeffs.ndim - 1)) for x in nu)
+        return forms["f_r"] * nu_r + forms["f_theta/r"] * nu_t
+    if method == "gradient":
+        return cartesian(g, forms["f_r"], forms["f_theta/r"])
+    if method == "hessian":
+        return cartesian(g, forms["H_rr"], forms["H_rtheta"], forms["H_thetatheta"])
+    name = {"radial_derivative": "f_r", "hessian_rtheta": "H_rtheta"}.get(method, method)
+    return forms[name]
 
 
 def field_route(field, method, g, nu):
@@ -301,33 +353,69 @@ def field_route(field, method, g, nu):
 
 
 @pytest.mark.parametrize("q", [None, 3], ids=["one-field", "three-fields"])
-@pytest.mark.parametrize("layout", ["bulk", "disk", "sup-disk", "rays"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_contraction_matches_the_term_tables(basis, bulk, grid, layout, q):
-    # the field methods contract exponents on the grid's factors; the basis
-    # tables evaluate r^m term by term at each point.  The sup-disk layout
-    # has t = 0, where the log terms' Hessians take the finite stand-in
-    g = {
-        "bulk": bulk,
-        "disk": disk_grid(32, 8),
-        "sup-disk": PolarGrid(circle_grid(32)[0], np.ones(32), np.linspace(0.0, 1.0, 65)),
-        "rays": grid,
-    }[layout]
+    # the two readers of one cell map: fields scatter coefficients into it,
+    # term tables gather from it; the Hessian has no term table and is held
+    # to the closed forms below
+    g = layout_grid(layout, bulk, grid)
     rng = np.random.default_rng(9)
     shape = (basis.n,) if q is None else (basis.n, q)
     field = _polar.PolarField(basis, rng.standard_normal(shape))
     phi = rng.uniform(-np.pi, np.pi, g.size)
     nu = (np.cos(phi), np.sin(phi))
     for method in ALL_FIELD_METHODS:
+        if method == "hessian":
+            continue
         got = field_route(field, method, g, nu)
         want = table_route(field, method, g, nu)
         assert got.shape == want.shape, method
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), method
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tables_match_the_closed_forms(basis, bulk, grid, layout):
+    # each term table against the docstring's formulas evaluated point by
+    # point, an implementation that shares nothing with the cell map
+    g = layout_grid(layout, bulk, grid)
+    forms = closed_forms(basis, g)
+    phi = np.random.default_rng(8).uniform(-np.pi, np.pi, g.size)
+    nu_r, nu_t = np.cos(phi), np.sin(phi)
+    pairs = [
+        (basis.values(g), forms["value"]),
+        (basis.radial_derivative(g), forms["f_r"]),
+        *zip(basis.gradients(g), (forms["f_r"], forms["f_theta/r"])),
+        (
+            basis.normal_derivative(g, nu_r, nu_t),
+            forms["f_r"] * nu_r[:, None] + forms["f_theta/r"] * nu_t[:, None],
+        ),
+        (basis.hessian_rtheta(g), forms["H_rtheta"]),
+        (basis.laplacians(g), forms["laplacian"]),
+    ]
+    for i, (got, want) in enumerate(pairs):
+        assert got.shape == want.shape == (g.size, basis.n), i
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), i
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_fields_match_the_closed_forms(basis, bulk, grid, layout):
+    g = layout_grid(layout, bulk, grid)
+    rng = np.random.default_rng(10)
+    field = _polar.PolarField(basis, rng.standard_normal((basis.n, 2)))
+    phi = rng.uniform(-np.pi, np.pi, g.size)
+    nu = (np.cos(phi), np.sin(phi))
+    for method in ALL_FIELD_METHODS:
+        got = field_route(field, method, g, nu)
+        want = reference_route(field, method, g, nu)
+        assert got.shape == want.shape, method
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), method
+
+
 def test_field_methods_build_no_term_table(monkeypatch):
-    # a field evaluates by exponent contraction alone: with every term-table
-    # method of the basis disabled, each field method still returns, so no
-    # (N, n) table is built behind a field value (8192 x 379 here)
+    # a field evaluates by exponent contraction alone: with the table reader
+    # and every term-table method of the basis disabled, each field method
+    # still returns, so no (N, n) table is built behind a field value
+    # (8192 x 379 here)
     basis = _polar.cascade_basis(16)
     field = _polar.PolarField(basis, np.random.default_rng(6).standard_normal(basis.n))
     g = disk_grid(256, 32)
@@ -335,7 +423,7 @@ def test_field_methods_build_no_term_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a field evaluation built a term table")
 
-    for name in TABLES + ("_closed_form", "_pow"):
+    for name in TABLES + ("_tables",):
         monkeypatch.setattr(PolarBasis, name, refuse)
     nu = (np.ones(g.size), np.zeros(g.size))
     for method in ALL_FIELD_METHODS:

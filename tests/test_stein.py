@@ -19,7 +19,7 @@ from steinshapes import (
 )
 from steinshapes import stein
 from steinshapes._polar import PolarField, full_basis
-from steinshapes.errors import NotCentered
+from steinshapes.errors import InputError, NotCentered
 from steinshapes.shapes import doubling_quadrature, frame_at
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -127,6 +127,12 @@ def test_requadrature_is_stable():
 def test_off_center_domain_is_rejected():
     with pytest.raises(NotCentered):
         stein_kernel_solve(StarDomain(1.0, (0.1,)))
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_truncation_below_one_is_an_input_error(k):
+    with pytest.raises(InputError, match="truncation"):
+        stein_kernel_solve(ball(), k=k)
 
 
 def test_discrepancy_order_validation():
