@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import IllConditioned, InputError
 
 COS, SIN = 0, 1
 COND_GATE = 1e12
@@ -487,9 +487,9 @@ class PolarField:
         Log terms and resonant ones (k = m + 2) have no such preimage."""
         b = self.basis
         if b.logs.any():
-            raise ValueError("Poisson preimages of log terms are not tabled")
+            raise InputError("Poisson preimages of log terms are not tabled")
         powers = b.powers + 2.0
         factor = powers * powers - b.freqs * b.freqs
         if np.any(factor == 0.0):
-            raise ValueError("resonant terms (k = m + 2) have no polynomial preimage")
+            raise InputError("resonant terms (k = m + 2) have no polynomial preimage")
         return PolarField(PolarBasis(powers, b.freqs, b.kinds), (self.coeffs.T / factor).T)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiments, oblique, rbm
 from .errors import InputError, IoFailure, SteinShapesError
-from .shapes import build_domain, config_value, load_json_object
+from .shapes import build_domain, load_json_object, read_config
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -32,31 +32,15 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return tuple(float(e) for e in grid)
 
 
-_FAMILY_KEYS = {"k", "amplitudes", "eps", "normalization", "alpha", "base_radius"}
-
-
 def _family_from_path(path: str, alpha: float | None) -> experiments.PerturbationFamily | list:
+    given = {} if alpha is None else {"alpha": alpha}
     if path == "default":
-        return experiments.PerturbationFamily(
-            alpha=1.0 if alpha is None else alpha
-        )
+        return experiments.PerturbationFamily(**given)
     data = load_json_object(path, "family config")
     if "amplitudes" not in data and "eps" not in data:
         return [build_domain(data)]
-    unknown = set(data) - _FAMILY_KEYS
-    if unknown:
-        raise IoFailure(f"unknown family config keys: {sorted(unknown)}")
-    k = config_value(data, "k", float, 2.0)
-    # int() would truncate a mode such as 2.7
-    if not k.is_integer():
-        raise IoFailure(f"family mode k must be an integer, got {k!r}")
-    amplitude_key = "amplitudes" if "amplitudes" in data else "eps"
-    return experiments.PerturbationFamily(
-        k=int(k),
-        amplitudes=config_value(data, amplitude_key, tuple),
-        normalization=config_value(data, "normalization", str, "volume"),
-        alpha=config_value(data, "alpha", float, 1.0 if alpha is None else alpha),
-        base_radius=config_value(data, "base_radius", float, 1.0),
+    return read_config(
+        experiments.PerturbationFamily, data, "family config", {"eps": "amplitudes"}, **given
     )
 
 

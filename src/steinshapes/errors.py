@@ -4,7 +4,8 @@ Every failure the package reports goes through one of these classes, and
 the class alone sorts it: an ``InputError`` means the caller's input or
 config is at fault (CLI exit 3); any other ``SteinShapesError`` is a solver
 or geometry gate (CLI exit 2).  ``InputError`` is also a ``ValueError``, so
-argument checks keep the builtin contract.
+argument checks keep the builtin contract.  The shared checks of outside
+values are ``check_alpha``, ``check_integer`` and ``read_config`` in ``shapes``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -37,8 +36,11 @@ from .errors import InputError, IoFailure, NormalizationMissing, NotApplicable, 
 from .shapes import (
     BALL_VOLUME,
     QUAD_TOL,
+    ShapeSpec,
     StarDomain,
     build_domain,
+    check_alpha,
+    check_integer,
     geometric_functionals,
     regularity_params,
 )
@@ -66,29 +68,27 @@ class PerturbationFamily:
     base_radius: float = 1.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"mode k must be >= 1, got {self.k}")
+        check_integer("mode k", self.k, 1)
         if len(self.amplitudes) == 0:
             raise InputError("need at least one amplitude")
         if any(b <= a for a, b in zip(self.amplitudes, self.amplitudes[1:])):
             raise InputError("amplitudes must be strictly increasing")
         if self.normalization not in ("volume", "recenter", "both"):
             raise InputError(f"unknown normalization {self.normalization!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
 
     def members(self) -> tuple[StarDomain, ...]:
-        out = []
-        for eps in self.amplitudes:
-            spec = {
-                "base_radius": self.base_radius,
-                "fourier_cos": (0.0,) * (self.k - 1) + (float(eps),),
-                "normalize_volume": self.normalization in ("volume", "both"),
-                "recenter": self.normalization in ("recenter", "both"),
-                "label": f"k={self.k} eps={eps:g}",
-            }
-            out.append(build_domain(spec))
-        return tuple(out)
+        shapes = (
+            ShapeSpec(
+                base_radius=self.base_radius,
+                fourier_cos=(0.0,) * (self.k - 1) + (float(eps),),
+                normalize_volume=self.normalization in ("volume", "both"),
+                recenter=self.normalization in ("recenter", "both"),
+                label=f"k={self.k} eps={eps:g}",
+            )
+            for eps in self.amplitudes
+        )
+        return tuple(map(build_domain, shapes))
 
 
 def default_families() -> tuple[PerturbationFamily, PerturbationFamily]:
@@ -291,6 +291,7 @@ THEOREMS = tuple(_THEOREMS)
 
 
 def _members_and_alpha(family, alpha: float | None):
+    check_alpha(1.0 if alpha is None else alpha)
     if isinstance(family, PerturbationFamily):
         if alpha is not None and alpha != family.alpha:
             raise InputError(f"alpha {alpha} conflicts with the family's alpha {family.alpha}")
@@ -340,8 +341,7 @@ def verify_inequality(
         raise InputError(f"unknown theorem id {theorem!r}")
     if z_method not in Z_METHODS:
         raise InputError(f"unknown Z method {z_method!r}")
-    if isinstance(refine, bool) or not isinstance(refine, numbers.Integral) or refine < 1:
-        raise InputError(f"refine must be an integer >= 1, got {refine!r}")
+    check_integer("refine", refine, 1)
     domains, alpha, declared = _members_and_alpha(family, alpha)
     members = [
         _Member(dom, dom.label or f"domain-{i}", alpha, z_method, refine)
@@ -437,8 +437,7 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
     itself exact, so its residuals sit at machine zero and the slope is
     reported as inf.
     """
-    if k < 1:
-        raise InputError(f"mode k must be >= 1, got {k}")
+    check_integer("mode k", k, 1)
     eps = tuple(float(e) for e in amplitudes)
     if not eps:
         raise InputError("need at least one amplitude")

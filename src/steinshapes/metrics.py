@@ -53,6 +53,8 @@ from .shapes import (
     _fourier_fit,
     boundary_frame,
     bulk_grid,
+    check_alpha,
+    check_integer,
     circle_grid,
     disk_grid,
     doubling_quadrature,
@@ -141,8 +143,7 @@ def fraenkel_asymmetry(
     when ``search`` is on, else fixed at the origin.  Rasterization uses
     antialiased cell coverage, which keeps the objective smooth in c.
     """
-    if n < 128:
-        raise GridTooCoarse(f"raster grid must be >= 128, got {n}")
+    check_integer("raster grid", n, 128, GridTooCoarse)
     fun = geometric_functionals(domain)
     r = math.sqrt(fun.volume / math.pi)
     half_width = _sup_radius(domain) + r
@@ -195,8 +196,7 @@ def fraenkel_polar_oracle(domain: StarDomain) -> float:
 
 def zolotarev_tv(domain: StarDomain, n: int = 512) -> float:
     """int |1_{B_1} - (|B_1|/|Omega|) 1_Omega| by rasterization."""
-    if n < 128:
-        raise GridTooCoarse(f"raster grid must be >= 128, got {n}")
+    check_integer("raster grid", n, 128, GridTooCoarse)
     fun = geometric_functionals(domain)
     ratio = BALL_VOLUME / fun.volume
     half_width = max(_sup_radius(domain), 1.0) + 0.05
@@ -271,8 +271,7 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
       * clipped affine functions clip(x . e, -1, 1);
       * cusp bumps min(1, |x - x0|^alpha) centered on the unit circle.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     fun = geometric_functionals(domain)
     ratio = BALL_VOLUME / fun.volume
     rho = max(_sup_radius(domain), 1.0)
@@ -450,12 +449,10 @@ def zolotarev_oracle(
     cell shift and the dropped mass; the continuum distance lies within
     error_bound of the LP optimum.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
+    check_integer("LP nodes", n_g, 16, GridTooCoarse)
     if n_g > LP_NODE_CAP:
         raise InputError(f"dense LP is capped at {LP_NODE_CAP} nodes, got {n_g}")
-    if n_g < 16:
-        raise GridTooCoarse(f"need >= 16 LP nodes, got {n_g}")
 
     def solve(target_nodes: int) -> tuple[int, int, float, np.ndarray, float]:
         pts, w_ball, w_dom, h = _lp_nodes(domain, target_nodes)

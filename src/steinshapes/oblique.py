@@ -48,6 +48,7 @@ from .errors import (
 from .shapes import (
     StarDomain,
     bulk_grid,
+    check_alpha,
     circle_grid,
     disk_grid,
     doubling_quadrature,
@@ -349,8 +350,7 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
     The data and Hessian fields of every probe are formed first, and all
     their seminorms come from one pass over the point pairs.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     probes = tuple(probes)
     if not probes:
         raise InputError("need at least one probe")

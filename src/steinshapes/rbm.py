@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
 from .oblique import ObliqueSolution
-from .shapes import StarDomain, _validate
+from .shapes import StarDomain, _validate, check_integer
 
 BATCHES = 20
 CHI2_BINS = 16
@@ -46,8 +46,7 @@ class PathConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.dt, self.horizon, self.burn_in)):
             raise InputError("dt, horizon and burn-in must be finite")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        check_integer("seed", self.seed, 0)
         if not 0.0 < self.dt <= 1e-3:
             raise InputError(f"dt must lie in (0, 1e-3], got {self.dt}")
         if self.burn_in < 1.0:

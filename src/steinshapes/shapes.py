@@ -31,6 +31,11 @@ angles crossed with Gauss-Legendre radial nodes scaled by R(theta).
 ``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``
 of its factors (theta, R(theta), t), and ``BoundaryFrame.grid`` holds a
 frame's points as one-point rays.
+
+Each kind of outside value has one reader here, which every module calls:
+``check_alpha`` for a Hoelder exponent, ``check_integer`` for a size, order,
+mode or seed, and ``read_config`` for a config mapping, read into the
+dataclass that declares its schema (``ShapeSpec`` for a shape).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_origin, get_type_hints
 
 import numpy as np
 
@@ -223,8 +228,8 @@ class GeometricFunctionals:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Parsed shape config; mirrors the config file keys one-to-one, except
-    ``dimension``, which is checked on parsing and must be 2."""
+    """Shape config: the schema of the config file, one field per key.
+    ``dimension`` must be 2."""
 
     base_radius: float = 1.0
     fourier_cos: tuple[float, ...] = ()
@@ -232,17 +237,11 @@ class ShapeSpec:
     normalize_volume: bool = False
     recenter: bool = False
     label: str = ""
+    dimension: int = 2
 
-
-_SPEC_KEYS = {
-    "dimension",
-    "base_radius",
-    "fourier_cos",
-    "fourier_sin",
-    "normalize_volume",
-    "recenter",
-    "label",
-}
+    def __post_init__(self):
+        if self.dimension != 2:
+            raise IoFailure(f"only dimension = 2 is computable, got {self.dimension!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +250,7 @@ _SPEC_KEYS = {
 
 def circle_grid(m: int) -> tuple[np.ndarray, float]:
     """M uniform angles on [0, 2 pi) and the trapezoid weight."""
+    check_integer("circle grid", m, 1, GridTooCoarse)
     return np.arange(m) * (TWO_PI / m), TWO_PI / m
 
 
@@ -353,6 +353,7 @@ def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGri
     are Gauss-Legendre on [0, 1] scaled by R(theta); the polar Jacobian
     r dr dtheta is folded into the weights.
     """
+    check_integer("radial grid", n_r, 1, GridTooCoarse)
     theta, dtheta = circle_grid(n_theta)
     r_node, r_weight = _gauss_legendre(n_r)
     t = 0.5 * (r_node + 1.0)
@@ -429,7 +430,7 @@ def _is_number(value) -> bool:
 # kind -> (the JSON values it takes, description); a bool is never a number
 _CONFIG_KINDS = {
     float: (numbers.Real, "a number"),
-    int: (numbers.Integral, "an integer"),
+    int: (numbers.Real, "an integer"),
     bool: (bool, "true or false"),
     str: (str, "a string"),
     tuple: ((list, tuple), "a list of numbers"),
@@ -439,10 +440,10 @@ _CONFIG_KINDS = {
 def config_value(data: Mapping, key: str, kind: type, default=None):
     """``data[key]`` read as ``kind``, or ``default`` when the key is absent.
 
-    float takes any number and int an integer (numpy scalars too, never a
-    bool), bool only a bool, str only a string, and tuple a list or tuple
-    of numbers, returned as floats.  Anything else raises IoFailure naming
-    the key.
+    float takes any number and int an integral one, 2.0 included since JSON
+    has one number type (numpy scalars too, never a bool), bool only a
+    bool, str only a string, and tuple a list or tuple of numbers, returned
+    as floats.  Anything else raises IoFailure naming the key.
     """
     if key not in data:
         return default
@@ -451,9 +452,42 @@ def config_value(data: Mapping, key: str, kind: type, default=None):
     valid = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
     if valid and kind is tuple:
         valid = all(map(_is_number, value))
+    if valid and kind is int:
+        valid = isinstance(value, numbers.Integral) or float(value).is_integer()
     if not valid:
         raise IoFailure(f"config key {key!r} must be {description}, got {value!r}")
     return tuple(map(float, value)) if kind is tuple else kind(value)
+
+
+def read_config(cls, data: Mapping, what: str, aliases: Mapping | None = None, **defaults):
+    """The dataclass ``cls`` read from the config mapping ``data``: each key
+    names a field, directly or through ``aliases`` (key -> field), and is
+    read by ``config_value`` as the field's annotated kind.  Other fields
+    take ``defaults``, then the class defaults.  Unknown keys and two keys
+    for one field raise IoFailure; ``what`` names the config in errors."""
+    kinds = {name: get_origin(hint) or hint for name, hint in get_type_hints(cls).items()}
+    names = [(aliases or {}).get(key, key) for key in data]
+    unknown = set(names) - kinds.keys()
+    if unknown:
+        raise IoFailure(f"unknown {what} keys: {sorted(unknown)}")
+    twice = sorted(key for key, name in zip(data, names) if names.count(name) > 1)
+    if twice:
+        raise IoFailure(f"{what} keys {twice} give the same field; keep one")
+    given = {name: config_value(data, key, kinds[name]) for key, name in zip(data, names)}
+    return cls(**{**defaults, **given})
+
+
+def check_alpha(alpha) -> None:
+    """Raise InputError unless ``alpha`` is a Hoelder exponent in (0, 1]."""
+    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
+        raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
+
+
+def check_integer(name: str, value, low: int, error: type[InputError] = InputError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (a ``numbers.Integral``,
+    never a bool) >= ``low``; ``name`` leads the message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def load_json_object(path, what: str) -> Mapping:
@@ -471,19 +505,7 @@ def load_json_object(path, what: str) -> Mapping:
 def parse_shape_spec(data: Mapping) -> ShapeSpec:
     """Strict mapping -> ShapeSpec conversion; unknown keys and values of
     the wrong JSON type are rejected."""
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise IoFailure(f"unknown shape config keys: {sorted(unknown)}")
-    if config_value(data, "dimension", int, 2) != 2:
-        raise IoFailure("only dimension = 2 is computable")
-    return ShapeSpec(
-        base_radius=config_value(data, "base_radius", float, 1.0),
-        fourier_cos=config_value(data, "fourier_cos", tuple, ()),
-        fourier_sin=config_value(data, "fourier_sin", tuple, ()),
-        normalize_volume=config_value(data, "normalize_volume", bool, False),
-        recenter=config_value(data, "recenter", bool, False),
-        label=config_value(data, "label", str, ""),
-    )
+    return read_config(ShapeSpec, data, "shape config")
 
 
 def load_shape_spec(path) -> ShapeSpec:
@@ -504,8 +526,9 @@ def build_domain(spec) -> StarDomain:
         spec = parse_shape_spec(spec)
     if not isinstance(spec, ShapeSpec):
         raise IoFailure(f"cannot build a domain from {type(spec).__name__}")
-    if not math.isfinite(spec.base_radius) or spec.base_radius <= 0:
-        raise NonPositiveRadius(f"base_radius = {spec.base_radius!r}")
+    base = spec.base_radius
+    if not (_is_number(base) and math.isfinite(base) and base > 0):
+        raise NonPositiveRadius(f"base_radius = {base!r}")
     domain = StarDomain(
         base_radius=spec.base_radius,
         cos_coeffs=spec.fourier_cos,
@@ -539,8 +562,9 @@ def frame_at(domain: StarDomain, theta, dtheta: float = math.nan) -> BoundaryFra
 
 def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
     """Boundary geometry on M uniform angles."""
-    if m < 8 or m % 2:
-        raise GridTooCoarse(f"boundary grid must be even and >= 8, got {m}")
+    check_integer("boundary grid", m, 8, GridTooCoarse)
+    if m % 2:
+        raise GridTooCoarse(f"boundary grid must be even, got {m}")
     return frame_at(domain, *circle_grid(m))
 
 
@@ -565,8 +589,7 @@ def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParam
     pairs at geodesic circle separations in [2 pi / M, pi], with
     M = VALIDATION_GRID.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     frame = frame_at(domain, *circle_grid(VALIDATION_GRID))
     r, rp = frame.radius, frame.radius_prime
     seminorm = _kernels.circle_lag_seminorm(rp, alpha)
@@ -720,8 +743,7 @@ def holder_norm(points, values, alpha: float) -> float:
     ``points`` has shape (N, d) or (N,) for samples on a line; ``values``
     holds h at those points.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -733,8 +755,7 @@ def holder_norm(points, values, alpha: float) -> float:
 
 def matrix_holder_seminorm(points, matrices, alpha: float) -> float:
     """C^alpha seminorm of a matrix field under the Frobenius distance."""
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     pts = np.asarray(points, dtype=float)
     mats = np.asarray(matrices, dtype=float).reshape(pts.shape[0], -1)
     return _kernels.matrix_pair_seminorm(pts, mats, alpha)

@@ -33,6 +33,7 @@ from .shapes import (
     StarDomain,
     boundary_frame,
     bulk_grid,
+    check_integer,
     doubling_quadrature,
     frame_at,
     geometric_functionals,
@@ -179,7 +180,7 @@ def stein_kernel_solve(
     Raises
     ------
     InputError
-        if the truncation order k is below 1.
+        if the truncation order k is not an integer >= 1.
     NotCentered
         if the boundary barycenter integral exceeds 1e-8.
     IllConditioned
@@ -187,8 +188,7 @@ def stein_kernel_solve(
     IdentityViolated
         if the defining identity fails on the test panel at 1e-6 relative.
     """
-    if k < 1:
-        raise InputError(f"truncation order must be >= 1, got {k}")
+    check_integer("truncation order", k, 1)
     fun = geometric_functionals(domain)
     center_mag = float(np.hypot(*fun.barycenter)) * fun.perimeter
     if center_mag > CENTER_GATE:

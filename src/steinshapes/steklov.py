@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import DegenerateBasis, GridTooCoarse, InputError, NotConverged, ZeroTrace
-from .shapes import StarDomain, boundary_frame, bulk_grid
+from .errors import DegenerateBasis, GridTooCoarse, NotConverged, ZeroTrace
+from .shapes import StarDomain, boundary_frame, bulk_grid, check_integer
 
 PIVOT_THRESHOLD = 1e-12
 CONVERGENCE_TOL = 1e-8
@@ -95,12 +95,9 @@ def steklov_spectrum(
     the boundary grid enlarged accordingly) at tolerance 1e-8; with
     ``strict`` the mismatch raises instead of being flagged.
     """
-    if k < 1:
-        raise InputError(f"truncation order must be >= 1, got {k}")
-    if m is None:
-        m = max(4 * (k + 4), 256)
-    if m < 4 * k:
-        raise GridTooCoarse(f"boundary grid must be >= 4k = {4 * k}, got {m}")
+    check_integer("truncation order", k, 1)
+    m = max(4 * (k + 4), 256) if m is None else m
+    check_integer("boundary grid", m, 4 * k, GridTooCoarse)
     a, b, scale = _assemble(domain, k, m)
     sigma, vecs, dropped = _solve_pencil(a, b)
     n = min(N_EIGENVALUES, sigma.size)

@@ -1,10 +1,16 @@
-"""Exception taxonomy: the class alone decides input error versus gate."""
+"""Exception taxonomy: the class alone decides input error versus gate,
+and every public entry point raises an input error, never a TypeError or a
+wrong result, on a bad size, order, seed or exponent."""
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
-from steinshapes import errors
+import steinshapes as ss
+from steinshapes import _polar, cli, errors
 
 INPUT_CLASSES = (
     errors.IoFailure,
@@ -54,3 +60,96 @@ def test_every_class_is_sorted():
         and obj not in (errors.SteinShapesError, errors.InputError)
     }
     assert defined == listed
+
+
+BALL = ss.StarDomain(1.0)
+AMPLITUDES = [0.04, 0.08]
+
+
+def _family_file(tmp_path, payload):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return cli._family_from_path(str(path), None)
+
+
+RESONANT = _polar.PolarField(_polar.LoosePolarBasis([2], [4], [_polar.COS]), np.ones(1))
+
+# class raised -> (entry point and bad value, call on a scratch directory)
+BAD_ARGUMENTS = {
+    errors.InputError: [
+        ("stein_kernel_solve k=1.5", lambda tmp: ss.stein_kernel_solve(BALL, k=1.5)),
+        ("stein_kernel_solve k=True", lambda tmp: ss.stein_kernel_solve(BALL, k=True)),
+        ("steklov_spectrum k=2.5", lambda tmp: ss.steklov_spectrum(BALL, k=2.5)),
+        ("steklov_spectrum k=0", lambda tmp: ss.steklov_spectrum(BALL, k=0)),
+        ("PerturbationFamily k=2.5", lambda tmp: ss.PerturbationFamily(k=2.5)),
+        ("PerturbationFamily k=True", lambda tmp: ss.PerturbationFamily(k=True)),
+        ("PerturbationFamily alpha=True", lambda tmp: ss.PerturbationFamily(alpha=True)),
+        ("expansion_validator k=2.5", lambda tmp: ss.expansion_validator(2.5, (0.05, 0.1))),
+        ("expansion_validator k=0", lambda tmp: ss.expansion_validator(0, (0.05, 0.1))),
+        ("PathConfig seed=1.5", lambda tmp: ss.PathConfig(seed=1.5)),
+        ("PathConfig seed=True", lambda tmp: ss.PathConfig(seed=True)),
+        ("PathConfig seed=-1", lambda tmp: ss.PathConfig(seed=-1)),
+        ("zolotarev_lower alpha=True", lambda tmp: ss.zolotarev_lower(BALL, alpha=True)),
+        (
+            "verify_inequality alpha=True",
+            lambda tmp: ss.verify_inequality([BALL], "thm-main", alpha=True),
+        ),
+        (
+            "verify_inequality refine=1.0",
+            lambda tmp: ss.verify_inequality([BALL], "thm-main", refine=1.0),
+        ),
+        ("schauder_probe alpha=0", lambda tmp: ss.schauder_probe(BALL, [ss.rhs_x1()], 0.0)),
+        ("regularity_params alpha=1.5", lambda tmp: ss.regularity_params(BALL, 1.5)),
+        (
+            "holder_norm alpha=True",
+            lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(3.0), True),
+        ),
+        ("solve_oblique h=r^2 cos 4theta", lambda tmp: ss.solve_oblique(BALL, RESONANT)),
+    ],
+    errors.GridTooCoarse: [
+        ("stein_kernel_solve m=100.0", lambda tmp: ss.stein_kernel_solve(BALL, m=100.0)),
+        ("steklov_spectrum m=100.5", lambda tmp: ss.steklov_spectrum(BALL, m=100.5)),
+        ("circle_grid m=0", lambda tmp: ss.circle_grid(0)),
+        ("disk_grid n_theta=10.5", lambda tmp: ss.disk_grid(10.5, 8)),
+        ("bulk_grid n_r=8.5", lambda tmp: ss.bulk_grid(BALL, 16, 8.5)),
+        ("boundary_frame m=64.0", lambda tmp: ss.boundary_frame(BALL, 64.0)),
+        ("boundary_frame m=9", lambda tmp: ss.boundary_frame(BALL, 9)),
+        ("zolotarev_oracle n_g=200.5", lambda tmp: ss.zolotarev_oracle(BALL, n_g=200.5)),
+        ("zolotarev_tv n=256.5", lambda tmp: ss.zolotarev_tv(BALL, n=256.5)),
+        ("fraenkel_asymmetry n=True", lambda tmp: ss.fraenkel_asymmetry(BALL, n=True)),
+    ],
+    errors.IoFailure: [
+        ("shape config dimension=2.5", lambda tmp: ss.parse_shape_spec({"dimension": 2.5})),
+        ("shape config dimension=true", lambda tmp: ss.parse_shape_spec({"dimension": True})),
+        (
+            "family config amplitudes and eps",
+            lambda tmp: _family_file(tmp, {"amplitudes": AMPLITUDES, "eps": AMPLITUDES}),
+        ),
+        (
+            "family config k=2.5",
+            lambda tmp: _family_file(tmp, {"k": 2.5, "amplitudes": AMPLITUDES}),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "cls, call",
+    [
+        pytest.param(cls, call, id=name)
+        for cls, rows in BAD_ARGUMENTS.items()
+        for name, call in rows
+    ],
+)
+def test_bad_argument_raises_an_input_error(cls, call, tmp_path):
+    assert issubclass(cls, errors.InputError)
+    with pytest.raises(cls):
+        call(tmp_path)
+
+
+def test_integral_valued_config_integers_are_integers(tmp_path):
+    # JSON has one number type: 2.0 is the integer 2 for every integer key
+    assert ss.parse_shape_spec({"dimension": 2.0}) == ss.parse_shape_spec({})
+    family = _family_file(tmp_path, {"k": 2.0, "amplitudes": AMPLITUDES})
+    assert family == ss.PerturbationFamily(k=2, amplitudes=tuple(AMPLITUDES))
+    assert type(family.k) is int

@@ -7,7 +7,7 @@ import pytest
 
 from steinshapes import _polar, oblique
 from steinshapes._polar import COS, SIN, PolarBasis, PolarGrid
-from steinshapes.errors import IllConditioned
+from steinshapes.errors import IllConditioned, InputError
 from steinshapes.shapes import StarDomain, bulk_grid, circle_grid, disk_grid
 
 STEP = 1e-5
@@ -230,7 +230,7 @@ def test_poisson_preimage_inverts_the_laplacian(tokens, grid):
     ],
 )
 def test_poisson_preimage_rejects_untabled_terms(basis, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InputError, match=message):
         _polar.PolarField(basis, np.ones(1)).poisson_preimage()
 
 
