@@ -10,10 +10,11 @@ on the points alone, so it is formed once per row block and shared by every
 field.  Coincident pairs and the diagonal get d2 = inf instead of a mask:
 their ratio is then 0, which never raises a max over ratios >= 0, and the
 boolean-masked copies of each block go away.  The sums follow the
-association of the reference loops ``_*_loop`` below, coordinate by
-coordinate in the loops' order.  numpy's vectorized power may round one
-ulp away from libm's pow, so the kernels agree with the loops to within a
-couple of ulp, not bit for bit; the tests hold them to that.
+association of the reference loops in ``tests/test_kernels.py``,
+coordinate by coordinate in the loops' order.  numpy's vectorized power
+may round one ulp away from libm's pow, so the kernels agree with the
+loops to within a couple of ulp, not bit for bit; the tests hold them to
+that.
 
 The reflected-path stepper is inherently sequential.  It runs on Python
 floats, which round each operation as numpy scalars do but skip their
@@ -32,64 +33,6 @@ import numpy as np
 
 def backend() -> str:
     return "numpy"
-
-
-# ---------------------------------------------------------------------------
-# reference loops, the oracles of the vectorized kernels
-
-
-def _pair_seminorm_loop(pts, vals, alpha):
-    n = pts.shape[0]
-    d = pts.shape[1]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = 0.0
-            for q in range(d):
-                t = pts[i, q] - pts[j, q]
-                d2 += t * t
-            if d2 > 0.0:
-                s = abs(vals[i] - vals[j]) / d2 ** (0.5 * alpha)
-                if s > best:
-                    best = s
-    return best
-
-
-def _matrix_pair_seminorm_loop(pts, mats, alpha):
-    n = pts.shape[0]
-    d = pts.shape[1]
-    q = mats.shape[1]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = 0.0
-            for a in range(d):
-                t = pts[i, a] - pts[j, a]
-                d2 += t * t
-            if d2 > 0.0:
-                f2 = 0.0
-                for a in range(q):
-                    t = mats[i, a] - mats[j, a]
-                    f2 += t * t
-                s = math.sqrt(f2) / d2 ** (0.5 * alpha)
-                if s > best:
-                    best = s
-    return best
-
-
-def _circle_lag_seminorm_loop(vals, alpha):
-    m = vals.shape[0]
-    best = 0.0
-    for k in range(1, m // 2 + 1):
-        dk = (2.0 * math.pi * k / m) ** alpha
-        for i in range(m):
-            j = i + k
-            if j >= m:
-                j -= m
-            s = abs(vals[j] - vals[i]) / dk
-            if s > best:
-                best = s
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .shapes import (
     StarDomain,
     bulk_grid,
     check_alpha,
+    check_integer,
     circle_grid,
     disk_grid,
     doubling_quadrature,
@@ -91,6 +92,7 @@ def rhs_constant(value: float = 1.0) -> _polar.PolarField:
 
 def rhs_harmonic(k: int) -> _polar.PolarField:
     """The harmonic r^k cos(k theta)."""
+    check_integer("harmonic degree", k, 0)
     return _term(k, k, _polar.COS)
 
 

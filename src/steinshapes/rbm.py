@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
 from .oblique import ObliqueSolution
-from .shapes import StarDomain, _validate, check_integer
+from .shapes import StarDomain, check_integer
 
 BATCHES = 20
 CHI2_BINS = 16
@@ -100,7 +100,6 @@ def path(
     ``increments`` overrides the Gaussian steps for diagnostics (e.g. a
     zero-noise run); shape (n_steps, 2).
     """
-    _validate(domain)
     n = config.n_steps
     if increments is None:
         rng = np.random.default_rng(config.seed)

@@ -35,7 +35,8 @@ frame's points as one-point rays.
 Each kind of outside value has one reader here, which every module calls:
 ``check_alpha`` for a Hoelder exponent, ``check_integer`` for a size, order,
 mode or seed, and ``read_config`` for a config mapping, read into the
-dataclass that declares its schema (``ShapeSpec`` for a shape).
+dataclass that declares its schema (``ShapeSpec`` for a shape).  A
+``StarDomain`` reads its own coefficients: it is certified as it is built.
 """
 
 from __future__ import annotations
@@ -79,12 +80,40 @@ RECENTER_TOL = 1e-10
 # core types
 
 
+def _pack(cos_coeffs, sin_coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients zero-padded to one order, and the frequencies 1..order."""
+    order = max(len(cos_coeffs), len(sin_coeffs))
+    a, b = np.zeros(order), np.zeros(order)
+    a[: len(cos_coeffs)] = cos_coeffs
+    b[: len(sin_coeffs)] = sin_coeffs
+    return a, b, np.arange(1, order + 1, dtype=float)
+
+
+def _series_derivatives(base, a, b, k, theta, order: int = 1) -> tuple[np.ndarray, ...]:
+    """f, f', f'' of f = base + sum a_k cos k theta + b_k sin k theta at
+    ``theta`` up to ``order`` (at most 2), all from one cos/sin table."""
+    th = np.asarray(theta, dtype=float)
+    if k.size == 0:
+        return (np.full_like(th, base),) + tuple(np.zeros_like(th) for _ in range(order))
+    ang = np.multiply.outer(th, k)
+    c = np.cos(ang)
+    s = np.sin(ang)
+    derivatives = [base + c @ a + s @ b]
+    if order >= 1:
+        derivatives.append(c @ (k * b) - s @ (k * a))
+    if order >= 2:
+        derivatives.append(-(c @ (k * k * a)) - s @ (k * k * b))
+    return tuple(derivatives)
+
+
 @dataclass(frozen=True)
 class StarDomain:
     """Immutable star-shaped domain with Fourier radius R(theta).
 
     Coefficient tuples are indexed from frequency 1; they may have different
-    lengths and are zero-padded to a common order internally.
+    lengths and are zero-padded to a common order internally.  A domain is
+    certified as it is built: a base or coefficient that is not a real
+    number raises NonPositiveRadius, then ``_validate`` runs.
     """
 
     base_radius: float
@@ -92,37 +121,23 @@ class StarDomain:
     sin_coeffs: tuple[float, ...] = ()
     label: str = ""
 
+    def __post_init__(self):
+        for value in (self.base_radius, *self.cos_coeffs, *self.sin_coeffs):
+            if not _is_number(value):
+                raise NonPositiveRadius(f"radius coefficients must be real numbers, got {value!r}")
+        _validate(self)
+
     @cached_property
     def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        order = max(len(self.cos_coeffs), len(self.sin_coeffs), 0)
-        a = np.zeros(order)
-        b = np.zeros(order)
-        a[: len(self.cos_coeffs)] = self.cos_coeffs
-        b[: len(self.sin_coeffs)] = self.sin_coeffs
-        return a, b, np.arange(1, order + 1, dtype=float)
+        return _pack(self.cos_coeffs, self.sin_coeffs)
 
     @property
     def order(self) -> int:
         return self._packed[0].size
 
     def radius_derivatives(self, theta, order: int = 1) -> tuple[np.ndarray, ...]:
-        """R, R', R'' at ``theta`` up to ``order`` (at most 2), all from one
-        cos/sin table."""
-        a, b, k = self._packed
-        th = np.asarray(theta, dtype=float)
-        if k.size == 0:
-            return (np.full_like(th, self.base_radius),) + tuple(
-                np.zeros_like(th) for _ in range(order)
-            )
-        ang = np.multiply.outer(th, k)
-        c = np.cos(ang)
-        s = np.sin(ang)
-        derivatives = [self.base_radius + c @ a + s @ b]
-        if order >= 1:
-            derivatives.append(c @ (k * b) - s @ (k * a))
-        if order >= 2:
-            derivatives.append(-(c @ (k * k * a)) - s @ (k * k * b))
-        return tuple(derivatives)
+        """R, R', R'' at ``theta`` up to ``order`` (at most 2)."""
+        return _series_derivatives(self.base_radius, *self._packed, theta, order)
 
     def radius(self, theta):
         return self.radius_derivatives(theta, 0)[0]
@@ -312,8 +327,7 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     circle, refined by Newton.  An identically-constant input returns an
     empty array (no isolated zeros).
     """
-    series = StarDomain(base, tuple(cos_coeffs), tuple(sin_coeffs))
-    a, b, _ = series._packed
+    a, b, k = _pack(cos_coeffs, sin_coeffs)
     scale = abs(base) + np.abs(a).sum() + np.abs(b).sum()
     # a top coefficient below the rounding of the others sends np.roots off
     # the unit circle, so the seeds drop those terms; Newton keeps them all
@@ -331,13 +345,13 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     if angles.size == 0:
         return angles
     for _ in range(40):
-        f, fp = series.radius_derivatives(angles)
+        f, fp = _series_derivatives(base, a, b, k, angles)
         step = np.where(np.abs(fp) > 1e-30, f / np.where(fp == 0.0, 1.0, fp), 0.0)
         step = np.clip(step, -1e-2, 1e-2)
         angles = angles - step
         if np.abs(step).max() < 1e-15:
             break
-    f = series.radius(angles)
+    f = _series_derivatives(base, a, b, k, angles, 0)[0]
     angles = np.sort(np.mod(angles[np.abs(f) <= 1e-9 * max(scale, 1.0)], TWO_PI))
     if angles.size > 1:
         keep = np.concatenate([[True], np.diff(angles) > 1e-10])
@@ -364,7 +378,7 @@ def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGri
 
 def disk_grid(n_theta: int = 256, n_r: int = 64) -> PolarGrid:
     """Bulk quadrature grid for the unit ball."""
-    return bulk_grid(StarDomain(1.0), n_theta, n_r)
+    return bulk_grid(_UNIT_DISK, n_theta, n_r)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +439,9 @@ def _validate(domain: StarDomain) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_UNIT_DISK = StarDomain(1.0)  # certified once, not on every disk_grid
 
 
 # kind -> (the JSON values it takes, description); a bool is never a number
@@ -514,11 +531,11 @@ def load_shape_spec(path) -> ShapeSpec:
 
 
 def build_domain(spec) -> StarDomain:
-    """Construct and validate a StarDomain from a spec, mapping, or path.
+    """Construct a StarDomain, certified as it is built, from a spec,
+    mapping, or path.
 
-    Validation certifies R > 0 and kappa > 0 (see ``_validate``); the
-    normalization flags of the spec are applied in the order recenter, then
-    volume (rescaling about the origin preserves a zero barycenter).
+    The normalization flags of the spec are applied in the order recenter,
+    then volume (rescaling about the origin preserves a zero barycenter).
     """
     if isinstance(spec, (str,)) or hasattr(spec, "__fspath__"):
         spec = load_shape_spec(spec)
@@ -526,16 +543,7 @@ def build_domain(spec) -> StarDomain:
         spec = parse_shape_spec(spec)
     if not isinstance(spec, ShapeSpec):
         raise IoFailure(f"cannot build a domain from {type(spec).__name__}")
-    base = spec.base_radius
-    if not (_is_number(base) and math.isfinite(base) and base > 0):
-        raise NonPositiveRadius(f"base_radius = {base!r}")
-    domain = StarDomain(
-        base_radius=spec.base_radius,
-        cos_coeffs=spec.fourier_cos,
-        sin_coeffs=spec.fourier_sin,
-        label=spec.label,
-    )
-    _validate(domain)
+    domain = StarDomain(spec.base_radius, spec.fourier_cos, spec.fourier_sin, spec.label)
     if spec.recenter:
         domain = normalize(domain, "recenter")
     if spec.normalize_volume:
@@ -690,14 +698,11 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
     volume:   R <- (|B_1|/|Omega|)^{1/2} R.
     recenter: ray-shooting from the current boundary barycenter with a
     Fourier refit of order >= 2K to tolerance 1e-10, iterated until the
-    barycenter magnitude drops below 1e-9; the result is re-validated.
+    barycenter magnitude drops below 1e-9.
     """
     if mode == "volume":
         fun = geometric_functionals(domain)
-        factor = (BALL_VOLUME / fun.volume) ** 0.5
-        scaled = domain.scaled(factor)
-        _validate(scaled)
-        return scaled
+        return domain.scaled((BALL_VOLUME / fun.volume) ** 0.5)
     if mode != "recenter":
         raise InputError(f"unknown normalization mode {mode!r}")
 
@@ -713,14 +718,9 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
         order = max(2 * current.order, 8)
         while True:
             base, a, b = _fourier_fit(radii, order)
-            fitted = StarDomain(
-                base_radius=base,
-                cos_coeffs=tuple(a),
-                sin_coeffs=tuple(b),
-                label=current.label,
-            )
             phi, _ = circle_grid(m_fit)
-            err = float(np.abs(fitted.radius(phi) - radii).max())
+            # only the converged fit becomes a (certified) domain
+            err = float(np.abs(_series_derivatives(base, *_pack(a, b), phi, 0)[0] - radii).max())
             if err <= RECENTER_TOL:
                 break
             if order * 4 > m_fit:
@@ -728,8 +728,7 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
                     f"Fourier refit stalled at order {order}, sup error {err:.3g}"
                 )
             order *= 2
-        _validate(fitted)
-        current = fitted
+        current = StarDomain(base, tuple(a), tuple(b), current.label)
     raise RecenterFailed("barycenter iteration did not contract below 1e-9")
 
 

@@ -27,6 +27,7 @@ def configs(tmp_path):
         "bump": {"base_radius": 1.0, "fourier_cos": [0.0, 0.1]},
         "spiky": {"base_radius": 1.0, "fourier_cos": [0.0] * 9 + [0.3]},
         "negative": {"base_radius": -1.0},
+        "tangled": {"fourier_cos": [0.45, 0, 0, 0, 0, 0, 0, 0.4], "recenter": True},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
         "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
@@ -75,6 +76,10 @@ class TestAnalyze:
     def test_unconverged_truncation_is_a_solver_gate(self, configs, capsys):
         assert main(["analyze", configs["bump"], "--grid", "4"]) == 2
         assert "solver gate failure" in capsys.readouterr().err
+
+    def test_failed_recenter_is_a_solver_gate(self, configs, capsys):
+        assert main(["analyze", configs["tangled"]]) == 2
+        assert "multiple boundary crossings" in capsys.readouterr().err
 
 
 class TestVerify:

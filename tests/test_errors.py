@@ -105,6 +105,22 @@ BAD_ARGUMENTS = {
             lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(3.0), True),
         ),
         ("solve_oblique h=r^2 cos 4theta", lambda tmp: ss.solve_oblique(BALL, RESONANT)),
+        ("rhs_harmonic k=-1", lambda tmp: ss.rhs_harmonic(-1)),
+        ("rhs_harmonic k=2.5", lambda tmp: ss.rhs_harmonic(2.5)),
+    ],
+    errors.NonPositiveRadius: [
+        # R = 1 + 2 cos theta is negative near theta = pi
+        ("StarDomain cos=(2.0,)", lambda tmp: ss.StarDomain(1.0, (2.0,))),
+        ("StarDomain base=True", lambda tmp: ss.StarDomain(True)),
+        ("StarDomain cos=('x',)", lambda tmp: ss.StarDomain(1.0, ("x",))),
+        (
+            "geometric_functionals cos=(2.0,)",
+            lambda tmp: ss.geometric_functionals(ss.StarDomain(1.0, (2.0,))),
+        ),
+        (
+            "verify_inequality cos=(2.0,)",
+            lambda tmp: ss.verify_inequality([ss.StarDomain(1.0, (2.0,))], "thm-main"),
+        ),
     ],
     errors.GridTooCoarse: [
         ("stein_kernel_solve m=100.0", lambda tmp: ss.stein_kernel_solve(BALL, m=100.0)),

@@ -3,9 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from steinshapes import StarDomain, normalize, solve_oblique, solve_oblique_kernel_variant
+from steinshapes import (
+    StarDomain,
+    build_domain,
+    normalize,
+    solve_oblique,
+    solve_oblique_kernel_variant,
+)
 from steinshapes._polar import PolarGrid
-from steinshapes.errors import InputError
+from steinshapes.errors import InputError, NotElliptic
 from steinshapes.oblique import (
     divergence_functional,
     ellipticity_margin,
@@ -129,6 +135,15 @@ def test_ellipticity_margin_frozen():
         ellipticity_margin(StarDomain(1.0, (0.0, 0.6))), MARGIN_06, rtol=1e-12
     )
     assert ellipticity_margin(ball()) == pytest.approx(1.0)
+
+
+def test_kernel_variant_rejects_a_non_elliptic_pullback():
+    # R = 1 + 0.5 cos 6 theta: the symmetric part of Dpsi has min eigenvalue
+    # -0.581, so the pulled-back operator is not elliptic
+    domain = build_domain({"fourier_cos": [0, 0, 0, 0, 0, 0.5]})
+    assert ellipticity_margin(domain) < 0.0
+    with pytest.raises(NotElliptic):
+        solve_oblique_kernel_variant(domain, rhs_x1())
 
 
 def test_kernel_variant_flags_large_deformation():

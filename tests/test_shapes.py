@@ -11,6 +11,7 @@ from steinshapes import (
     NoConvergence,
     NonPositiveRadius,
     NotStarShaped,
+    RecenterFailed,
     StarDomain,
     build_domain,
     geometric_functionals,
@@ -183,6 +184,14 @@ def test_normalize_chain_keeps_both_properties():
     g = geometric_functionals(dom)
     assert abs(g.volume - np.pi) < 1e-9
     assert np.hypot(*g.barycenter) < 1e-9
+
+
+def test_recenter_rejects_multiple_boundary_crossings():
+    # the boundary barycenter of 1 + 0.45 cos theta + 0.4 cos 8 theta sees
+    # some rays cross the boundary more than once
+    spec = {"fourier_cos": [0.45, 0, 0, 0, 0, 0, 0, 0.4], "recenter": True}
+    with pytest.raises(RecenterFailed, match="multiple boundary crossings"):
+        build_domain(spec)
 
 
 def test_normalize_rejects_unknown_mode():
