@@ -15,7 +15,6 @@ from .errors import (
     NonPositiveRadius,
     NormalizationMissing,
     NotApplicable,
-    NotCentered,
     NotConverged,
     NotElliptic,
     NotOblique,

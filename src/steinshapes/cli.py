@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, oblique, rbm
+from . import experiments, oblique, rbm, steklov
 from .errors import InputError, IoFailure, SteinShapesError
 from .shapes import build_domain, load_json_object, read_config
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full single-domain report")
     p.add_argument("config", help="path to a JSON shape config")
     p.add_argument(
-        "--grid", type=int, default=experiments.STEKLOV_ORDER, help="Steklov truncation order"
+        "--grid", type=int, default=steklov.STEKLOV_ORDER, help="Steklov truncation order"
     )
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", default=None)

@@ -6,6 +6,8 @@ config is at fault (CLI exit 3); any other ``SteinShapesError`` is a solver
 or geometry gate (CLI exit 2).  ``InputError`` is also a ``ValueError``, so
 argument checks keep the builtin contract.  The shared checks of outside
 values are ``check_alpha``, ``check_integer`` and ``read_config`` in ``shapes``.
+An off-center or wrong-volume domain where a computation needs a normalized
+one is an input error on every route: ``NormalizationMissing``, never a gate.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class ResidualTooLarge(SteinShapesError):
 
 # ---------------------------------------------------------------------------
 # Stein kernel / spectra
-
-
-class NotCentered(SteinShapesError):
-    """Boundary barycenter too far from the origin for the kernel identity."""
 
 
 class IdentityViolated(SteinShapesError):

@@ -13,9 +13,9 @@ claims about the true constants.
 solve through one record per domain, ``_Member``, which runs each solve
 once, on first read, at these truncations (other solves take no size):
 
-    Stein kernel   k = 24 refine, m = 1024 refine
-    Steklov        k = 16 + 4 order + 4 (refine - 1), or analyze's pinned
-                   order; m = the solver's default at refine 1, else 512 refine
+    Stein kernel   k = KERNEL_ORDER refine, m = KERNEL_GRID refine
+    Steklov        k = STEKLOV_ORDER + 4 (order + refine - 1), or analyze's
+                   pinned order; m = the solver's default at refine 1, else 512 refine
     Z(alpha)       zolotarev_lower, or zolotarev_oracle for "lp-oracle"
 
 A solver gate failing in a member names the member, solver and sizes.
@@ -46,7 +46,6 @@ from .shapes import (
 )
 
 DEFAULT_AMPLITUDES = (0.02, 0.04, 0.06, 0.08, 0.10)
-STEKLOV_ORDER = 16        # Steklov truncation of analyze; verify/sweep add 4 per order
 Z_METHODS = ("dictionary", "lp-oracle")
 
 _TINY = 1e-14
@@ -175,7 +174,7 @@ def _c_emp(ratios, direction: str) -> float:
 def _steklov_order(domain: StarDomain) -> int:
     # higher boundary modes push eigenfunction content to higher frequency;
     # scale the truncation with the radius order so the strict gate holds
-    return STEKLOV_ORDER + 4 * domain.order
+    return steklov.STEKLOV_ORDER + 4 * domain.order
 
 
 @dataclass
@@ -209,7 +208,8 @@ class _Member:
 
     @cached_property
     def kernel(self):
-        return self._solve(stein.stein_kernel_solve, k=24 * self.refine, m=1024 * self.refine)
+        k, m = stein.KERNEL_ORDER * self.refine, stein.KERNEL_GRID * self.refine
+        return self._solve(stein.stein_kernel_solve, k=k, m=m)
 
     @cached_property
     def spectrum(self):
@@ -280,12 +280,18 @@ def _prop_combined(m: _Member):
     return lhs, z * z, {"identity_residual": residual}, notes
 
 
+def _unit_volume(fun, what: str) -> None:
+    if abs(fun.volume - BALL_VOLUME) > 1e-6:
+        raise NormalizationMissing(f"{what} has volume {fun.volume:.8f} != |B_1|")
+
+
+# theorem id -> (direction, row, normalizations every member must meet first)
 _THEOREMS = {
-    "thm-main": ("upper", _thm_main),
-    "thm-kernel": ("upper", _thm_kernel),
-    "thm-bw": ("lower", _thm_bw),
-    "prop-steklov": ("lower", _prop_steklov),
-    "prop-combined": ("lower", _prop_combined),
+    "thm-main": ("upper", _thm_main, ()),
+    "thm-kernel": ("upper", _thm_kernel, (stein.require_centered,)),
+    "thm-bw": ("lower", _thm_bw, (_unit_volume, stein.require_centered)),
+    "prop-steklov": ("lower", _prop_steklov, (stein.require_centered,)),
+    "prop-combined": ("lower", _prop_combined, (_unit_volume,)),
 }
 THEOREMS = tuple(_THEOREMS)
 
@@ -295,24 +301,17 @@ def _members_and_alpha(family, alpha: float | None):
     if isinstance(family, PerturbationFamily):
         if alpha is not None and alpha != family.alpha:
             raise InputError(f"alpha {alpha} conflicts with the family's alpha {family.alpha}")
-        return family.members(), family.alpha, family.normalization
+        return family.members(), family.alpha
     members = tuple(family)
     if not members or not all(isinstance(m, StarDomain) for m in members):
         raise TypeError("family must be a PerturbationFamily or StarDomain sequence")
-    return members, (1.0 if alpha is None else alpha), None
+    return members, (1.0 if alpha is None else alpha)
 
 
-def _require_normalization(theorem: str, members, declared: str | None) -> None:
-    if theorem in ("thm-bw", "prop-combined"):
-        if declared is not None and declared not in ("volume", "both"):
-            raise NormalizationMissing(f"{theorem} needs volume normalization")
-        for fun in (member.functionals for member in members):
-            if abs(fun.volume - BALL_VOLUME) > 1e-6:
-                raise NormalizationMissing(f"{theorem}: member volume {fun.volume:.8f} != |B_1|")
-    if theorem in ("thm-kernel", "prop-steklov"):
-        for fun in (member.functionals for member in members):
-            if np.hypot(*fun.barycenter) * fun.perimeter > 1e-6:
-                raise NormalizationMissing(f"{theorem}: member boundary barycenter is off origin")
+def _require_normalization(theorem: str, members) -> None:
+    for require in _THEOREMS[theorem][2]:
+        for member in members:
+            require(member.functionals, f"{theorem}: {member.label}")
 
 
 def verify_inequality(
@@ -342,12 +341,12 @@ def verify_inequality(
     if z_method not in Z_METHODS:
         raise InputError(f"unknown Z method {z_method!r}")
     check_integer("refine", refine, 1)
-    domains, alpha, declared = _members_and_alpha(family, alpha)
+    domains, alpha = _members_and_alpha(family, alpha)
     members = [
         _Member(dom, dom.label or f"domain-{i}", alpha, z_method, refine)
         for i, dom in enumerate(domains)
     ]
-    _require_normalization(theorem, members, declared)
+    _require_normalization(theorem, members)
     if theorem == "prop-steklov":
         members = [m for m in members if m.spectrum.sigma1 >= 1.0 - 1e-9]
         if not members:
@@ -356,7 +355,7 @@ def verify_inequality(
                 "bound does not apply"
             )
 
-    direction, row = _THEOREMS[theorem]
+    direction, row, _ = _THEOREMS[theorem]
     lhs, core, more, member_notes = zip(*map(row, members))
     extras = {}
     if z_method == "lp-oracle":
@@ -474,7 +473,7 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
 # analysis assembly and report emission
 
 
-def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = STEKLOV_ORDER) -> dict:
+def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLOV_ORDER) -> dict:
     """Full single-domain analysis as a plain report dictionary."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -553,10 +552,8 @@ def _jsonable(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):

@@ -58,6 +58,7 @@ from .shapes import (
 )
 
 RELIABLE_FACTOR = 1e-6
+RESIDUAL_GATE = 1e-6           # boundary residual above which flux and Monte Carlo checks refuse
 HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
 COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
 CASCADE_ORDER = 16             # kernel variant: cascade_basis order
@@ -385,8 +386,8 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
 
 def divergence_functional(solution: ObliqueSolution) -> float:
     """Integral of Laplacian f over B_1, evaluated as a boundary flux."""
-    if solution.boundary_residual > 1e-6:
+    if solution.boundary_residual > RESIDUAL_GATE:
         raise ResidualTooLarge(
-            f"boundary residual {solution.boundary_residual:.3g} > 1e-6"
+            f"boundary residual {solution.boundary_residual:.3g} > {RESIDUAL_GATE:g}"
         )
     return _boundary_flux(solution.field)

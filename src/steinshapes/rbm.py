@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
-from .oblique import ObliqueSolution
+from .oblique import RESIDUAL_GATE, ObliqueSolution
 from .shapes import StarDomain, check_integer
 
 BATCHES = 20
@@ -168,7 +168,7 @@ def feynman_kac_check(
     Both numbers estimate the adjoint-stationary average of h for the
     obliquely reflected process, by independent routes.
     """
-    if not solution.reliable or solution.boundary_residual > 1e-6:
+    if not solution.reliable or solution.boundary_residual > RESIDUAL_GATE:
         raise ResidualTooLarge(
             f"solution residual {solution.boundary_residual:.3g} outside gate"
         )

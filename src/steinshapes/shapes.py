@@ -454,16 +454,14 @@ _CONFIG_KINDS = {
 }
 
 
-def config_value(data: Mapping, key: str, kind: type, default=None):
-    """``data[key]`` read as ``kind``, or ``default`` when the key is absent.
+def config_value(data: Mapping, key: str, kind: type):
+    """``data[key]`` read as ``kind``.
 
     float takes any number and int an integral one, 2.0 included since JSON
     has one number type (numpy scalars too, never a bool), bool only a
     bool, str only a string, and tuple a list or tuple of numbers, returned
     as floats.  Anything else raises IoFailure naming the key.
     """
-    if key not in data:
-        return default
     value = data[key]
     accepted, description = _CONFIG_KINDS[kind]
     valid = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))

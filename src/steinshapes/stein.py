@@ -18,7 +18,7 @@ bulk grid and one (4, N) @ (N, 12) product, the (2, 6) right moments
 int x_j phi_t dS from one 12-column boundary quadrature, and each panel
 row is its coefficients against the moments.  The kernel requires a
 boundary-centered domain: pairing with constant fields forces the
-boundary barycenter to vanish.
+boundary barycenter to vanish, which ``require_centered`` checks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import IdentityViolated, InputError, NotCentered
+from .errors import IdentityViolated, InputError, NormalizationMissing
 from .shapes import (
     StarDomain,
     boundary_frame,
@@ -40,7 +40,9 @@ from .shapes import (
     trig_zeros,
 )
 
-CENTER_GATE = 1e-8
+CENTER_GATE = 1e-8        # bound on |boundary barycenter| * perimeter
+KERNEL_ORDER = 24         # harmonic truncation of the Neumann potentials
+KERNEL_GRID = 1024        # boundary collocation angles
 PANEL_TOL = 1e-6
 DEFICIT_TOL = 1e-10       # doubling tolerance of the deficit integrals
 BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the kernel's bulk grid
@@ -172,8 +174,16 @@ def _panel(domain, tau, grid):
     )
 
 
+def require_centered(fun, what: str = "the domain") -> None:
+    """NormalizationMissing naming ``what`` unless the geometric functionals
+    ``fun`` have |int x dS| = |boundary barycenter| perimeter <= CENTER_GATE."""
+    mag = float(np.hypot(*fun.barycenter)) * fun.perimeter
+    if mag > CENTER_GATE:
+        raise NormalizationMissing(f"{what} is off center: |int x dS| {mag:.3g} > {CENTER_GATE:g}")
+
+
 def stein_kernel_solve(
-    domain: StarDomain, k: int = 24, m: int = 1024
+    domain: StarDomain, k: int = KERNEL_ORDER, m: int = KERNEL_GRID
 ) -> SteinKernelResult:
     """Construct the kernel tau = Dg from two harmonic Neumann solves.
 
@@ -181,20 +191,15 @@ def stein_kernel_solve(
     ------
     InputError
         if the truncation order k is not an integer >= 1.
-    NotCentered
-        if the boundary barycenter integral exceeds 1e-8.
+    NormalizationMissing
+        if the domain is not centered (``require_centered``).
     IllConditioned
         if the equilibrated Neumann collocation exceeds condition 1e12.
     IdentityViolated
         if the defining identity fails on the test panel at 1e-6 relative.
     """
     check_integer("truncation order", k, 1)
-    fun = geometric_functionals(domain)
-    center_mag = float(np.hypot(*fun.barycenter)) * fun.perimeter
-    if center_mag > CENTER_GATE:
-        raise NotCentered(
-            f"|boundary barycenter integral| = {center_mag:.3g} > 1e-8"
-        )
+    require_centered(geometric_functionals(domain))
 
     frame = boundary_frame(domain, m)
     sqrt_w = np.sqrt(frame.jacobian * frame.dtheta)

@@ -26,6 +26,7 @@ CONVERGENCE_TOL = 1e-8
 CLUSTER_GAP = 1e-7
 N_EIGENVALUES = 7
 CHECK_GRID = 2048         # boundary grid of the Rayleigh and trace checks
+STEKLOV_ORDER = 16        # default truncation; verify and sweep add 4 per radius order
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def _sigma1(domain: StarDomain, k: int, m: int) -> float:
 
 def steklov_spectrum(
     domain: StarDomain,
-    k: int = 16,
+    k: int = STEKLOV_ORDER,
     m: int | None = None,
     strict: bool = True,
 ) -> SteklovResult:

@@ -24,11 +24,13 @@ def configs(tmp_path):
     paths = {}
     for name, payload in {
         "ball": {"base_radius": 1.0, "label": "ball"},
+        "big_ball": {"base_radius": 1.1},
         "bump": {"base_radius": 1.0, "fourier_cos": [0.0, 0.1]},
         "spiky": {"base_radius": 1.0, "fourier_cos": [0.0] * 9 + [0.3]},
         "negative": {"base_radius": -1.0},
         "tangled": {"fourier_cos": [0.45, 0, 0, 0, 0, 0, 0, 0.4], "recenter": True},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
+        "off_center_family": {"k": 1, "amplitudes": [0.02, 0.04]},
         "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
         "word_mode": {"k": "two", "amplitudes": [0.04, 0.08]},
@@ -98,6 +100,13 @@ class TestVerify:
     def test_unnormalized_shape_is_an_input_error(self, configs, capsys):
         assert main(["verify", configs["bump"], "--theorem", "thm-bw"]) == 3
         assert "input error" in capsys.readouterr().err
+
+    def test_direction_violation_exits_one(self, configs, capsys):
+        # the disk of radius 1.1 has Z > 0 but no boundary oscillation
+        assert main(["verify", configs["big_ball"], "--theorem", "thm-main"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["notes"] == ["a member has positive lhs against vanishing core"]
 
 
 class TestSweep:
@@ -266,6 +275,9 @@ class TestExitCodes:
             ["verify", "{json_string}", "--theorem", "thm-main"],
             ["verify", "{json_number}", "--theorem", "thm-main"],
             ["verify", "{misspelt_keys}", "--theorem", "thm-main"],
+            ["verify", "{off_center_family}", "--theorem", "thm-bw"],
+            ["verify", "{off_center_family}", "--theorem", "thm-kernel"],
+            ["verify", "{off_center_family}", "--theorem", "prop-steklov"],
             ["mc", "{json_path}"],
         ],
         ids=" ".join,

@@ -5,6 +5,7 @@ wrong result, on a bad size, order, seed or exponent."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ GATE_CLASSES = (
     errors.NotOblique,
     errors.NotElliptic,
     errors.ResidualTooLarge,
-    errors.NotCentered,
     errors.IdentityViolated,
     errors.NotConverged,
     errors.DegenerateBasis,
@@ -64,6 +64,8 @@ def test_every_class_is_sorted():
 
 BALL = ss.StarDomain(1.0)
 AMPLITUDES = [0.04, 0.08]
+OFF_CENTER = ss.PerturbationFamily(k=1, amplitudes=(0.02, 0.04))
+NEARLY_CENTERED = ss.normalize(ss.StarDomain(1.0, (1e-8,)), "volume")
 
 
 def _family_file(tmp_path, payload):
@@ -107,12 +109,23 @@ BAD_ARGUMENTS = {
         ("solve_oblique h=r^2 cos 4theta", lambda tmp: ss.solve_oblique(BALL, RESONANT)),
         ("rhs_harmonic k=-1", lambda tmp: ss.rhs_harmonic(-1)),
         ("rhs_harmonic k=2.5", lambda tmp: ss.rhs_harmonic(2.5)),
+        ("schauder_probe h=0", lambda tmp: ss.schauder_probe(BALL, [ss.rhs_constant(0.0)])),
+        (
+            "zolotarev_lp one node",
+            lambda tmp: ss.zolotarev_lp(np.zeros((1, 2)), np.ones(1), 1.0),
+        ),
+        (
+            "holder_norm 3 points 2 values",
+            lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(2.0), 1.0),
+        ),
     ],
     errors.NonPositiveRadius: [
         # R = 1 + 2 cos theta is negative near theta = pi
         ("StarDomain cos=(2.0,)", lambda tmp: ss.StarDomain(1.0, (2.0,))),
         ("StarDomain base=True", lambda tmp: ss.StarDomain(True)),
         ("StarDomain cos=('x',)", lambda tmp: ss.StarDomain(1.0, ("x",))),
+        ("StarDomain base=inf", lambda tmp: ss.StarDomain(math.inf)),
+        ("StarDomain base=nan", lambda tmp: ss.StarDomain(math.nan)),
         (
             "geometric_functionals cos=(2.0,)",
             lambda tmp: ss.geometric_functionals(ss.StarDomain(1.0, (2.0,))),
@@ -134,7 +147,28 @@ BAD_ARGUMENTS = {
         ("zolotarev_tv n=256.5", lambda tmp: ss.zolotarev_tv(BALL, n=256.5)),
         ("fraenkel_asymmetry n=True", lambda tmp: ss.fraenkel_asymmetry(BALL, n=True)),
     ],
+    errors.NormalizationMissing: [
+        # volume-normalized 1 + eps cos theta: |int x dS| = 0.126 at eps = 0.02
+        (
+            "verify_inequality thm-bw off center",
+            lambda tmp: ss.verify_inequality(OFF_CENTER, "thm-bw"),
+        ),
+        (
+            "verify_inequality thm-kernel off center",
+            lambda tmp: ss.verify_inequality(OFF_CENTER, "thm-kernel"),
+        ),
+        (
+            "verify_inequality prop-steklov off center",
+            lambda tmp: ss.verify_inequality(OFF_CENTER, "prop-steklov"),
+        ),
+        # |int x dS| = 6.3e-8 > CENTER_GATE = 1e-8
+        (
+            "verify_inequality prop-steklov nearly centered",
+            lambda tmp: ss.verify_inequality([NEARLY_CENTERED], "prop-steklov"),
+        ),
+    ],
     errors.IoFailure: [
+        ("build_domain 42", lambda tmp: ss.build_domain(42)),
         ("shape config dimension=2.5", lambda tmp: ss.parse_shape_spec({"dimension": 2.5})),
         ("shape config dimension=true", lambda tmp: ss.parse_shape_spec({"dimension": True})),
         (

@@ -202,6 +202,9 @@ class TestVerifyInequality:
             ex.verify_inequality(
                 ex.PerturbationFamily(k=2, normalization="recenter"), "thm-bw"
             )
+        # checked up front, not by the kernel solve inside the row
+        with pytest.raises(NormalizationMissing, match="^thm-bw: k=1 eps=0.02 is off center"):
+            ex.verify_inequality(ex.PerturbationFamily(k=1, amplitudes=(0.02, 0.04)), "thm-bw")
 
     def test_oracle_method_tightens_the_bound(self):
         fam = ex.PerturbationFamily(k=2, amplitudes=(0.04, 0.08))

@@ -19,7 +19,7 @@ from steinshapes import (
 )
 from steinshapes import stein
 from steinshapes._polar import PolarField, full_basis
-from steinshapes.errors import InputError, NotCentered
+from steinshapes.errors import InputError, NormalizationMissing
 from steinshapes.shapes import doubling_quadrature, frame_at
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -116,6 +116,8 @@ def test_disc2_decomposes_into_functionals():
 
 def test_requadrature_is_stable():
     res = stein_kernel_solve(bump_vn())
+    assert stein_discrepancy(res, 1) == res.discrepancy_l1
+    assert stein_discrepancy(res, 2) == res.discrepancy_l2
     assert stein_discrepancy(res, 1, requadrature=True) == pytest.approx(
         res.discrepancy_l1, rel=1e-8
     )
@@ -125,7 +127,7 @@ def test_requadrature_is_stable():
 
 
 def test_off_center_domain_is_rejected():
-    with pytest.raises(NotCentered):
+    with pytest.raises(NormalizationMissing, match="off center"):
         stein_kernel_solve(StarDomain(1.0, (0.1,)))
 
 
