@@ -59,8 +59,8 @@ columns (n_theta, width) and the axial rows (width, n_t):
 - a term table (N, n) gathers: each entry's cs column times its radial
   column, times its axial row with the weight folded in; each log entry
   then adds into its term's column.  Tables are read only as least-squares
-  rows (``fit``, with its condition gate) and, outside this module, as a
-  flux cancellation bound.
+  rows (``fit`` and ``fit_normal``, which gate their condition) and,
+  outside this module, as a flux cancellation bound.
 
 The readers agree to round-off, not bit for bit.  Every field value comes
 from a ``PolarField`` method.
@@ -79,6 +79,7 @@ from .errors import IllConditioned, InputError
 
 COS, SIN = 0, 1
 COND_GATE = 1e12
+NORMAL_COND = 1e3  # fit_normal: Cholesky up to here, where cond^2 eps ~ 2e-10
 
 
 class PolarGrid:
@@ -411,6 +412,24 @@ def fit(rows, rhs) -> tuple[np.ndarray, float]:
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     if cond > COND_GATE:
         raise IllConditioned(f"least-squares condition {cond:.3g} > 1e12")
+    return (sol.T / norms).T, cond
+
+
+def fit_normal(rows, rhs) -> tuple[np.ndarray, float]:
+    """``fit`` for rows well conditioned by construction: the equilibrated
+    normal equations, solved by Cholesky when the condition read from the
+    Gram eigenvalues is at most NORMAL_COND = 1e3.  Above that the rows go
+    to ``fit``, whose gate and message then apply."""
+    gram = rows.T @ rows
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    gram /= np.multiply.outer(norms, norms)
+    eigs = np.linalg.eigvalsh(gram)
+    cond = math.sqrt(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf
+    if cond > NORMAL_COND:
+        return fit(rows, rhs)
+    lower = np.linalg.cholesky(gram)
+    sol = np.linalg.solve(lower.T, np.linalg.solve(lower, ((rhs.T @ rows) / norms).T))
     return (sol.T / norms).T, cond
 
 

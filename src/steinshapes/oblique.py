@@ -16,7 +16,8 @@ a star-shaped domain:
         R(theta) Laplacian f - R'(theta) H_rtheta[f],
     with boundary condition grad f . psi = R(theta) f_r = 0, solved by
     least-squares collocation over the full polynomial-trigonometric
-    basis (best effort, residual-gated).
+    basis (best effort, residual-gated), in coordinates orthonormal on
+    the disk.
 
 The data h are ``PolarField``s over the closed dictionary of terms with
 known Poisson preimages: the constant, the harmonics r^k cos(k theta) and
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,6 +249,71 @@ def ellipticity_margin(domain: StarDomain) -> float:
     return float((r - 0.5 * np.abs(rp)).min())
 
 
+class _VariantSystem(NamedTuple):
+    """The kernel variant's collocation rows that depend on neither the
+    domain nor h, in coordinates orthonormal on the disk: a coordinate
+    vector y stands for the coefficients ``precond @ y`` over
+    ``cascade_basis(CASCADE_ORDER)``.  ``laplacian`` and ``h_rtheta`` are
+    sqrt(w)-weighted rows on the ``VARIANT_BULK`` disk grid, ``f_r``
+    sqrt(dtheta)-weighted rows on the ``VARIANT_BOUNDARY_GRID`` circle,
+    each times ``precond``."""
+
+    precond: np.ndarray
+    laplacian: np.ndarray
+    h_rtheta: np.ndarray
+    f_r: np.ndarray
+
+
+@cache
+def _variant_system() -> _VariantSystem:
+    """Built once per process and read-only.  With W the sqrt(w)-weighted,
+    column-normalized value table of the basis on the bulk grid and R the
+    triangular factor of W = QR, precond = R^{-1} / norms maps the
+    orthonormal columns Q back to basis coefficients.  On the polynomial
+    terms this is the Zernike basis up to normalization; the QR covers the
+    log terms too.  The basis values have condition ~1.5e12 on this grid;
+    the rows in these coordinates have condition ~1e2."""
+    n_theta, n_r = VARIANT_BULK
+    grid = disk_grid(n_theta, n_r)
+    basis = _polar.cascade_basis(CASCADE_ORDER)
+    sq_w = np.sqrt(grid.weights)[:, None]
+    values = sq_w * basis.values(grid)
+    norms = np.linalg.norm(values, axis=0)
+    precond = np.linalg.inv(np.linalg.qr(values / norms, mode="r")) / norms[:, None]
+    theta_b, dth = circle_grid(VARIANT_BOUNDARY_GRID)
+    f_r = basis.radial_derivative(_polar.PolarGrid.circle(theta_b))
+    system = _VariantSystem(
+        precond,
+        (sq_w * basis.laplacians(grid)) @ precond,
+        (sq_w * basis.hessian_rtheta(grid)) @ precond,
+        (math.sqrt(dth) * f_r) @ precond,
+    )
+    for table in system:
+        table.flags.writeable = False
+    return system
+
+
+def _variant_residuals(
+    domain: StarDomain, h: _polar.PolarField, field: _polar.PolarField, c_star: float
+) -> tuple[float, float, bool]:
+    """RMS interior and boundary residuals of the kernel variant on grids
+    refined past the collocation ones, and whether the interior one is
+    <= RELIABLE_FACTOR sup|h|."""
+    n_theta, n_r = VARIANT_BULK
+    fine = disk_grid(2 * n_theta, 2 * n_r)
+    lap_f = field.laplacian(fine)
+    hrt_f = field.hessian_rtheta(fine)
+    r_ang_f, rp_ang_f = np.repeat(domain.radius_derivatives(fine.theta), 2 * n_r, axis=1)
+    resid_f = r_ang_f * lap_f - rp_ang_f * hrt_f - (h.value(fine) - c_star)
+    interior = float(math.sqrt((fine.weights @ resid_f**2) / fine.weights.sum()))
+    theta_fb, _ = circle_grid(4 * VARIANT_BOUNDARY_GRID)
+    bres_vals = domain.radius(theta_fb) * field.radial_derivative(
+        _polar.PolarGrid.circle(theta_fb)
+    )
+    bres = float(math.sqrt(np.mean(bres_vals**2)))
+    return interior, bres, interior <= RELIABLE_FACTOR * max(_sup_disk(h), 1e-300)
+
+
 def solve_oblique_kernel_variant(
     domain: StarDomain, h: _polar.PolarField
 ) -> ObliqueSolution:
@@ -263,6 +331,21 @@ def solve_oblique_kernel_variant(
     degree-kf polynomials under those corrections.  Both reported
     residuals are RMS in the natural measure, and ``reliable`` requires
     the interior one to be <= 1e-6 sup|h|.
+
+    The system is right-preconditioned by the disk's own orthogonalization
+    of the basis (``_variant_system``, cached per process): the domain
+    enters only as the row scales R and R', and the fit runs in
+    coordinates orthonormal on the disk, by ``_polar.fit_normal``.  So
+    ``condition`` is that of the system actually solved, about 85 on
+    gentle domains; the basis coordinates themselves sit near 2e10.
+
+    Raises
+    ------
+    NotElliptic
+        if the symmetric part of the bulk-map differential is not positive
+        definite (``ellipticity_margin`` <= 0).
+    IllConditioned
+        if the equilibrated collocation system exceeds condition 1e12.
     """
     margin = ellipticity_margin(domain)
     if margin <= 0.0:
@@ -274,47 +357,23 @@ def solve_oblique_kernel_variant(
     n_theta, n_r = VARIANT_BULK
     grid = disk_grid(n_theta, n_r)
     basis = _polar.cascade_basis(CASCADE_ORDER)
-    # R and R' depend on the angle only: one value per row, repeated
+    system = _variant_system()
+    # the rows are the cached ones scaled by R and R', which depend on the
+    # angle only: one value per ray, repeated; the last column is c's
     r_ang, rp_ang = np.repeat(domain.radius_derivatives(grid.theta), n_r, axis=1)
-    lap = basis.laplacians(grid)
-    hrt = basis.hessian_rtheta(grid)
+    n_int = grid.size
+    matrix = np.zeros((n_int + m, basis.n + 1))
+    rows_int, rows_bnd = matrix[:n_int, :-1], matrix[n_int:, :-1]
+    np.multiply(r_ang[:, None], system.laplacian, out=rows_int)
+    rows_int -= rp_ang[:, None] * system.h_rtheta
+    np.multiply(domain.radius(circle_grid(m)[0])[:, None], system.f_r, out=rows_bnd)
     sq_int = np.sqrt(grid.weights)
-    rows_int = sq_int[:, None] * (
-        r_ang[:, None] * lap - rp_ang[:, None] * hrt
-    )
-    rhs_int = sq_int * h.value(grid)
-
-    theta_b, dth = circle_grid(m)
-    rows_bnd = math.sqrt(dth) * (
-        domain.radius(theta_b)[:, None]
-        * basis.radial_derivative(_polar.PolarGrid.circle(theta_b))
-    )
-    matrix = np.block(
-        [
-            [rows_int, sq_int[:, None]],
-            [rows_bnd, np.zeros((m, 1))],
-        ]
-    )
-    rhs = np.concatenate([rhs_int, np.zeros(m)])
-    sol, cond = _polar.fit(matrix, rhs)
-    coeffs = sol[:-1]
+    matrix[:n_int, -1] = sq_int
+    rhs = np.concatenate([sq_int * h.value(grid), np.zeros(m)])
+    sol, cond = _polar.fit_normal(matrix, rhs)
     c_star = float(sol[-1])
-    field = _zero_mean(_polar.PolarField(basis, coeffs))
-
-    # refined residual probes
-    fine = disk_grid(2 * n_theta, 2 * n_r)
-    lap_f = field.laplacian(fine)
-    hrt_f = field.hessian_rtheta(fine)
-    r_ang_f, rp_ang_f = np.repeat(domain.radius_derivatives(fine.theta), 2 * n_r, axis=1)
-    resid_f = r_ang_f * lap_f - rp_ang_f * hrt_f - (h.value(fine) - c_star)
-    interior = float(math.sqrt((fine.weights @ resid_f**2) / fine.weights.sum()))
-    theta_fb, _ = circle_grid(4 * m)
-    bres_vals = domain.radius(theta_fb) * field.radial_derivative(
-        _polar.PolarGrid.circle(theta_fb)
-    )
-    bres = float(math.sqrt(np.mean(bres_vals**2)))
-    sup_h = _sup_disk(h)
-    reliable = interior <= RELIABLE_FACTOR * max(sup_h, 1e-300)
+    field = _zero_mean(_polar.PolarField(basis, system.precond @ sol[:-1]))
+    interior, bres, reliable = _variant_residuals(domain, h, field, c_star)
 
     return ObliqueSolution(
         h=h,
@@ -326,7 +385,7 @@ def solve_oblique_kernel_variant(
         boundary_residual=bres,
         mean_domain_h=_mean_domain(domain, h),
         condition=cond,
-        reliable=bool(reliable),
+        reliable=reliable,
         grid_boundary=m,
         grid_interior=grid.size,
     )

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from steinshapes import (
+    PerturbationFamily,
     StarDomain,
     build_domain,
     normalize,
+    oblique,
     solve_oblique,
     solve_oblique_kernel_variant,
 )
-from steinshapes._polar import PolarGrid
+from steinshapes import _polar
+from steinshapes._polar import PolarField, PolarGrid, cascade_basis
 from steinshapes.errors import InputError, NotElliptic
 from steinshapes.oblique import (
     divergence_functional,
@@ -22,7 +27,7 @@ from steinshapes.oblique import (
     rhs_x1,
     schauder_probe,
 )
-from steinshapes.shapes import disk_grid, holder_norm, matrix_holder_seminorm
+from steinshapes.shapes import circle_grid, disk_grid, holder_norm, matrix_holder_seminorm
 
 MARGIN_06 = 0.15147186257614292
 
@@ -172,6 +177,69 @@ def test_kernel_variant_reliable_on_gentle_domain():
     b = solve_oblique_kernel_variant(dom, rhs_sq_radius())
     assert b.reliable
     assert abs(a.c_star - b.c_star) < 1e-3
+
+
+VARIANT_DOMAINS = {
+    "ball": ball,
+    "k2-vn": lambda: PerturbationFamily(k=2).members()[2],
+    "k4-vn": lambda: PerturbationFamily(k=4).members()[2],
+    "order3-recentered": lambda: normalize(
+        StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03)), "recenter"
+    ),
+}
+
+
+def unpreconditioned_variant(domain, h):
+    """The kernel variant in basis coordinates: term tables built for the
+    solve and ``_polar.fit`` on them, at condition ~2e10.  Returns c, the
+    field, the reliable flag and the condition."""
+    n_theta, n_r = oblique.VARIANT_BULK
+    m = oblique.VARIANT_BOUNDARY_GRID
+    grid = disk_grid(n_theta, n_r)
+    basis = cascade_basis(oblique.CASCADE_ORDER)
+    r_ang, rp_ang = np.repeat(domain.radius_derivatives(grid.theta), n_r, axis=1)
+    sq_int = np.sqrt(grid.weights)
+    rows_int = sq_int[:, None] * (
+        r_ang[:, None] * basis.laplacians(grid)
+        - rp_ang[:, None] * basis.hessian_rtheta(grid)
+    )
+    theta_b, dth = circle_grid(m)
+    rows_bnd = math.sqrt(dth) * (
+        domain.radius(theta_b)[:, None]
+        * basis.radial_derivative(PolarGrid.circle(theta_b))
+    )
+    matrix = np.block([[rows_int, sq_int[:, None]], [rows_bnd, np.zeros((m, 1))]])
+    rhs = np.concatenate([sq_int * h.value(grid), np.zeros(m)])
+    sol, cond = _polar.fit(matrix, rhs)
+    c_star = float(sol[-1])
+    field = oblique._zero_mean(PolarField(basis, sol[:-1]))
+    _, _, reliable = oblique._variant_residuals(domain, h, field, c_star)
+    return c_star, field, reliable, cond
+
+
+@pytest.mark.parametrize("name", VARIANT_DOMAINS)
+def test_kernel_variant_matches_the_unpreconditioned_route(name):
+    # the two routes span one space; only round-off in the basis
+    # coordinates, at condition ~2e10, tells them apart
+    domain = VARIANT_DOMAINS[name]()
+    grid = disk_grid(64, 16)
+    for token in ("x1", "r2", "quadrupole"):
+        h = parse_rhs(token)
+        sol = solve_oblique_kernel_variant(domain, h)
+        c_star, field, reliable, _ = unpreconditioned_variant(domain, h)
+        assert abs(sol.c_star - c_star) <= 1e-11 * max(1.0, abs(c_star))
+        want = field.value(grid)
+        assert np.abs(sol.field.value(grid) - want).max() <= 1e-9 * np.abs(want).max()
+        assert sol.reliable == reliable
+        assert sol.condition < 1e3
+
+
+def test_kernel_variant_system_is_built_once_and_read_only():
+    system = oblique._variant_system()
+    assert oblique._variant_system() is system
+    for table in system:
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 def test_schauder_probe_is_continuous_in_eps():

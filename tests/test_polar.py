@@ -197,15 +197,16 @@ def test_loose_terms_need_no_parity_from_m_two_on():
     assert not loose.logs.any()
 
 
-def test_fit_gates_the_condition_and_solves_two_right_hand_sides():
+@pytest.mark.parametrize("solve", [_polar.fit, _polar.fit_normal], ids=["fit", "fit_normal"])
+def test_fit_gates_the_condition_and_solves_two_right_hand_sides(solve):
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((40, 3))
     with pytest.raises(IllConditioned, match="condition"):
-        _polar.fit(np.column_stack([rows, rows[:, 0]]), rng.standard_normal(40))
+        solve(np.column_stack([rows, rows[:, 0]]), rng.standard_normal(40))
     # columns two orders of magnitude apart: the equilibration removes that
     rows *= [10.0, 1.0, 0.1]
     coeffs = rng.standard_normal((3, 2))
-    got, cond = _polar.fit(rows, rows @ coeffs)
+    got, cond = solve(rows, rows @ coeffs)
     assert cond < 10.0
     np.testing.assert_allclose(got, coeffs, rtol=1e-12)
 
