@@ -29,10 +29,11 @@ Every evaluation runs on a ``PolarGrid``, a tensor product of its factors:
 angles theta (n_theta,), ray radii R (n_theta,) and radial fractions t
 (n_t,), point i n_t + j at radius r = R[i] t[j] on the ray at theta[i].
 Bulk and disk quadratures are such products; ``PolarGrid.at`` takes
-arbitrary points, and circles and boundary frames their angles, as
-one-point rays (t = (1,)).  Grids keep the polar coordinates they are built
-from: recovering them from Cartesian points costs a hypot and an arctan per
-point and gives one ray different angle bits at different radii.
+arbitrary points, circles their angles and boundary frames (weighted by
+J dtheta) their boundary points, as one-point rays (t = (1,)).  Grids keep
+the polar coordinates they are built from: recovering them from Cartesian
+points costs a hypot and an arctan per point and gives one ray different
+angle bits at different radii.
 
 Negative exponents only occur where the prefactor vanishes (m <= 1 with
 the parity rule), so powers are clipped at zero and the zero multiplier
@@ -86,7 +87,8 @@ class PolarGrid:
     """Points on rays, a tensor product of ray radii and radial fractions:
     point i n_t + j lies at radius r[i, j] = radius[i] t[j] on the ray at
     angle theta[i].  One-point rays have t = (1,), so r = radius.
-    ``weights`` (N,) are quadrature weights, when the grid is a quadrature."""
+    ``weights`` (N,) are quadrature weights, when the grid is a quadrature.
+    A boundary frame is such a grid of one-point rays, weighted by J dtheta."""
 
     def __init__(self, theta, radius, t=(1.0,), weights=None):
         self.theta = np.asarray(theta, dtype=float)
@@ -405,13 +407,14 @@ def _cartesian(g: PolarGrid, *frame):
 def fit(rows, rhs) -> tuple[np.ndarray, float]:
     """Column-equilibrated least squares rows @ coeffs ~ rhs, with rhs (M,)
     or (M, q).  Returns the coefficients and the condition number of the
-    equilibrated matrix; raises IllConditioned above COND_GATE = 1e12."""
+    equilibrated matrix; raises IllConditioned above COND_GATE.  A wide
+    system (M < N) is missing N - M zero singular values: condition inf."""
     norms = np.linalg.norm(rows, axis=0)
     norms[norms == 0.0] = 1.0
     sol, _, _, svals = np.linalg.lstsq(rows / norms, rhs, rcond=None)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 and svals.size == norms.size else math.inf
     if cond > COND_GATE:
-        raise IllConditioned(f"least-squares condition {cond:.3g} > 1e12")
+        raise IllConditioned(f"least-squares condition {cond:.3g} > {COND_GATE:g}")
     return (sol.T / norms).T, cond
 
 
@@ -419,7 +422,8 @@ def fit_normal(rows, rhs) -> tuple[np.ndarray, float]:
     """``fit`` for rows well conditioned by construction: the equilibrated
     normal equations, solved by Cholesky when the condition read from the
     Gram eigenvalues is at most NORMAL_COND = 1e3.  Above that the rows go
-    to ``fit``, whose gate and message then apply."""
+    to ``fit``, whose gate and message then apply; so do the rows of a wide
+    system, whose singular Gram matrix reads a condition far above it."""
     gram = rows.T @ rows
     norms = np.sqrt(np.diag(gram))
     norms[norms == 0.0] = 1.0

@@ -50,6 +50,8 @@ Z_METHODS = ("dictionary", "lp-oracle")
 
 _TINY = 1e-14
 IDENTITY_TOL = 1e-9       # |P - 4V + M - d2| gate of prop-combined
+SIGMA1_MARGIN = 1e-9      # sigma1 against 1: thm-bw's direction, prop-steklov's members
+VOLUME_GATE = 1e-6        # ||Omega| - |B_1|| above which a domain is not unit volume
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _thm_bw(m: _Member):
     z = m.z.lower_bound
     slack = (spec.c_bw - 1.0) * d_vol + 1e-6 - m.kernel.discrepancy_l2
     notes = []
-    if spec.sigma1 > 1.0 + 1e-9:
+    if spec.sigma1 > 1.0 + SIGMA1_MARGIN:
         notes.append(f"{m.label}: sigma1 = {spec.sigma1} violates the bound")
     if slack < 0.0:
         notes.append(f"{m.label}: proof-chain inequality fails by {-slack:.3g}")
@@ -281,7 +283,7 @@ def _prop_combined(m: _Member):
 
 
 def _unit_volume(fun, what: str) -> None:
-    if abs(fun.volume - BALL_VOLUME) > 1e-6:
+    if abs(fun.volume - BALL_VOLUME) > VOLUME_GATE:
         raise NormalizationMissing(f"{what} has volume {fun.volume:.8f} != |B_1|")
 
 
@@ -348,7 +350,7 @@ def verify_inequality(
     ]
     _require_normalization(theorem, members)
     if theorem == "prop-steklov":
-        members = [m for m in members if m.spectrum.sigma1 >= 1.0 - 1e-9]
+        members = [m for m in members if m.spectrum.sigma1 >= 1.0 - SIGMA1_MARGIN]
         if not members:
             raise NotApplicable(
                 "no family member has sigma1 >= 1; the constrained perimeter "

@@ -14,7 +14,7 @@ factor.  Dictionary features carry closed-form norms on the disk of
 radius rho = max(sup R, 1), which holds Omega and B_1, so every reported
 dictionary value is a lower bound up to quadrature error of the two
 integrals and up to the error of rho.  rho is not certified: it is the
-largest of 4096 samples of R (``_sup_radius``), which under-read sup R
+largest R on ``VALIDATION_GRID`` (``_sup_radius``), which under-reads sup R
 by up to 4.4e-7 relative on random shapes of order <= 5.  An under-read
 rho makes the norm of a degree-k feature too small, and its value too
 large, by up to a factor (1 + 4.4e-7)^k, with k <= DICTIONARY_SIZE.  A
@@ -45,10 +45,11 @@ from functools import cache
 
 import numpy as np
 
-from .errors import GridTooCoarse, InputError, NoConvergence, SolverStall
+from .errors import GridTooCoarse, InputError, SolverStall
 from .shapes import (
     TWO_PI,
     BALL_VOLUME,
+    VALIDATION_GRID,
     StarDomain,
     _fourier_fit,
     boundary_frame,
@@ -130,7 +131,7 @@ def _ball_coverage(cx: float, cy: float, r: float, x, y, h):
 
 
 def _sup_radius(domain: StarDomain) -> float:
-    theta, _ = circle_grid(4096)
+    theta, _ = circle_grid(VALIDATION_GRID)
     return float(domain.radius(theta).max())
 
 
@@ -165,7 +166,7 @@ def fraenkel_asymmetry(
             options={"maxiter": 500, "xatol": 1e-4, "fatol": 1e-10},
         )
         if not result.success:
-            raise NoConvergence(f"center search stalled: {result.message}")
+            raise SolverStall(f"center search stalled: {result.message}")
         center = (float(result.x[0]), float(result.x[1]))
     else:
         center = (0.0, 0.0)
@@ -251,7 +252,7 @@ def _ball_bumps(alpha: float) -> tuple[float, ...]:
     """Unit-disk integrals of the cusp bumps min(1, |x - x0|^alpha).  They
     depend on alpha alone, so they are built once per alpha, a constant of
     the method like the quadrature rules."""
-    disk = disk_grid(256, 64)
+    disk = disk_grid()
     return tuple(
         float(disk.weights @ np.minimum(1.0, np.hypot(*(disk.points - x0).T) ** alpha))
         for x0 in _bump_centers()
@@ -295,7 +296,7 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         value = abs(ball_part - ratio * moment) / cert
         features.append((f"radial-power 2j={power}", value, "even"))
 
-    grid = bulk_grid(domain, 256, 64)
+    grid = bulk_grid(domain)
     pts, wq = grid.points, grid.weights
     cert_affine = 1.0 + _interpolated_seminorm(1.0, 1.0, rho, alpha)
     for idx in range(DICTIONARY_SIZE):
@@ -489,7 +490,7 @@ def oscillation_index(
     center only; the full minimization over y is out of scope.
     """
     frame = boundary_frame(domain, 2048)
-    w = frame.jacobian * frame.dtheta
+    w = frame.weights
     candidates = [(0.0, 0.0)]
     if include_fraenkel:
         candidates.append(fraenkel_asymmetry(domain, n=256).center)

@@ -60,7 +60,7 @@ from .shapes import (
     geometric_functionals,
 )
 
-RELIABLE_FACTOR = 1e-6
+RELIABLE_FACTOR = 1e-6         # interior residual over sup|h| of a reliable variant solve
 RESIDUAL_GATE = 1e-6           # boundary residual above which flux and Monte Carlo checks refuse
 HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
 COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
@@ -146,7 +146,7 @@ def _zero_mean(field: _polar.PolarField) -> _polar.PolarField:
 
 
 def _mean_domain(domain: StarDomain, h: _polar.PolarField) -> float:
-    grid = bulk_grid(domain, 256, 64)
+    grid = bulk_grid(domain)
     volume = geometric_functionals(domain).volume
     return float(grid.weights @ h.value(grid)) / volume
 
@@ -188,7 +188,7 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
     NotOblique
         if the transported normal loses its positive radial component.
     IllConditioned
-        if the equilibrated collocation system exceeds condition 1e12.
+        if the equilibrated collocation system exceeds ``_polar.COND_GATE``.
     """
     kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
@@ -330,7 +330,7 @@ def solve_oblique_kernel_variant(
     ``cascade_basis(kf)`` with kf = CASCADE_ORDER, the closure of the
     degree-kf polynomials under those corrections.  Both reported
     residuals are RMS in the natural measure, and ``reliable`` requires
-    the interior one to be <= 1e-6 sup|h|.
+    the interior one to be <= RELIABLE_FACTOR sup|h|.
 
     The system is right-preconditioned by the disk's own orthogonalization
     of the basis (``_variant_system``, cached per process): the domain
@@ -345,7 +345,7 @@ def solve_oblique_kernel_variant(
         if the symmetric part of the bulk-map differential is not positive
         definite (``ellipticity_margin`` <= 0).
     IllConditioned
-        if the equilibrated collocation system exceeds condition 1e12.
+        if the equilibrated collocation system exceeds ``_polar.COND_GATE``.
     """
     margin = ellipticity_margin(domain)
     if margin <= 0.0:

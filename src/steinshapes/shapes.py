@@ -29,8 +29,9 @@ integrands with kinks there, refined by doubling until it converges.
 Bulk integrals over the domain use the polar pushforward grid: uniform
 angles crossed with Gauss-Legendre radial nodes scaled by R(theta).
 ``bulk_grid`` and ``disk_grid`` return it as a weighted ``_polar.PolarGrid``
-of its factors (theta, R(theta), t), and ``BoundaryFrame.grid`` holds a
-frame's points as one-point rays.
+of its factors (theta, R(theta), t), by default of ``BULK_SHAPE``.  A
+``BoundaryFrame`` is a ``PolarGrid`` too: one-point rays at the boundary
+points, weighted on a uniform grid by the boundary measure J dtheta.
 
 Each kind of outside value has one reader here, which every module calls:
 ``check_alpha`` for a Hoelder exponent, ``check_integer`` for a size, order,
@@ -73,7 +74,9 @@ QUAD_START = 128
 QUAD_CAP = 2 ** 16
 SEGMENT_START = 64
 SEGMENT_CAP = 4096
-RECENTER_TOL = 1e-10
+RECENTER_TOL = 1e-10      # sup error of the recentering Fourier refit
+RECENTER_STOP = 1e-9      # |boundary barycenter| at which recentering stops
+BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the default bulk grid
 
 
 # ---------------------------------------------------------------------------
@@ -168,37 +171,27 @@ class StarDomain:
         )
 
 
-@dataclass(frozen=True)
-class BoundaryFrame:
-    """Boundary geometry at a set of angles, built by ``frame_at``.
+class BoundaryFrame(PolarGrid):
+    """Boundary geometry at a set of angles, built by ``frame_at``: a grid of
+    one-point rays at the boundary points, whose ``weights`` are the boundary
+    measure J dtheta on uniform angles (given ``dtheta``) and None off them.
 
-    ``grid``, ``points``, ``normals``, ``polar_normal`` and ``curvature``
-    are computed on first use, so a caller that reads only R, R' and the
-    Jacobian pays for nothing more, and kappa never evaluates a curvature
-    that R^2 + R'^2 may overflow.
+    ``points``, ``normals``, ``polar_normal`` and ``curvature`` are computed
+    on first use, so a caller that reads only R, R' and the Jacobian pays for
+    nothing more, and kappa never evaluates a curvature that R^2 + R'^2 may
+    overflow.
     """
 
-    theta: np.ndarray
-    radius: np.ndarray
-    radius_prime: np.ndarray
-    radius_second: np.ndarray
-    jacobian: np.ndarray          # sqrt(R^2 + R'^2)
-    dtheta: float                 # trapezoid weight; nan off a uniform grid
-
-    @cached_property
-    def grid(self) -> PolarGrid:
-        """The boundary points as a grid of one point per ray."""
-        return PolarGrid(self.theta, self.radius)
-
-    @property
-    def points(self) -> np.ndarray:
-        """(M, 2) boundary points R (cos theta, sin theta)."""
-        return self.grid.points
+    def __init__(self, theta, radius, radius_prime, radius_second, dtheta=None):
+        self.radius_prime = radius_prime
+        self.radius_second = radius_second
+        self.jacobian = np.sqrt(radius * radius + radius_prime * radius_prime)
+        super().__init__(theta, radius, weights=None if dtheta is None else self.jacobian * dtheta)
 
     @cached_property
     def normals(self) -> np.ndarray:
         """(M, 2) unit outward normals."""
-        ct, st = self.grid.directions
+        ct, st = self.directions
         r, rp, speed = self.radius, self.radius_prime, self.jacobian
         # nu = (R rhat - R' thetahat)/speed with rhat=(ct,st), thetahat=(-st,ct)
         return np.stack(
@@ -359,7 +352,9 @@ def trig_zeros(base: float, cos_coeffs, sin_coeffs) -> np.ndarray:
     return angles
 
 
-def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGrid:
+def bulk_grid(
+    domain: StarDomain, n_theta: int = BULK_SHAPE[0], n_r: int = BULK_SHAPE[1]
+) -> PolarGrid:
     """Polar pushforward quadrature over the domain.
 
     Returns a PolarGrid of n_theta rays with n_r points each, whose weights
@@ -376,7 +371,7 @@ def bulk_grid(domain: StarDomain, n_theta: int = 256, n_r: int = 64) -> PolarGri
     return PolarGrid(theta, radius, t, ww.ravel())
 
 
-def disk_grid(n_theta: int = 256, n_r: int = 64) -> PolarGrid:
+def disk_grid(n_theta: int = BULK_SHAPE[0], n_r: int = BULK_SHAPE[1]) -> PolarGrid:
     """Bulk quadrature grid for the unit ball."""
     return bulk_grid(_UNIT_DISK, n_theta, n_r)
 
@@ -553,17 +548,10 @@ def build_domain(spec) -> StarDomain:
 # boundary geometry
 
 
-def frame_at(domain: StarDomain, theta, dtheta: float = math.nan) -> BoundaryFrame:
-    """Boundary geometry at any angles; derivatives are analytic."""
-    r, rp, rpp = domain.radius_derivatives(theta, 2)
-    return BoundaryFrame(
-        theta=theta,
-        radius=r,
-        radius_prime=rp,
-        radius_second=rpp,
-        jacobian=np.sqrt(r * r + rp * rp),
-        dtheta=dtheta,
-    )
+def frame_at(domain: StarDomain, theta, dtheta: float | None = None) -> BoundaryFrame:
+    """Boundary geometry at any angles; derivatives are analytic.  Given the
+    trapezoid weight ``dtheta`` of uniform angles, the frame is weighted."""
+    return BoundaryFrame(theta, *domain.radius_derivatives(theta, 2), dtheta)
 
 
 def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
@@ -695,8 +683,8 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
 
     volume:   R <- (|B_1|/|Omega|)^{1/2} R.
     recenter: ray-shooting from the current boundary barycenter with a
-    Fourier refit of order >= 2K to tolerance 1e-10, iterated until the
-    barycenter magnitude drops below 1e-9.
+    Fourier refit of order >= 2K to tolerance RECENTER_TOL, iterated until
+    the barycenter magnitude is at most RECENTER_STOP.
     """
     if mode == "volume":
         fun = geometric_functionals(domain)
@@ -709,7 +697,7 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
         fun = geometric_functionals(current)
         center = np.array(fun.barycenter)
         shift = float(np.hypot(*center))
-        if shift <= 1e-9:
+        if shift <= RECENTER_STOP:
             return current
         m_fit = max(4096, 8 * max(current.order, 1))
         radii = _ray_radii(current, center, m_fit)
@@ -727,7 +715,7 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
                 )
             order *= 2
         current = StarDomain(base, tuple(a), tuple(b), current.label)
-    raise RecenterFailed("barycenter iteration did not contract below 1e-9")
+    raise RecenterFailed(f"barycenter iteration did not contract below {RECENTER_STOP:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import IdentityViolated, InputError, NormalizationMissing
+from .errors import GridTooCoarse, IdentityViolated, InputError, NormalizationMissing
 from .shapes import (
+    BULK_SHAPE,
     StarDomain,
     boundary_frame,
     bulk_grid,
@@ -43,9 +44,8 @@ from .shapes import (
 CENTER_GATE = 1e-8        # bound on |boundary barycenter| * perimeter
 KERNEL_ORDER = 24         # harmonic truncation of the Neumann potentials
 KERNEL_GRID = 1024        # boundary collocation angles
-PANEL_TOL = 1e-6
+PANEL_TOL = 1e-6          # relative gap of the test-panel identity
 DEFICIT_TOL = 1e-10       # doubling tolerance of the deficit integrals
-BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the kernel's bulk grid
 
 # The test panel: ten vector fields (u1, u2) with spanning derivative
 # content, each component given by its coefficients over
@@ -164,7 +164,7 @@ def _panel(domain, tau, grid):
 
     def boundary_integrand(theta: np.ndarray) -> np.ndarray:
         frame = frame_at(domain, theta)
-        phi = terms.value(frame.grid) * frame.jacobian[:, None]
+        phi = terms.value(frame) * frame.jacobian[:, None]
         return (frame.points[:, :, None] * phi[:, None, :]).reshape(len(theta), 12)
 
     moments, _ = doubling_quadrature(boundary_integrand)
@@ -191,36 +191,39 @@ def stein_kernel_solve(
     ------
     InputError
         if the truncation order k is not an integer >= 1.
+    GridTooCoarse
+        if m is not an integer >= 2k, the number of unknowns.
     NormalizationMissing
         if the domain is not centered (``require_centered``).
     IllConditioned
-        if the equilibrated Neumann collocation exceeds condition 1e12.
+        if the equilibrated Neumann collocation exceeds ``_polar.COND_GATE``.
     IdentityViolated
-        if the defining identity fails on the test panel at 1e-6 relative.
+        if the defining identity fails on the test panel at PANEL_TOL relative.
     """
     check_integer("truncation order", k, 1)
+    check_integer("boundary grid", m, 2 * k, GridTooCoarse)
     require_centered(geometric_functionals(domain))
 
     frame = boundary_frame(domain, m)
-    sqrt_w = np.sqrt(frame.jacobian * frame.dtheta)
+    sqrt_w = np.sqrt(frame.weights)
     basis = _polar.harmonic_basis(k)
-    rows = basis.normal_derivative(frame.grid, *frame.polar_normal)
+    rows = basis.normal_derivative(frame, *frame.polar_normal)
     coeffs, cond = _polar.fit(rows * sqrt_w[:, None], frame.points * sqrt_w[:, None])
     potentials = _polar.PolarField(basis, coeffs)
 
-    grid = bulk_grid(domain, *BULK_SHAPE)
+    grid = bulk_grid(domain)
     tau, disc1, disc2 = _discrepancies(potentials, grid)
     energy = float(grid.weights @ np.einsum("nab,nab->n", tau, tau))
 
     frame_f = boundary_frame(domain, 2 * m)
-    flux_f = potentials.normal_derivative(frame_f.grid, *frame_f.polar_normal)
+    flux_f = potentials.normal_derivative(frame_f, *frame_f.polar_normal)
     neumann = float(np.abs(flux_f - frame_f.points).max())
 
     panel = _panel(domain, tau, grid)
     worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)
     if worst > PANEL_TOL:
         raise IdentityViolated(
-            f"test-panel identity off by {worst:.3g} relative (> 1e-6)"
+            f"test-panel identity off by {worst:.3g} relative (> {PANEL_TOL:g})"
         )
 
     return SteinKernelResult(

@@ -26,6 +26,7 @@ CONVERGENCE_TOL = 1e-8
 CLUSTER_GAP = 1e-7
 N_EIGENVALUES = 7
 CHECK_GRID = 2048         # boundary grid of the Rayleigh and trace checks
+TRACE_FLOOR = 1e-14       # boundary variance at which the Rayleigh quotient is undefined
 STEKLOV_ORDER = 16        # default truncation; verify and sweep add 4 per radius order
 
 
@@ -50,12 +51,12 @@ class SteklovResult:
 def _assemble(domain: StarDomain, k: int, m: int):
     frame = boundary_frame(domain, m)
     basis = _polar.harmonic_basis(k, include_constant=True)
-    vals = basis.values(frame.grid)
-    dnu = basis.normal_derivative(frame.grid, *frame.polar_normal)
+    vals = basis.values(frame)
+    dnu = basis.normal_derivative(frame, *frame.polar_normal)
     scale = 1.0 / np.abs(vals).max(axis=0)
     vals = vals * scale
     dnu = dnu * scale
-    w = frame.jacobian * frame.dtheta
+    w = frame.weights
     a_raw = vals.T @ (w[:, None] * dnu)
     a = 0.5 * (a_raw + a_raw.T)
     b_raw = vals.T @ (w[:, None] * vals)
@@ -144,15 +145,15 @@ def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     u; the boundary mean of u is projected out of the denominator.
     """
     frame = boundary_frame(domain, CHECK_GRID)
-    w = frame.jacobian * frame.dtheta
-    trace = u.value(frame.grid)
-    dnu = u.normal_derivative(frame.grid, *frame.polar_normal)
+    w = frame.weights
+    trace = u.value(frame)
+    dnu = u.normal_derivative(frame, *frame.polar_normal)
     numerator = float(w @ (trace * dnu))
     mean = float(w @ trace) / float(w.sum())
     centered = trace - mean
     denominator = float(w @ (centered * centered))
-    if denominator <= 1e-14:
-        raise ZeroTrace(f"boundary variance {denominator:.3g} <= 1e-14")
+    if denominator <= TRACE_FLOOR:
+        raise ZeroTrace(f"boundary variance {denominator:.3g} <= {TRACE_FLOOR:g}")
     return numerator / denominator
 
 
@@ -169,10 +170,10 @@ def trace_inequality_check(domain: StarDomain, components, c_bw: float) -> float
         grad = comp.gradient(grid)
         energy += float(grid.weights @ np.einsum("nd,nd->n", grad, grad))
     frame = boundary_frame(domain, CHECK_GRID)
-    w = frame.jacobian * frame.dtheta
+    w = frame.weights
     variance = 0.0
     for comp in components:
-        trace = comp.value(frame.grid)
+        trace = comp.value(frame)
         mean = float(w @ trace) / float(w.sum())
         variance += float(w @ (trace - mean) ** 2)
     return c_bw * energy - variance

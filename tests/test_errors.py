@@ -137,6 +137,8 @@ BAD_ARGUMENTS = {
     ],
     errors.GridTooCoarse: [
         ("stein_kernel_solve m=100.0", lambda tmp: ss.stein_kernel_solve(BALL, m=100.0)),
+        # 16 collocation rows for 48 unknowns
+        ("stein_kernel_solve k=24 m=16", lambda tmp: ss.stein_kernel_solve(BALL, k=24, m=16)),
         ("steklov_spectrum m=100.5", lambda tmp: ss.steklov_spectrum(BALL, m=100.5)),
         ("circle_grid m=0", lambda tmp: ss.circle_grid(0)),
         ("disk_grid n_theta=10.5", lambda tmp: ss.disk_grid(10.5, 8)),

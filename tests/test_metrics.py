@@ -22,7 +22,7 @@ from steinshapes import (
 )
 from steinshapes import metrics
 from steinshapes.shapes import TWO_PI, BALL_VOLUME, bulk_grid, disk_grid, geometric_functionals
-from steinshapes.errors import GridTooCoarse
+from steinshapes.errors import GridTooCoarse, SolverStall
 
 # frozen oracle values, printed once at %.17g and pinned
 VN_POLAR_FRAENKEL = 0.12673006187118815
@@ -67,6 +67,17 @@ def test_fraenkel_grid_matches_polar_oracle():
     np.testing.assert_allclose(oracle, VN_POLAR_FRAENKEL, rtol=1e-12)
     grid = fraenkel_asymmetry(bump_vn())
     assert abs(grid.value - oracle) < 5e-5
+
+
+def test_stalled_center_search_is_a_solver_stall(monkeypatch):
+    import scipy.optimize
+
+    def stalled(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=x0, success=False, message="iteration cap")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    with pytest.raises(SolverStall, match="center search stalled"):
+        fraenkel_asymmetry(bump_vn())
 
 
 def test_raster_grid_floors():

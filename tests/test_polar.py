@@ -211,6 +211,15 @@ def test_fit_gates_the_condition_and_solves_two_right_hand_sides(solve):
     np.testing.assert_allclose(got, coeffs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("solve", [_polar.fit, _polar.fit_normal], ids=["fit", "fit_normal"])
+def test_fit_gates_a_wide_system(solve):
+    # more unknowns than rows: a null space, which the min(M, N) singular
+    # values of lstsq do not show
+    rng = np.random.default_rng(3)
+    with pytest.raises(IllConditioned, match="condition inf"):
+        solve(rng.standard_normal((5, 8)), rng.standard_normal(5))
+
+
 @pytest.mark.parametrize(
     "tokens",
     [["x1"], ["x2"], ["r2"], ["one"], ["quadrupole"], ["x1", "r2", "quadrupole"]],

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from steinshapes import NoConvergence, StarDomain, geometric_functionals
 from steinshapes.experiments import _steklov_order
-from steinshapes.shapes import boundary_frame, normalize, trig_zeros
+from steinshapes._polar import PolarGrid
+from steinshapes.shapes import boundary_frame, frame_at, normalize, trig_zeros
 from steinshapes.steklov import steklov_spectrum
 from steinshapes.stein import boundary_deficits, stein_kernel_solve
 
@@ -120,7 +121,18 @@ def test_d2_is_perimeter_minus_four_volumes_plus_momentum(domain):
 def test_total_curvature_is_two_pi(domain):
     # the boundary is a simple closed curve that turns once
     frame = boundary_frame(domain, 256)
-    assert _close(float(frame.curvature @ frame.jacobian) * frame.dtheta, 2.0 * math.pi)
+    assert _close(float(frame.curvature @ frame.weights), 2.0 * math.pi)
+
+
+@PROPERTY_SETTINGS
+@given(domains)
+def test_boundary_frame_is_a_grid_weighted_by_the_boundary_measure(domain):
+    frame = boundary_frame(domain, 256)
+    assert isinstance(frame, PolarGrid)
+    perimeter = geometric_functionals(domain).perimeter
+    assert float(frame.weights.sum()) == pytest.approx(perimeter, rel=1e-12)
+    # angles given without a trapezoid weight, as off a uniform grid
+    assert frame_at(domain, frame.theta).weights is None
 
 
 @PROPERTY_SETTINGS

@@ -273,7 +273,7 @@ def test_boundary_frame_ball():
     np.testing.assert_allclose(fr.normals, fr.points, atol=1e-15)
     np.testing.assert_allclose(fr.jacobian, 1.0, atol=1e-15)
     np.testing.assert_allclose(fr.curvature, 1.0, atol=1e-12)
-    assert fr.dtheta == pytest.approx(2 * np.pi / 256)
+    np.testing.assert_allclose(fr.weights, 2 * np.pi / 256, rtol=1e-15)
 
 
 def test_boundary_frame_normals_are_unit():

@@ -153,7 +153,7 @@ def per_field_panel(domain, tau, grid):
 
     def boundary_integrand(theta):
         frame = frame_at(domain, theta)
-        u = tests.value(frame.grid).reshape(len(theta), len(stein._PANEL), 2)
+        u = tests.value(frame).reshape(len(theta), len(stein._PANEL), 2)
         return np.einsum("nd,nid->ni", frame.points, u) * frame.jacobian[:, None]
 
     rhs, _ = doubling_quadrature(boundary_integrand)
