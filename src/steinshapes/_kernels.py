@@ -16,6 +16,25 @@ may round one ulp away from libm's pow, so the kernels agree with the
 loops to within a couple of ulp, not bit for bit; the tests hold them to
 that.
 
+``ring_pair_seminorms`` returns pair_seminorms' bits on a ring grid, n rays
+at uniform angles sharing m radii t (``disk_grid``), where rotation makes a
+pair's distance a table entry: the pairs between ray a at radius t_j and
+ray a + l at radius t_k lie (t_j - t_k)^2 + 4 t_j t_k sin^2(pi l / n) apart
+for every a.  Stage 1 walks the lags l = 0..n // 2 and, per field column,
+subtracts contiguous (n, m, m) tables, here[a, j, k] = c[a, j] and
+there[b, j, k] = c[b mod n, k], so a lag is the slice there[l : l + n]; the
+max over the rotations a of each cell (l, j, k) is then divided once.  A
+column equal to the previous one, as the symmetric Hessian's off-diagonal
+is, reuses its square.  The ring distance is not the Cartesian d2 that
+pair_seminorms rounds, so the cell of the Cartesian maximizer may fall an
+ulp or so short of the stage-1 max; stage 2 therefore recomputes, through
+pair_seminorms' own per-pair arithmetic, every pair of each cell within
+RING_SLACK = 1e-9 of the field's stage-1 max.  Ring and Cartesian squared
+distances of disk_grid(96, 24) differ by at most 1.9e-14 relative, so the
+Cartesian maximizer's cell is always among them; on grids fine enough for
+that gap to approach the slack the result could miss it and fall short of
+pair_seminorms' by about the slack.
+
 The reflected-path stepper is inherently sequential.  It runs on Python
 floats, which round each operation as numpy scalars do but skip their
 boxing.  It converts increments and stores positions PATH_BLOCK steps at a
@@ -43,17 +62,42 @@ def backend() -> str:
 # array, and fewer wasted pairs below the diagonal than larger blocks
 BLOCK_ROWS = 64
 
+# relative slack of ring_pair_seminorms' second stage; the module
+# docstring gives its bound
+RING_SLACK = 1e-9
 
-def _square_sum_into(out, tmp, a, rows, cols):
-    # out[i, j] = sum_q (a[i, q] - a[j, q])^2 accumulated column by column,
+
+def _square_sum_into(out, tmp, a, here, there):
+    # out = sum_q (a[here, q] - a[there, q])^2 accumulated column by column,
     # the loops' association order; einsum may pair terms differently and
     # drift by an ulp
-    np.subtract(a[rows, None, 0], a[None, cols, 0], out=out)
+    np.subtract(a[here, 0], a[there, 0], out=out)
     out *= out
     for q in range(1, a.shape[1]):
-        np.subtract(a[rows, None, q], a[None, cols, q], out=tmp)
+        np.subtract(a[here, q], a[there, q], out=tmp)
         tmp *= tmp
         out += tmp
+
+
+def _fold_pair_ratios(best, pts, fields, e, here, there):
+    """Raise best[k] to the max over the pairs (here, there) of field k's
+    ratio |f_here - f_there| / d2 ** e.  here and there are point indices
+    that broadcast together: a row block against its columns, or a list of
+    pairs."""
+    shape = np.broadcast_shapes(np.shape(here), np.shape(there))
+    d2, num, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    _square_sum_into(d2, tmp, pts, here, there)
+    d2[d2 == 0.0] = np.inf
+    den = d2**e
+    for k, f in enumerate(fields):
+        if f.ndim == 1:
+            np.subtract(f[here], f[there], out=num)
+            np.abs(num, out=num)
+        else:
+            _square_sum_into(num, tmp, f, here, there)
+            np.sqrt(num, out=num)
+        num /= den
+        best[k] = max(best[k], float(num.max()))
 
 
 def pair_seminorms(pts, fields, alpha):
@@ -65,25 +109,85 @@ def pair_seminorms(pts, fields, alpha):
     row on: that covers every pair i < j, and the pairs a block holds in
     both orders give equal ratios.
     """
-    e = 0.5 * alpha
     n = pts.shape[0]
     best = [0.0] * len(fields)
     for i0 in range(0, n, BLOCK_ROWS):
-        rows, cols = slice(i0, i0 + BLOCK_ROWS), slice(i0, None)
-        shape = (min(BLOCK_ROWS, n - i0), n - i0)
-        d2, num, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        _square_sum_into(d2, tmp, pts, rows, cols)
-        d2[d2 == 0.0] = np.inf
-        den = d2**e
-        for k, f in enumerate(fields):
-            if f.ndim == 1:
-                np.subtract(f[rows, None], f[None, cols], out=num)
-                np.abs(num, out=num)
-            else:
-                _square_sum_into(num, tmp, f, rows, cols)
-                np.sqrt(num, out=num)
-            num /= den
-            best[k] = max(best[k], float(num.max()))
+        rows = np.arange(i0, min(i0 + BLOCK_ROWS, n))
+        _fold_pair_ratios(best, pts, fields, 0.5 * alpha, rows[:, None], np.arange(i0, n))
+    return best
+
+
+def _ring_numerators(f, n, m, lags):
+    """(lags, m, m) max over the n rotations a of the numerator between
+    points (a, j) and (a + lag mod n, k), in pair_seminorms' arithmetic."""
+    cols = f.reshape(n, m, -1)
+    # (here, there) per column; None for a column q >= 2 equal to column
+    # q - 1, whose square is then still in sq
+    tables = []
+    for q in range(cols.shape[2]):
+        c = cols[:, :, q]
+        if q >= 2 and np.array_equal(c, cols[:, :, q - 1]):
+            tables.append(None)
+            continue
+        wrapped = np.concatenate([c, c[: lags - 1]])
+        tables.append(
+            (np.repeat(c[:, :, None], m, axis=2), np.repeat(wrapped[:, None, :], m, axis=1))
+        )
+    out = np.empty((lags, m, m))
+    acc, sq = np.empty((n, m, m)), np.empty((n, m, m))
+    for lag in range(lags):
+        for q, table in enumerate(tables):
+            dest = sq if q else acc
+            if table is not None:
+                np.subtract(table[0], table[1][lag : lag + n], out=dest)
+                if f.ndim == 1:
+                    np.abs(dest, out=dest)
+                else:
+                    dest *= dest
+            if q:
+                acc += sq
+        np.max(acc, axis=0, out=out[lag])
+    return out if f.ndim == 1 else np.sqrt(out, out=out)
+
+
+def _ring_distances(grid):
+    """(n // 2 + 1, m, m) squared distances between the points (a, j) and
+    (a + lag mod n, k) of a ring grid, the same for every a."""
+    n, t = grid.theta.size, grid.r[0]
+    sin2 = np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return np.subtract.outer(t, t) ** 2 + 4.0 * np.multiply.outer(sin2, np.multiply.outer(t, t))
+
+
+def ring_pair_seminorms(grid, fields, alpha):
+    """pair_seminorms(grid.points, fields, alpha), bit for bit, on a grid
+    whose n rays at the uniform angles 2 pi a / n share their m radii, as
+    disk_grid's do.
+
+    The lags 0..n // 2, with (j, k) swapped, cover every pair.  Stage 1's
+    numerators are pair_seminorms' bit for bit; only their distances are
+    the ring ones, so stage 2 takes the max over the pairs of every cell
+    whose stage-1 ratio exceeds (1 - RING_SLACK) times the field's max.
+    """
+    e = 0.5 * alpha
+    n, m = grid.theta.size, grid.t.size
+    d2 = _ring_distances(grid)
+    d2[d2 == 0.0] = np.inf
+    den = d2**e
+    pts = grid.points
+    rotation = np.arange(n)
+    # stage-2 cells per call, of n pairs each: a pair_seminorms row block
+    chunk = BLOCK_ROWS * m
+    best = []
+    for f in fields:
+        cells = _ring_numerators(f, n, m, d2.shape[0]) / den
+        top = [0.0]
+        lag, j, k = np.nonzero(cells > float(cells.max()) * (1.0 - RING_SLACK))
+        for c0 in range(0, lag.size, chunk):
+            c = slice(c0, c0 + chunk)
+            here = rotation * m + j[c, None]
+            there = (rotation + lag[c, None]) % n * m + k[c, None]
+            _fold_pair_ratios(top, pts, [f], e, here, there)
+        best.append(top[0])
     return best
 
 

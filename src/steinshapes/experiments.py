@@ -49,9 +49,11 @@ DEFAULT_AMPLITUDES = (0.02, 0.04, 0.06, 0.08, 0.10)
 Z_METHODS = ("dictionary", "lp-oracle")
 
 _TINY = 1e-14
-IDENTITY_TOL = 1e-9       # |P - 4V + M - d2| gate of prop-combined
-SIGMA1_MARGIN = 1e-9      # sigma1 against 1: thm-bw's direction, prop-steklov's members
-VOLUME_GATE = 1e-6        # ||Omega| - |B_1|| above which a domain is not unit volume
+IDENTITY_TOL = 1e-9          # |P - 4V + M - d2| gate of prop-combined
+SIGMA1_MARGIN = 1e-9         # sigma1 against 1: thm-bw's direction, prop-steklov's members
+CHAIN_ALLOWANCE = 1e-6       # thm-bw's proof chain: discrepancy_l2 <= (c_bw - 1) d |V| + this
+ISOPERIMETRIC_MARGIN = 1e-9  # prop-steklov's direction fails where P - 2 sqrt(pi |V|) < -this
+VOLUME_GATE = 1e-6           # ||Omega| - |B_1|| above which a domain is not unit volume
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _thm_kernel(m: _Member):
 def _thm_bw(m: _Member):
     spec, d_vol = m.spectrum, 2.0 * m.functionals.volume
     z = m.z.lower_bound
-    slack = (spec.c_bw - 1.0) * d_vol + 1e-6 - m.kernel.discrepancy_l2
+    slack = (spec.c_bw - 1.0) * d_vol + CHAIN_ALLOWANCE - m.kernel.discrepancy_l2
     notes = []
     if spec.sigma1 > 1.0 + SIGMA1_MARGIN:
         notes.append(f"{m.label}: sigma1 = {spec.sigma1} violates the bound")
@@ -265,7 +267,7 @@ def _prop_steklov(m: _Member):
     fun = m.functionals
     lhs = fun.perimeter - 2.0 * math.sqrt(math.pi * fun.volume)
     z = m.z.lower_bound
-    notes = [f"{m.label}: isoperimetric direction fails"] if lhs < -1e-9 else []
+    notes = [f"{m.label}: isoperimetric direction fails"] if lhs < -ISOPERIMETRIC_MARGIN else []
     return lhs, z * z, {"sigma1": m.spectrum.sigma1}, notes
 
 

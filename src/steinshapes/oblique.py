@@ -174,22 +174,11 @@ def _boundary_flux(field: _polar.PolarField) -> float:
     return float(value)
 
 
-def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
-    """Spectral solve of the oblique problem with free centering scalar.
-
-    The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
-    with F_h = h.poisson_preimage(); the harmonic coefficients
-    and c minimize the boundary residual |grad f . nu_transported| in the
-    discrete L2 sense over M collocation angles, and a_0 pins the average
-    of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
-
-    Raises
-    ------
-    NotOblique
-        if the transported normal loses its positive radial component.
-    IllConditioned
-        if the equilibrated collocation system exceeds ``_polar.COND_GATE``.
-    """
+def _oblique_fit(
+    domain: StarDomain, h: _polar.PolarField
+) -> tuple[_polar.PolarField, float, float]:
+    """The field, c_star and condition of ``solve_oblique``: collocation,
+    fit and zero mean, without the residuals."""
     kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
     circle = _polar.PolarGrid.circle(theta)
@@ -210,13 +199,33 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
     field = _zero_mean(
         _polar.PolarField(harm, harm_coeffs) + part + _term(2, 0, _polar.COS, -c_star / 4.0)
     )
+    return field, c_star, cond
+
+
+def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
+    """Spectral solve of the oblique problem with free centering scalar.
+
+    The ansatz is f = F_h - c r^2/4 + a_0 + sum_k r^k (a_k cos + b_k sin)
+    with F_h = h.poisson_preimage(); the harmonic coefficients
+    and c minimize the boundary residual |grad f . nu_transported| in the
+    discrete L2 sense over M collocation angles, and a_0 pins the average
+    of f over B_1 to zero (kf = HARMONIC_ORDER, M = COLLOCATION_GRID).
+
+    Raises
+    ------
+    NotOblique
+        if the transported normal loses its positive radial component.
+    IllConditioned
+        if the equilibrated collocation system exceeds ``_polar.COND_GATE``.
+    """
+    field, c_star, cond = _oblique_fit(domain, h)
 
     # residuals: interior on a polar probe grid, boundary on a refined circle
     probe = disk_grid(96, 24)
     interior = float(
         np.abs(field.laplacian(probe) - (h.value(probe) - c_star)).max()
     )
-    theta_f, _ = circle_grid(4 * m)
+    theta_f, _ = circle_grid(4 * COLLOCATION_GRID)
     normal_f = frame_at(domain, theta_f).polar_normal
     bres = float(
         np.abs(field.normal_derivative(_polar.PolarGrid.circle(theta_f), *normal_f)).max()
@@ -225,7 +234,7 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
     return ObliqueSolution(
         h=h,
         method="spectral-ansatz",
-        kf=kf,
+        kf=HARMONIC_ORDER,
         c_star=c_star,
         field=field,
         interior_residual=interior,
@@ -233,7 +242,7 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
         mean_domain_h=_mean_domain(domain, h),
         condition=cond,
         reliable=True,
-        grid_boundary=m,
+        grid_boundary=COLLOCATION_GRID,
         grid_interior=0,
     )
 
@@ -409,24 +418,26 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
 
     Both norms are grid estimates on the same polar bulk grid of B_1; the
     Hessian seminorm uses the Frobenius distance between matrix values.
-    The data and Hessian fields of every probe are formed first, and all
-    their seminorms come from one pass over the point pairs.
+    The data and Hessian fields of every probe are formed first, each
+    Hessian from ``solve_oblique``'s field without its residuals, and all
+    their seminorms come from ``_kernels.ring_pair_seminorms``, which reads
+    the disk grid's rotation symmetry and returns the bits of a pass over
+    the point pairs.
     """
     check_alpha(alpha)
     probes = tuple(probes)
     if not probes:
         raise InputError("need at least one probe")
     grid = disk_grid(96, 24)
-    pts = grid.points
     data = [h.value(grid) for h in probes]
     sups = [float(np.abs(vals).max()) for vals in data]
     for i, sup in enumerate(sups):
         # the seminorm is >= 0, so the norm is zero exactly when sup|h| is
         if sup <= 0.0:
             raise InputError(f"probe {i} has zero grid norm")
-    hessians = [solve_oblique(domain, h).field.hessian(grid) for h in probes]
-    semis = _kernels.pair_seminorms(
-        pts, data + [m.reshape(len(pts), -1) for m in hessians], alpha
+    hessians = [_oblique_fit(domain, h)[0].hessian(grid) for h in probes]
+    semis = _kernels.ring_pair_seminorms(
+        grid, data + [m.reshape(grid.size, -1) for m in hessians], alpha
     )
     dens = [sup + semi for sup, semi in zip(sups, semis)]
     nums = [

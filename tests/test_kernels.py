@@ -1,5 +1,6 @@
-"""The numpy kernels against their reference loops, and the frozen
-reflected-path trajectory."""
+"""The numpy kernels against their reference loops, the ring seminorm
+kernel against the Cartesian one, and the frozen reflected-path
+trajectory."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 
 from steinshapes import _kernels as K
 from steinshapes import rbm
-from steinshapes.shapes import StarDomain
+from steinshapes.shapes import StarDomain, disk_grid
 
 # sha over the raw trajectory bytes, bump domain, seed 5, horizon 5
 TRAJECTORY_SHA16 = "254890cf7b5286f1"
@@ -174,6 +175,54 @@ class TestSharedDenominator:
         pts = np.full((n, 2), 0.3)
         fields = [np.arange(float(n)), np.arange(4.0 * n).reshape(n, 4)]
         assert K.pair_seminorms(pts, fields, 0.5) == [0.0, 0.0]
+
+
+class TestRingSeminorms:
+    """The ring kernel against pair_seminorms on the same grid's points."""
+
+    @staticmethod
+    def _fields(grid, rng):
+        x, y = grid.points.T
+        n = grid.size
+        symmetric = rng.standard_normal((n, 4))
+        symmetric[:, 2] = symmetric[:, 1]  # a Hessian's equal off-diagonal
+        return [
+            rng.standard_normal(n),
+            x.copy(),  # at alpha = 1, 1692 cells of (96, 24) within the slack
+            x * x - y * y,
+            np.zeros(n),
+            rng.standard_normal((n, 4)),
+            symmetric,
+        ]
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "shape", [(96, 24), (37, 9), (40, 6), (25, 1), (8, 1), (1, 7), (2, 3)]
+    )
+    def test_equals_the_cartesian_kernel(self, shape, alpha):
+        grid = disk_grid(*shape)
+        fields = self._fields(grid, np.random.default_rng(shape[0] * 100 + shape[1]))
+        assert K.ring_pair_seminorms(grid, fields, alpha) == K.pair_seminorms(
+            grid.points, fields, alpha
+        )
+
+    def test_ring_distances_are_cartesian_ones_to_within_the_slack(self):
+        # stage 2 finds the Cartesian maximizer only if no ring distance
+        # is further than the slack from its Cartesian one
+        grid = disk_grid(96, 24)
+        n, m = grid.theta.size, grid.t.size
+        ring = K._ring_distances(grid)
+        pts = grid.points.reshape(n, m, 2)
+        worst = 0.0
+        for lag in range(n):
+            near = min(lag, n - lag)
+            diff = pts[:, :, None, :] - np.roll(pts, -lag, axis=0)[:, None, :, :]
+            cart = diff[..., 0] ** 2 + diff[..., 1] ** 2
+            ring_lag = ring[near] if near == lag else ring[near].T
+            apart = cart > 0.0
+            gap = np.abs(ring_lag - cart)[apart] / cart[apart]
+            worst = max(worst, float(gap.max()))
+        assert worst <= 1e-3 * K.RING_SLACK
 
 
 def reflect_path_loop(x0, y0, dx, dy, base, cosc, sinc):
