@@ -15,7 +15,6 @@ from .errors import (
     NonPositiveRadius,
     NormalizationMissing,
     NotApplicable,
-    NotConverged,
     NotElliptic,
     NotOblique,
     NotStarShaped,

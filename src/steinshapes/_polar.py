@@ -16,6 +16,10 @@ form for the whole table:
     H_rtheta         = r^{m-2} ((m-1) l + w) T'     (frame component d/dr(f_theta/r))
     H_thetatheta     = r^{m-2} ((m - k^2) l + w) T  (f_thetatheta/r^2 + f_r/r)
     Laplacian        = r^{m-2} ((m^2 - k^2) l + 2 m w) T
+    area P           = r^{m+2} (l / (m+2) - w / (m+2)^2) T   (int_0^r s f(s, theta) ds)
+
+P turns area integrals into circle ones: int_Omega f = int P(R(theta), theta)
+dtheta over the star domain Omega of R, and P(1, theta) is a trig polynomial.
 
 Polynomial terms have m >= k and m - k even.  Terms with m >= 2 may drop
 that parity rule ("loose" terms, the low-power, high-frequency pairs that an
@@ -60,8 +64,7 @@ columns (n_theta, width) and the axial rows (width, n_t):
 - a term table (N, n) gathers: each entry's cs column times its radial
   column, times its axial row with the weight folded in; each log entry
   then adds into its term's column.  Tables are read only as least-squares
-  rows (``fit`` and ``fit_normal``, which gate their condition) and,
-  outside this module, as a flux cancellation bound.
+  rows (``fit`` and ``fit_normal``, which gate their condition).
 
 The readers agree to round-off, not bit for bit.  Every field value comes
 from a ``PolarField`` method.
@@ -80,7 +83,7 @@ from .errors import IllConditioned, InputError
 
 COS, SIN = 0, 1
 COND_GATE = 1e12
-NORMAL_COND = 1e3  # fit_normal: Cholesky up to here, where cond^2 eps ~ 2e-10
+NORMAL_COND = 1e3  # fit_normal: normal equations up to here, where cond^2 eps ~ 2e-10
 
 
 class PolarGrid:
@@ -174,8 +177,8 @@ class PolarBasis:
 
     @cached_property
     def _forms(self):
-        """The closed form of each polar-frame component, the module
-        docstring's table, as (shift, derivative, a, addends): r^{m - shift}
+        """The closed form of each component, the module docstring's
+        table, as (shift, derivative, a, addends): r^{m - shift}
         (a l + addends) times T, or T' when ``derivative``.  ``a`` and the
         addends are per-term vectors (or scalars)."""
         m, k, w = self.powers, self.freqs, self.logs
@@ -187,6 +190,7 @@ class PolarBasis:
             "H_rtheta": (2, True, m - 1.0, (w,)),
             "H_thetatheta": (2, False, m - k * k, (w,)),
             "laplacian": (2, False, m * m - k * k, (2.0 * m * w,)),
+            "area": (-2, False, 1.0 / (m + 2.0), (-w / (m + 2.0) ** 2,)),
         }
 
     def _cells(self, name: str) -> CellMap:
@@ -420,8 +424,8 @@ def fit(rows, rhs) -> tuple[np.ndarray, float]:
 
 def fit_normal(rows, rhs) -> tuple[np.ndarray, float]:
     """``fit`` for rows well conditioned by construction: the equilibrated
-    normal equations, solved by Cholesky when the condition read from the
-    Gram eigenvalues is at most NORMAL_COND = 1e3.  Above that the rows go
+    normal equations, solved when the condition read from the Gram
+    eigenvalues is at most NORMAL_COND = 1e3.  Above that the rows go
     to ``fit``, whose gate and message then apply; so do the rows of a wide
     system, whose singular Gram matrix reads a condition far above it."""
     gram = rows.T @ rows
@@ -432,8 +436,7 @@ def fit_normal(rows, rhs) -> tuple[np.ndarray, float]:
     cond = math.sqrt(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf
     if cond > NORMAL_COND:
         return fit(rows, rhs)
-    lower = np.linalg.cholesky(gram)
-    sol = np.linalg.solve(lower.T, np.linalg.solve(lower, ((rhs.T @ rows) / norms).T))
+    sol = np.linalg.solve(gram, ((rhs.T @ rows) / norms).T)
     return (sol.T / norms).T, cond
 
 
@@ -498,6 +501,10 @@ class PolarField:
 
     def hessian_rtheta(self, g: PolarGrid):
         return self._contract(g, ("H_rtheta",))
+
+    def area_primitive(self, g: PolarGrid):
+        """P(r, theta) = int_0^r s f(s, theta) ds, the area row of the table."""
+        return self._contract(g, ("area",))
 
     def __add__(self, other: "PolarField") -> "PolarField":
         """The terms of self, then those of other."""

@@ -19,6 +19,9 @@ from . import experiments, oblique, rbm, steklov
 from .errors import InputError, IoFailure, SteinShapesError
 from .shapes import build_domain, load_json_object, read_config
 
+EXPANSION_SLOPE = 2.5  # expansion exits 1 where a log-log slope is below this: not o(eps^2)
+FK_SIGMAS = 3.0        # mc --fk exits 1 where the gap exceeds this many standard errors
+
 
 def _parse_eps(text: str) -> tuple[float, ...]:
     """start:stop:count linspace, or a comma-separated list."""
@@ -106,7 +109,7 @@ def _cmd_expansion(args) -> int:
                 f"  eps={e:g}  exact={exact:.12g}  order2={pred:.12g}  "
                 f"residual={res:.3e}"
             )
-        if not rep.slope >= 2.5:
+        if not rep.slope >= EXPANSION_SLOPE:
             status = 1
             print(f"  slope below the o(eps^2) threshold for {rep.functional}")
     return status
@@ -136,7 +139,7 @@ def _cmd_mc(args) -> int:
             f"c_star={fk.c_star:.8f} gap={fk.gap:+.3e} "
             f"({fk.gap_sigma:.2f} standard errors)"
         )
-        if fk.estimate.standard_error > 0 and fk.gap_sigma > 3.0:
+        if fk.estimate.standard_error > 0 and fk.gap_sigma > FK_SIGMAS:
             return 1
     return 0
 

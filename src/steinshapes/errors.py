@@ -8,6 +8,7 @@ argument checks keep the builtin contract.  The shared checks of outside
 values are ``check_alpha``, ``check_integer`` and ``read_config`` in ``shapes``.
 An off-center or wrong-volume domain where a computation needs a normalized
 one is an input error on every route: ``NormalizationMissing``, never a gate.
+Every refinement that does not settle is one class, ``NoConvergence``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class GridTooCoarse(InputError):
 
 
 class NoConvergence(SteinShapesError):
-    """Richardson doubling hit the grid cap before reaching tolerance."""
+    """Quadrature doubling at its grid cap, or sigma_1 moving under k -> k + 4."""
 
 
 class RecenterFailed(SteinShapesError):
@@ -73,10 +74,6 @@ class ResidualTooLarge(SteinShapesError):
 
 class IdentityViolated(SteinShapesError):
     """Integration-by-parts check on the test panel failed."""
-
-
-class NotConverged(SteinShapesError):
-    """Spectral quantity unstable under truncation increase."""
 
 
 class DegenerateBasis(SteinShapesError):

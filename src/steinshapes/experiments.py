@@ -53,6 +53,8 @@ IDENTITY_TOL = 1e-9          # |P - 4V + M - d2| gate of prop-combined
 SIGMA1_MARGIN = 1e-9         # sigma1 against 1: thm-bw's direction, prop-steklov's members
 CHAIN_ALLOWANCE = 1e-6       # thm-bw's proof chain: discrepancy_l2 <= (c_bw - 1) d |V| + this
 ISOPERIMETRIC_MARGIN = 1e-9  # prop-steklov's direction fails where P - 2 sqrt(pi |V|) < -this
+COMBINED_MARGIN = 1e-12      # prop-combined's deficit reads negative where it is < -this
+ZERO_VALUES = 1e-12          # fit_loglog: values all within this of 0 are an exact formula's
 VOLUME_GATE = 1e-6           # ||Omega| - |B_1|| above which a domain is not unit volume
 
 
@@ -140,14 +142,14 @@ class SweepResult:
 def fit_loglog(eps, values) -> tuple[float, float]:
     """Least-squares slope of log(value) against log(eps).
 
-    Returns (slope, rms residual).  All-zero value lists (residuals of an
-    exact formula) report slope = inf; fewer than two usable points give
-    slope = nan.
+    Returns (slope, rms residual).  Value lists within ZERO_VALUES of zero
+    (residuals of an exact formula) report slope = inf; fewer than two
+    usable points give slope = nan.
     """
     e = np.asarray(eps, dtype=float)
     v = np.asarray(values, dtype=float)
     usable = (e > 0.0) & np.isfinite(v) & (v > _TINY)
-    if not usable.any() or np.abs(v[np.isfinite(v)]).max(initial=0.0) <= 1e-12:
+    if not usable.any() or np.abs(v[np.isfinite(v)]).max(initial=0.0) <= ZERO_VALUES:
         return math.inf, 0.0
     if usable.sum() < 2:
         return math.nan, math.nan
@@ -279,7 +281,7 @@ def _prop_combined(m: _Member):
     notes = []
     if residual > IDENTITY_TOL:
         notes.append(f"{m.label}: combined identity off by {residual:.3g}")
-    if lhs < -1e-12:
+    if lhs < -COMBINED_MARGIN:
         notes.append(f"{m.label}: combined deficit negative")
     return lhs, z * z, {"identity_residual": residual}, notes
 

@@ -42,15 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, _polar
-from .errors import (
-    InputError,
-    NotElliptic,
-    NotOblique,
-    ResidualTooLarge,
-)
+from .errors import InputError, NotElliptic, NotOblique, ResidualTooLarge
 from .shapes import (
     StarDomain,
-    bulk_grid,
     check_alpha,
     check_integer,
     circle_grid,
@@ -138,17 +132,24 @@ class ObliqueSolution:
     grid_interior: int
 
 
+def _circle_integral(field: _polar.PolarField, component: str) -> float:
+    """Integral over the unit circle of a field component, a trig polynomial
+    of the field's top frequency K: the trapezoid rule on K + 1 angles."""
+    theta, dtheta = circle_grid(int(field.basis.freqs.max()) + 1)
+    return dtheta * float(getattr(field, component)(_polar.PolarGrid.circle(theta)).sum())
+
+
 def _zero_mean(field: _polar.PolarField) -> _polar.PolarField:
-    """field plus the constant that zeroes its integral over B_1."""
-    grid = disk_grid(128, 48)
-    total = float(grid.weights @ field.value(grid))
-    return _term(0, 0, _polar.COS, -total / math.pi) + field
+    """field plus the constant that zeroes its integral over B_1, from P(1, theta)."""
+    return _term(0, 0, _polar.COS, -_circle_integral(field, "area_primitive") / math.pi) + field
 
 
 def _mean_domain(domain: StarDomain, h: _polar.PolarField) -> float:
-    grid = bulk_grid(domain)
-    volume = geometric_functionals(domain).volume
-    return float(grid.weights @ h.value(grid)) / volume
+    """Mean of h over the domain, from P on the boundary rays (theta, R(theta))."""
+    total, _ = doubling_quadrature(
+        lambda theta: h.area_primitive(_polar.PolarGrid(theta, domain.radius(theta)))
+    )
+    return float(total) / geometric_functionals(domain).volume
 
 
 def _sup_disk(h: _polar.PolarField) -> float:
@@ -156,22 +157,6 @@ def _sup_disk(h: _polar.PolarField) -> float:
     theta, _ = circle_grid(256)
     grid = _polar.PolarGrid(theta, np.ones(theta.size), np.linspace(0.0, 1.0, 65))
     return float(np.abs(h.value(grid)).max())
-
-
-def _boundary_flux(field: _polar.PolarField) -> float:
-    """Integral of grad f . rhat over the unit circle (the divergence value)."""
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return field.radial_derivative(_polar.PolarGrid.circle(theta))
-
-    # the quadrature round-off floor is set by the cancellation volume of
-    # the expansion, not by the size of the evaluated integrand
-    probe, _ = circle_grid(256)
-    rows = np.abs(field.basis.radial_derivative(_polar.PolarGrid.circle(probe)))
-    cancel = float((rows @ np.abs(field.coeffs)).max())
-    tol = max(1e-13, 64.0 * np.finfo(float).eps * cancel)
-    value, _ = doubling_quadrature(integrand, tol=tol)
-    return float(value)
 
 
 def _oblique_fit(
@@ -460,4 +445,4 @@ def divergence_functional(solution: ObliqueSolution) -> float:
         raise ResidualTooLarge(
             f"boundary residual {solution.boundary_residual:.3g} > {RESIDUAL_GATE:g}"
         )
-    return _boundary_flux(solution.field)
+    return _circle_integral(solution.field, "radial_derivative")

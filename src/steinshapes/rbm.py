@@ -33,6 +33,7 @@ from .shapes import StarDomain, check_integer
 BATCHES = 20
 CHI2_BINS = 16
 CHI2_SPACING = 0.5        # time units between retained path points
+EXACT_GAP = 1e-13         # |gap| up to which a zero-error estimate reads 0 sigma, not inf
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def feynman_kac_check(
     if estimate.standard_error > 0.0:
         sigma = abs(gap) / estimate.standard_error
     else:
-        sigma = 0.0 if abs(gap) <= 1e-13 else math.inf
+        sigma = 0.0 if abs(gap) <= EXACT_GAP else math.inf
     return FKReport(
         estimate=estimate,
         c_star=solution.c_star,

@@ -77,6 +77,7 @@ SEGMENT_CAP = 4096
 RECENTER_TOL = 1e-10      # sup error of the recentering Fourier refit
 RECENTER_STOP = 1e-9      # |boundary barycenter| at which recentering stops
 BULK_SHAPE = (256, 64)    # (angles, radial nodes) of the default bulk grid
+CONVEX_TOL = 1e-10        # a domain reads convex where its curvature is >= -this
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,7 @@ def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParam
 
     lambda_est = sup|R - 1| + sup|R'| + alpha-seminorm of R' over grid
     pairs at geodesic circle separations in [2 pi / M, pi], with
-    M = VALIDATION_GRID.
+    M = VALIDATION_GRID; convex means curvature >= -CONVEX_TOL there.
     """
     check_alpha(alpha)
     frame = frame_at(domain, *circle_grid(VALIDATION_GRID))
@@ -592,7 +593,7 @@ def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParam
         kappa=frame.kappa,
         alpha=alpha,
         lambda_est=lam,
-        convex=bool(frame.curvature.min() >= -1e-10),
+        convex=bool(frame.curvature.min() >= -CONVEX_TOL),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import DegenerateBasis, GridTooCoarse, NotConverged, ZeroTrace
+from .errors import DegenerateBasis, GridTooCoarse, NoConvergence, ZeroTrace
 from .shapes import StarDomain, boundary_frame, bulk_grid, check_integer
 
 PIVOT_THRESHOLD = 1e-12
@@ -110,7 +110,7 @@ def steklov_spectrum(
     sigma1_refined = _sigma1(domain, k + 4, max(m, 4 * (k + 8)))
     converged = abs(sigma1 - sigma1_refined) <= CONVERGENCE_TOL
     if strict and not converged:
-        raise NotConverged(
+        raise NoConvergence(
             f"sigma_1 moved {abs(sigma1 - sigma1_refined):.3g} under k -> k+4"
         )
 

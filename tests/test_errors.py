@@ -29,7 +29,6 @@ GATE_CLASSES = (
     errors.NotElliptic,
     errors.ResidualTooLarge,
     errors.IdentityViolated,
-    errors.NotConverged,
     errors.DegenerateBasis,
     errors.ZeroTrace,
     errors.SolverStall,

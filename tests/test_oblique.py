@@ -27,7 +27,14 @@ from steinshapes.oblique import (
     rhs_x1,
     schauder_probe,
 )
-from steinshapes.shapes import circle_grid, disk_grid, holder_norm, matrix_holder_seminorm
+from steinshapes.shapes import (
+    bulk_grid,
+    circle_grid,
+    disk_grid,
+    geometric_functionals,
+    holder_norm,
+    matrix_holder_seminorm,
+)
 
 MARGIN_06 = 0.15147186257614292
 
@@ -120,6 +127,55 @@ def test_c_star_gap_shrinks_with_eps():
 def test_divergence_functional_vanishes():
     sol = solve_oblique(normalize(StarDomain(1.0, (0.0, 0.08)), "volume"), rhs_x1())
     assert abs(divergence_functional(sol)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        StarDomain(1.0, (0.03, 0.05), (-0.02, 0.01)),
+        normalize(StarDomain(1.0, (0.0, -0.03, 0.04), (0.02, 0.0, -0.03)), "volume"),
+        normalize(StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03)), "recenter"),
+    ],
+    ids=["order2", "order3-volume", "order3-recentered"],
+)
+def test_divergence_functional_is_the_disk_integral_of_the_laplacian(domain):
+    # divergence theorem: the flux of grad f is int_{B_1} (h - c_star)
+    disk = disk_grid(64, 16)
+    for token in ("x1", "r2", "quadrupole"):
+        h = parse_rhs(token)
+        sol = solve_oblique(domain, h)
+        want = float(disk.weights @ h.value(disk)) - math.pi * sol.c_star
+        assert abs(divergence_functional(sol) - want) <= 1e-10, token
+
+
+@pytest.mark.parametrize("solve", [solve_oblique, solve_oblique_kernel_variant])
+def test_solutions_have_zero_mean_on_the_disk(solve):
+    # the constant from the area primitive against a disk quadrature of f
+    domain = normalize(StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03)), "volume")
+    disk = disk_grid(128, 48)
+    for token in ("x1", "r2", "quadrupole"):
+        values = solve(domain, parse_rhs(token)).field.value(disk)
+        assert abs(disk.weights @ values) <= 1e-13 * np.abs(values).max(), token
+
+
+def bulk_grid_mean(domain, h):
+    """The domain mean of h on the default bulk grid: a quadrature of the
+    values of h, independent of the area primitive."""
+    grid = bulk_grid(domain)
+    return float(grid.weights @ h.value(grid)) / geometric_functionals(domain).volume
+
+
+def test_mean_domain_h_matches_the_bulk_grid_quadrature():
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        order = int(rng.integers(1, 5))
+        raw = rng.uniform(-0.06, 0.06, 2 * order)
+        domain = StarDomain(1.0, tuple(raw[:order]), tuple(raw[order:]))
+        for token in ("x1", "r2", "quadrupole"):
+            h = parse_rhs(token)
+            got, want = oblique._mean_domain(domain, h), bulk_grid_mean(domain, h)
+            assert abs(got - want) <= 1e-13 * abs(want), token
+        assert oblique._mean_domain(domain, rhs_constant()) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_solution_laplacian_matches_data():

@@ -291,7 +291,7 @@ def layout_grid(layout, bulk, grid):
 
 
 def closed_forms(basis, g):
-    """The module docstring's seven closed forms, evaluated term by term at
+    """The module docstring's eight closed forms, evaluated term by term at
     each point from r = R t, (N, n) each, with log r taking the same finite
     stand-in at r = 0 and negative powers clipped at zero."""
     theta = np.repeat(g.theta, g.t.size)[:, None]
@@ -314,6 +314,7 @@ def closed_forms(basis, g):
         "H_rtheta": power(2) * ((m - 1) * lg + w) * trig_d,
         "H_thetatheta": power(2) * ((m - k * k) * lg + w) * trig,
         "laplacian": power(2) * ((m * m - k * k) * lg + 2 * m * w) * trig,
+        "area": power(-2) * (lg / (m + 2) - w / (m + 2) ** 2) * trig,
     }
 
 
@@ -419,6 +420,31 @@ def test_fields_match_the_closed_forms(basis, bulk, grid, layout):
         want = reference_route(field, method, g, nu)
         assert got.shape == want.shape, method
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), method
+
+
+def test_area_primitive_matches_its_closed_form(basis):
+    # one field column per term, at random points and on the unit circle
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(-np.pi, np.pi, 200)
+    r = np.concatenate([rng.uniform(0.0, 1.0, 150), np.ones(50)])
+    g = PolarGrid(theta, r)
+    got = _polar.PolarField(basis, np.eye(basis.n)).area_primitive(g)
+    want = closed_forms(basis, g)["area"]
+    assert got.shape == want.shape == (g.size, basis.n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_area_primitive_integrates_each_term_over_the_disk(basis):
+    # int_{B_1} r^m [log r] T = int P(1, theta) dtheta: 2 pi / (m + 2), or
+    # -2 pi / (m + 2)^2 with the log, on k = 0 cos terms, and 0 otherwise
+    theta, dtheta = circle_grid(int(basis.freqs.max()) + 1)
+    got = dtheta * _polar.PolarField(basis, np.eye(basis.n)).area_primitive(
+        PolarGrid.circle(theta)
+    ).sum(axis=0)
+    m, w = basis.powers, basis.logs
+    radial = (basis.freqs == 0) & (basis.kinds == COS)
+    want = np.where(radial, 2.0 * np.pi * np.where(w == 1.0, -1.0 / (m + 2), 1.0) / (m + 2), 0.0)
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_field_methods_build_no_term_table(monkeypatch):

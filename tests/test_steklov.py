@@ -13,7 +13,7 @@ from steinshapes import (
     trace_inequality_check,
 )
 from steinshapes import _polar
-from steinshapes.errors import GridTooCoarse, InputError, NotConverged, ZeroTrace
+from steinshapes.errors import GridTooCoarse, InputError, NoConvergence, ZeroTrace
 
 # frozen oracle values, printed once at %.17g and pinned
 VN_SIGMA1 = 0.85527050448831599
@@ -100,7 +100,7 @@ def test_constant_trace_is_rejected():
 
 def test_strict_truncation_gate():
     dom = bump_vn()
-    with pytest.raises(NotConverged):
+    with pytest.raises(NoConvergence):
         steklov_spectrum(dom, k=4)
     res = steklov_spectrum(dom, k=4, strict=False)
     assert not res.converged
