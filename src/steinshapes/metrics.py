@@ -480,20 +480,17 @@ def zolotarev_oracle(
 # oscillation index
 
 
-def oscillation_index(
-    domain: StarDomain, include_fraenkel: bool = True
-) -> OscillationIndex:
+def oscillation_index(domain: StarDomain) -> OscillationIndex:
     """min over candidate centers y of the L^2 boundary gap between the
     normal and the radial direction seen from y.
 
-    The min is taken over the origin and (optionally) the Fraenkel
-    center only; the full minimization over y is out of scope.
+    The min is taken over the origin and the Fraenkel center only, and
+    ``evaluations`` lists (center, value) for each, the origin first; the
+    full minimization over y is out of scope.
     """
     frame = boundary_frame(domain, 2048)
     w = frame.weights
-    candidates = [(0.0, 0.0)]
-    if include_fraenkel:
-        candidates.append(fraenkel_asymmetry(domain, n=256).center)
+    candidates = [(0.0, 0.0), fraenkel_asymmetry(domain, n=256).center]
     evaluations = []
     for cand in candidates:
         offset = frame.points - np.asarray(cand)

@@ -61,6 +61,7 @@ COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
 CASCADE_ORDER = 16             # kernel variant: cascade_basis order
 VARIANT_BOUNDARY_GRID = 256    # kernel variant: boundary collocation angles
 VARIANT_BULK = (128, 16)       # kernel variant: 2048 interior collocation points
+PROBE_GRID = (96, 24)          # disk grid of the interior residual and the Schauder probe
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
     field, c_star, cond = _oblique_fit(domain, h)
 
     # residuals: interior on a polar probe grid, boundary on a refined circle
-    probe = disk_grid(96, 24)
+    probe = disk_grid(*PROBE_GRID)
     interior = float(
         np.abs(field.laplacian(probe) - (h.value(probe) - c_star)).max()
     )
@@ -413,7 +414,7 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
     probes = tuple(probes)
     if not probes:
         raise InputError("need at least one probe")
-    grid = disk_grid(96, 24)
+    grid = disk_grid(*PROBE_GRID)
     data = [h.value(grid) for h in probes]
     sups = [float(np.abs(vals).max()) for vals in data]
     for i, sup in enumerate(sups):

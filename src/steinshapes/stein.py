@@ -30,7 +30,6 @@ import numpy as np
 from . import _polar
 from .errors import GridTooCoarse, IdentityViolated, InputError, NormalizationMissing
 from .shapes import (
-    BULK_SHAPE,
     StarDomain,
     boundary_frame,
     bulk_grid,
@@ -140,7 +139,6 @@ class SteinKernelResult:
     condition: float
     truncation: int
     grid_boundary: int
-    bulk_shape: tuple[int, int]
 
 
 def _discrepancies(potentials, grid):
@@ -239,7 +237,6 @@ def stein_kernel_solve(
         condition=cond,
         truncation=k,
         grid_boundary=m,
-        bulk_shape=BULK_SHAPE,
     )
 
 
@@ -252,6 +249,6 @@ def stein_discrepancy(
         raise InputError(f"order must be 1 or 2, got {order}")
     if not requadrature:
         return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
-    nt, nr = result.bulk_shape
+    nt, nr = result.grid.theta.size, result.grid.t.size
     _, disc1, disc2 = _discrepancies(result.potentials, bulk_grid(result.domain, 2 * nt, 2 * nr))
     return disc1 if order == 1 else disc2

@@ -8,6 +8,11 @@ stiffness form is assembled as the boundary integral of phi_m dphi_n/dnu
 form is the boundary L2 Gram matrix.  The generalized problem is reduced
 by dropping mass-matrix directions below a pivot threshold, the
 documented tie-breaker for the ill-conditioning of r^k bases.
+
+``steklov_spectrum`` assembles one system, at k + 4 on max(m, 4(k + 8))
+boundary angles.  The basis at k is its first 2k + 1 columns, with the
+same per-column scales, so the reported spectrum solves the leading block
+and the k -> k+4 gate reads sigma_1 of the whole pencil.
 """
 
 from __future__ import annotations
@@ -79,12 +84,6 @@ def _solve_pencil(a: np.ndarray, b: np.ndarray):
     return sigma, white @ y, dropped
 
 
-def _sigma1(domain: StarDomain, k: int, m: int) -> float:
-    a, b, _ = _assemble(domain, k, m)
-    sigma, _, _ = _solve_pencil(a, b)
-    return float(sigma[1])
-
-
 def steklov_spectrum(
     domain: StarDomain,
     k: int = STEKLOV_ORDER,
@@ -93,36 +92,33 @@ def steklov_spectrum(
 ) -> SteklovResult:
     """The N_EIGENVALUES smallest Steklov eigenvalues with eigen-coefficients.
 
-    The convergence flag compares sigma_1 at truncations k and k+4 (with
-    the boundary grid enlarged accordingly) at tolerance 1e-8; with
-    ``strict`` the mismatch raises instead of being flagged.
+    The spectrum solves the leading 2k + 1 block of the one system
+    assembled at k + 4 on max(m, 4(k + 8)) boundary angles (m = 256 by
+    default; an explicit m must be >= 4k).  ``converged`` compares its
+    sigma_1 with the whole pencil's at CONVERGENCE_TOL; with ``strict``
+    the mismatch raises instead of being flagged.
     """
     check_integer("truncation order", k, 1)
-    m = max(4 * (k + 4), 256) if m is None else m
+    m = 256 if m is None else m
     check_integer("boundary grid", m, 4 * k, GridTooCoarse)
-    a, b, scale = _assemble(domain, k, m)
-    sigma, vecs, dropped = _solve_pencil(a, b)
+    m = max(m, 4 * (k + 8))
+    a, b, scale = _assemble(domain, k + 4, m)
+    lead = 2 * k + 1
+    sigma, vecs, dropped = _solve_pencil(a[:lead, :lead], b[:lead, :lead])
     n = min(N_EIGENVALUES, sigma.size)
     eigenvalues = sigma[:n].copy()
-    coefficients = scale[:, None] * vecs[:, :n]
+    coefficients = scale[:lead, None] * vecs[:, :n]
 
-    sigma1 = float(sigma[1]) if sigma.size > 1 else math.nan
-    sigma1_refined = _sigma1(domain, k + 4, max(m, 4 * (k + 8)))
+    sigma1 = float(sigma[1])
+    sigma1_refined = float(_solve_pencil(a, b)[0][1])
     converged = abs(sigma1 - sigma1_refined) <= CONVERGENCE_TOL
     if strict and not converged:
         raise NoConvergence(
             f"sigma_1 moved {abs(sigma1 - sigma1_refined):.3g} under k -> k+4"
         )
 
-    mults = []
-    run = 1
-    for prev, cur in zip(eigenvalues, eigenvalues[1:]):
-        if cur - prev <= CLUSTER_GAP:
-            run += 1
-        else:
-            mults.append(run)
-            run = 1
-    mults.append(run)
+    breaks = np.flatnonzero(np.diff(eigenvalues) > CLUSTER_GAP) + 1
+    mults = np.diff(np.concatenate(([0], breaks, [n])))
 
     return SteklovResult(
         eigenvalues=eigenvalues,
@@ -133,9 +129,16 @@ def steklov_spectrum(
         sigma1=sigma1,
         c_bw=1.0 / sigma1 if sigma1 > 0 else math.inf,
         bw_deficit=1.0 - sigma1,
-        multiplicities=tuple(mults),
+        multiplicities=tuple(mults.tolist()),
         dropped=dropped,
     )
+
+
+def _boundary_variance(frame, trace: np.ndarray) -> float:
+    """Weighted boundary variance of ``trace`` about its weighted mean."""
+    w = frame.weights
+    centered = trace - float(w @ trace) / float(w.sum())
+    return float(w @ (centered * centered))
 
 
 def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
@@ -149,9 +152,7 @@ def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
     trace = u.value(frame)
     dnu = u.normal_derivative(frame, *frame.polar_normal)
     numerator = float(w @ (trace * dnu))
-    mean = float(w @ trace) / float(w.sum())
-    centered = trace - mean
-    denominator = float(w @ (centered * centered))
+    denominator = _boundary_variance(frame, trace)
     if denominator <= TRACE_FLOOR:
         raise ZeroTrace(f"boundary variance {denominator:.3g} <= {TRACE_FLOOR:g}")
     return numerator / denominator
@@ -170,10 +171,5 @@ def trace_inequality_check(domain: StarDomain, components, c_bw: float) -> float
         grad = comp.gradient(grid)
         energy += float(grid.weights @ np.einsum("nd,nd->n", grad, grad))
     frame = boundary_frame(domain, CHECK_GRID)
-    w = frame.weights
-    variance = 0.0
-    for comp in components:
-        trace = comp.value(frame)
-        mean = float(w @ trace) / float(w.sum())
-        variance += float(w @ (trace - mean) ** 2)
+    variance = sum(_boundary_variance(frame, comp.value(frame)) for comp in components)
     return c_bw * energy - variance

@@ -202,9 +202,9 @@ def test_oscillation_index_frozen():
     np.testing.assert_allclose(res.value, VN_OSCILLATION, rtol=1e-10)
     assert res.center == (0.0, 0.0)
     assert len(res.evaluations) == 2
-    origin_only = oscillation_index(bump_vn(), include_fraenkel=False)
-    assert len(origin_only.evaluations) == 1
-    np.testing.assert_allclose(origin_only.value, res.value, rtol=1e-10)
+    origin, origin_value = res.evaluations[0]
+    assert origin == (0.0, 0.0)
+    np.testing.assert_allclose(origin_value, res.value, rtol=1e-10)
 
 
 def test_alpha_validation():

@@ -13,6 +13,7 @@ from steinshapes import (
     trace_inequality_check,
 )
 from steinshapes import _polar
+from steinshapes.steklov import CONVERGENCE_TOL, _assemble, _solve_pencil
 from steinshapes.errors import GridTooCoarse, InputError, NoConvergence, ZeroTrace
 
 # frozen oracle values, printed once at %.17g and pinned
@@ -116,3 +117,26 @@ def test_boundary_grid_floor():
 def test_truncation_order_must_be_positive(k):
     with pytest.raises(InputError, match="truncation order"):
         steklov_spectrum(ball(), k=k)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_harmonic_basis_at_k_leads_the_basis_at_k_plus_4(k):
+    small = _polar.harmonic_basis(k, include_constant=True)
+    big = _polar.harmonic_basis(k + 4, include_constant=True)
+    for name in ("powers", "freqs", "kinds", "logs"):
+        np.testing.assert_array_equal(getattr(small, name), getattr(big, name)[: 2 * k + 1])
+
+
+@pytest.mark.parametrize("k", [4, 24, 60])
+def test_spectrum_is_the_leading_block_of_the_k_plus_4_pencil(k):
+    dom = bump_vn()
+    res = steklov_spectrum(dom, k, strict=False)
+    sigma, _, _ = _solve_pencil(*_assemble(dom, k, res.grid)[:2])
+    np.testing.assert_allclose(res.eigenvalues, sigma[: res.eigenvalues.size], rtol=0, atol=1e-13)
+    refined, _, _ = _solve_pencil(*_assemble(dom, k + 4, res.grid)[:2])
+    assert res.converged == (abs(res.sigma1 - refined[1]) <= CONVERGENCE_TOL)
+
+
+def test_boundary_frame_holds_the_k_plus_4_system():
+    assert steklov_spectrum(bump_vn(), k=8, m=32, strict=False).grid == 64
+    assert steklov_spectrum(ball(), k=60).grid == 272
