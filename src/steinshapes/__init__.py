@@ -16,7 +16,6 @@ from .errors import (
     NormalizationMissing,
     NotApplicable,
     NotElliptic,
-    NotOblique,
     NotStarShaped,
     RecenterFailed,
     ReflectionFailed,
@@ -33,7 +32,6 @@ from .experiments import (
     PerturbationFamily,
     SweepResult,
     analyze_domain,
-    default_families,
     emit_report,
     expansion_validator,
     family_sweep,
@@ -71,11 +69,9 @@ from .rbm import (
     FKReport,
     OccupationEstimate,
     PathConfig,
-    PathStats,
     feynman_kac_check,
     path,
     radial_uniformity_chi2,
-    simulate,
     stationary_mean,
 )
 from .shapes import (

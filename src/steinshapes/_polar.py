@@ -208,10 +208,6 @@ class PolarBasis:
         on_cos = self.kinds == COS
         logs = np.flatnonzero(w)
         terms = np.concatenate([np.arange(self.n), logs, logs])
-        # consecutive log terms, as in every named family, are one slice of a
-        # table's columns, which adds several times faster than an index array
-        consecutive = logs.size and logs[-1] - logs[0] + 1 == logs.size
-        log_cols = slice(logs[0], logs[-1] + 1) if consecutive else logs
         expo, e_col = np.unique(np.maximum(m - shift, 0.0), return_inverse=True)
         log_expo, l_col = np.unique(m[logs] - shift, return_inverse=True)
         xs = np.concatenate([e_col, expo.size + l_col, expo.size + log_expo.size + l_col])
@@ -225,7 +221,7 @@ class PolarBasis:
                 weights = np.concatenate([plain, logged, logged])
                 flat = cols * width + xs
                 self._maps[key] = CellMap(
-                    ks, expo, log_expo, terms, cols, xs, weights, flat, log_cols
+                    ks, expo, log_expo, terms, cols, xs, weights, flat, logs
                 )
         return self._maps[name]
 
@@ -247,7 +243,7 @@ class PolarBasis:
             table = np.multiply(rows[..., :n], axial_w[:, :n], out=in_place).reshape(g.size, n)
             if cells.terms.size > n:
                 logged = (rows[..., n:] * axial_w[:, n:]).reshape(g.size, 2, -1)
-                table[:, cells.log_cols] += logged[:, 0] + logged[:, 1]
+                table[:, cells.logs] += logged[:, 0] + logged[:, 1]
             tables.append(table)
         return tables
 
@@ -282,7 +278,7 @@ class CellMap(NamedTuple):
     columns of the frequencies ``ks`` with exponent columns R^e t^e over
     ``expo``, then R^e log R t^e and R^e t^e log t over ``log_expo``.  Entry
     i adds weights[i] times term terms[i] to cell (cols[i], xs[i]), flat[i]
-    in the raveled grid; ``log_cols`` are the log terms' table columns."""
+    in the raveled grid; ``logs`` are the log terms' table columns."""
 
     ks: np.ndarray
     expo: np.ndarray
@@ -292,7 +288,7 @@ class CellMap(NamedTuple):
     xs: np.ndarray
     weights: np.ndarray
     flat: np.ndarray
-    log_cols: slice | np.ndarray
+    logs: np.ndarray
 
     def factors(self, g: PolarGrid):
         """The grid factors: cs (n_theta, 2K), the radial columns

@@ -56,10 +56,6 @@ class IllConditioned(SteinShapesError):
     """Collocation or Ritz system condition number above the gate."""
 
 
-class NotOblique(SteinShapesError):
-    """Boundary field has a tangential or inward component too large."""
-
-
 class NotElliptic(SteinShapesError):
     """Interior operator loses uniform ellipticity on the probe grid."""
 

@@ -96,10 +96,6 @@ class PerturbationFamily:
         return tuple(map(build_domain, shapes))
 
 
-def default_families() -> tuple[PerturbationFamily, PerturbationFamily]:
-    return PerturbationFamily(k=2), PerturbationFamily(k=3)
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     theorem: str
@@ -502,7 +498,7 @@ def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLO
     timings["zolotarev"] = time.perf_counter() - t0
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "domain_spec": {
             "dimension": 2,
             "base_radius": domain.base_radius,
@@ -541,8 +537,6 @@ def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLO
             "witness": z.witness,
             "method": z.method,
         },
-        "inequality_reports": [],
-        "seeds": {},
         "tolerances": {
             "quadrature": QUAD_TOL,
             "deficit_quadrature": stein.DEFICIT_TOL,

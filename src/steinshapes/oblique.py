@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, _polar
-from .errors import InputError, NotElliptic, NotOblique, ResidualTooLarge
+from .errors import InputError, NotElliptic, ResidualTooLarge
 from .shapes import (
     StarDomain,
     check_alpha,
@@ -62,6 +62,8 @@ CASCADE_ORDER = 16             # kernel variant: cascade_basis order
 VARIANT_BOUNDARY_GRID = 256    # kernel variant: boundary collocation angles
 VARIANT_BULK = (128, 16)       # kernel variant: 2048 interior collocation points
 PROBE_GRID = (96, 24)          # disk grid of the interior residual and the Schauder probe
+SUP_GRID = (256, 65)           # circle angles and radii of the sup |h| estimate
+MARGIN_GRID = 2048             # circle angles of the ellipticity margin
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +157,9 @@ def _mean_domain(domain: StarDomain, h: _polar.PolarField) -> float:
 
 def _sup_disk(h: _polar.PolarField) -> float:
     """Grid estimate of sup |h| over the closed unit disk."""
-    theta, _ = circle_grid(256)
-    grid = _polar.PolarGrid(theta, np.ones(theta.size), np.linspace(0.0, 1.0, 65))
+    n_theta, n_r = SUP_GRID
+    theta, _ = circle_grid(n_theta)
+    grid = _polar.PolarGrid(theta, np.ones(n_theta), np.linspace(0.0, 1.0, n_r))
     return float(np.abs(h.value(grid)).max())
 
 
@@ -168,9 +171,11 @@ def _oblique_fit(
     kf, m = HARMONIC_ORDER, COLLOCATION_GRID
     theta, _ = circle_grid(m)
     circle = _polar.PolarGrid.circle(theta)
+    # nu_r = R / J > 0 needs no gate: _validate certifies min R > 0 and a
+    # finite 2 (A^2 + L^2), so J is finite.  This holds while the
+    # certificate's rounding allowance, >= 1.3e-12 A, exceeds the error of
+    # evaluating R directly, i.e. for orders below a few thousand.
     nu_r, nu_t = frame_at(domain, theta).polar_normal
-    if nu_r.min() <= 0.0:
-        raise NotOblique("transported normal has a non-positive radial part")
 
     harm = _polar.harmonic_basis(kf)
     cols_harm = harm.normal_derivative(circle, nu_r, nu_t)
@@ -199,8 +204,6 @@ def solve_oblique(domain: StarDomain, h: _polar.PolarField) -> ObliqueSolution:
 
     Raises
     ------
-    NotOblique
-        if the transported normal loses its positive radial component.
     IllConditioned
         if the equilibrated collocation system exceeds ``_polar.COND_GATE``.
     """
@@ -240,7 +243,7 @@ def ellipticity_margin(domain: StarDomain) -> float:
     min over angles of R - |R'|/2; this is the operational reading of the
     smallness condition on the boundary perturbation.
     """
-    r, rp = domain.radius_derivatives(circle_grid(2048)[0])
+    r, rp = domain.radius_derivatives(circle_grid(MARGIN_GRID)[0])
     return float((r - 0.5 * np.abs(rp)).min())
 
 

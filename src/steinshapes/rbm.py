@@ -42,7 +42,6 @@ class PathConfig:
     horizon: float = 50.0
     burn_in: float = 1.0
     seed: int = 0
-    start: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.dt, self.horizon, self.burn_in)):
@@ -54,8 +53,6 @@ class PathConfig:
             raise InputError(f"burn-in must be >= 1, got {self.burn_in}")
         if self.horizon <= self.burn_in:
             raise InputError("horizon must exceed the burn-in")
-        if math.hypot(*self.start) >= 1.0:
-            raise InputError("start point must lie strictly inside the disk")
 
     @property
     def n_steps(self) -> int:
@@ -64,14 +61,6 @@ class PathConfig:
     @property
     def n_burn(self) -> int:
         return int(round(self.burn_in / self.dt))
-
-
-@dataclass(frozen=True)
-class PathStats:
-    endpoint: tuple[float, float]
-    steps: int
-    reflections: int
-    reflected_fraction: float
 
 
 @dataclass(frozen=True)
@@ -96,10 +85,11 @@ class FKReport:
 def path(
     domain: StarDomain, config: PathConfig, increments: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Full trajectory (n_steps + 1, 2) and the reflection count.
+    """Full trajectory (n_steps + 1, 2) from the origin and the reflection
+    count.
 
     ``increments`` overrides the Gaussian steps for diagnostics (e.g. a
-    zero-noise run); shape (n_steps, 2).
+    zero-noise run); shape (n_steps, 2), finite.
     """
     n = config.n_steps
     if increments is None:
@@ -109,9 +99,11 @@ def path(
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n, 2):
             raise InputError(f"increments must have shape ({n}, 2)")
+        if not np.isfinite(increments).all():
+            raise InputError("increments must be finite")
     a, b, _ = domain._packed
     xs, ys, n_reflect, fail = _kernels.reflect_path(
-        *config.start, increments[:, 0], increments[:, 1], domain.base_radius, a, b
+        0.0, 0.0, increments[:, 0], increments[:, 1], domain.base_radius, a, b
     )
     if fail >= 0:
         raise ReflectionFailed(
@@ -119,16 +111,6 @@ def path(
             "the domain is too close to losing star-shapedness"
         )
     return np.stack([xs, ys], axis=1), int(n_reflect)
-
-
-def simulate(domain: StarDomain, config: PathConfig) -> PathStats:
-    positions, n_reflect = path(domain, config)
-    return PathStats(
-        endpoint=(float(positions[-1, 0]), float(positions[-1, 1])),
-        steps=config.n_steps,
-        reflections=n_reflect,
-        reflected_fraction=n_reflect / config.n_steps,
-    )
 
 
 def _evaluate_forcing(h, points: np.ndarray) -> np.ndarray:

@@ -146,12 +146,6 @@ class StarDomain:
     def radius(self, theta):
         return self.radius_derivatives(theta, 0)[0]
 
-    def radius_prime(self, theta):
-        return self.radius_derivatives(theta, 1)[1]
-
-    def radius_second(self, theta):
-        return self.radius_derivatives(theta, 2)[2]
-
     def scaled(self, factor: float) -> "StarDomain":
         return replace(
             self,

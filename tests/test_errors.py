@@ -25,7 +25,6 @@ GATE_CLASSES = (
     errors.NoConvergence,
     errors.RecenterFailed,
     errors.IllConditioned,
-    errors.NotOblique,
     errors.NotElliptic,
     errors.ResidualTooLarge,
     errors.IdentityViolated,
@@ -74,6 +73,8 @@ def _family_file(tmp_path, payload):
 
 
 RESONANT = _polar.PolarField(_polar.LoosePolarBasis([2], [4], [_polar.COS]), np.ones(1))
+SHORT_PATH = ss.PathConfig(horizon=2.0)
+NAN_STEPS = np.full((SHORT_PATH.n_steps, 2), math.nan)
 
 # class raised -> (entry point and bad value, call on a scratch directory)
 BAD_ARGUMENTS = {
@@ -90,6 +91,7 @@ BAD_ARGUMENTS = {
         ("PathConfig seed=1.5", lambda tmp: ss.PathConfig(seed=1.5)),
         ("PathConfig seed=True", lambda tmp: ss.PathConfig(seed=True)),
         ("PathConfig seed=-1", lambda tmp: ss.PathConfig(seed=-1)),
+        ("path increments=nan", lambda tmp: ss.path(BALL, SHORT_PATH, NAN_STEPS)),
         ("zolotarev_lower alpha=True", lambda tmp: ss.zolotarev_lower(BALL, alpha=True)),
         (
             "verify_inequality alpha=True",

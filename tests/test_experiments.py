@@ -97,10 +97,6 @@ class TestPerturbationFamily:
         with pytest.raises(ValueError, match="alpha"):
             ex.PerturbationFamily(alpha=1.5)
 
-    def test_default_families(self):
-        k2, k3 = ex.default_families()
-        assert (k2.k, k3.k) == (2, 3)
-
 
 class TestFitLoglog:
     def test_recovers_power_law(self):
@@ -393,15 +389,13 @@ class TestEmitReport:
             "deficits",
             "domain_spec",
             "functionals",
-            "inequality_reports",
             "schema_version",
-            "seeds",
             "steklov",
             "timings",
             "tolerances",
             "zolotarev",
         ]
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["functionals"]["volume"] == pytest.approx(math.pi)
         assert report["steklov"]["sigma1"] == pytest.approx(1.0, abs=1e-8)
         assert report["zolotarev"]["lower_bound"] <= 1e-9

@@ -2,7 +2,8 @@
 
 Every domain has R = 1 + sum_{k <= 3} (a_k cos k theta + b_k sin k theta)
 with |a_k|, |b_k| <= 0.05, so it is smooth, star-shaped and far from the
-validation limits.  The Steklov inequalities take the same coefficients up
+validation limits.  One test draws single harmonics up to the validation
+limit instead.  The Steklov inequalities take the same coefficients up
 to order 5, rescaled to the volume of the unit disk.  Examples are
 derandomized, so each run sees the same domains.
 """
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steinshapes import NoConvergence, StarDomain, geometric_functionals
+from steinshapes import NoConvergence, NonPositiveRadius, StarDomain, geometric_functionals
 from steinshapes.experiments import _steklov_order
 from steinshapes._polar import PolarGrid
-from steinshapes.shapes import boundary_frame, frame_at, normalize, trig_zeros
+from steinshapes.oblique import COLLOCATION_GRID
+from steinshapes.shapes import boundary_frame, circle_grid, frame_at, normalize, trig_zeros
 from steinshapes.steklov import steklov_spectrum
 from steinshapes.stein import boundary_deficits, stein_kernel_solve
 
@@ -133,6 +135,22 @@ def test_boundary_frame_is_a_grid_weighted_by_the_boundary_measure(domain):
     assert float(frame.weights.sum()) == pytest.approx(perimeter, rel=1e-12)
     # angles given without a trapezoid weight, as off a uniform grid
     assert frame_at(domain, frame.theta).weights is None
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.floats(0.9, 1.0 - 1e-8), phases)
+def test_certified_domains_have_an_outward_transported_normal(order, amplitude, phase):
+    # R = 1 + amplitude cos(order theta - phase): min R = 1 - amplitude, down
+    # to 1e-8, and |R'| up to 40; solve_oblique relies on nu_r = R / J > 0
+    pad = (0.0,) * (order - 1)
+    try:
+        domain = StarDomain(
+            1.0, pad + (amplitude * math.cos(phase),), pad + (amplitude * math.sin(phase),)
+        )
+    except NonPositiveRadius:
+        assume(False)
+    nu_r, _ = frame_at(domain, circle_grid(COLLOCATION_GRID)[0]).polar_normal
+    assert nu_r.min() > 0.0
 
 
 @PROPERTY_SETTINGS

@@ -49,10 +49,6 @@ class TestPathConfig:
         with pytest.raises(ValueError, match="horizon"):
             rbm.PathConfig(horizon=1.0, burn_in=1.0)
 
-    def test_start_inside_disk(self):
-        with pytest.raises(ValueError, match="start"):
-            rbm.PathConfig(start=(1.0, 0.0))
-
 
 class TestPath:
     def test_containment_is_exact(self):
@@ -92,19 +88,18 @@ class TestPath:
 
     def test_simulate_stats_are_consistent(self):
         cfg = rbm.PathConfig(seed=5, horizon=5.0)
-        stats = rbm.simulate(StarDomain(1.0, (0.0, 0.15)), cfg)
-        assert stats.steps == cfg.n_steps
-        assert stats.reflections > 0
-        assert stats.reflected_fraction == stats.reflections / stats.steps
-        assert math.hypot(*stats.endpoint) <= 1.0
+        trajectory, n_reflect = rbm.path(StarDomain(1.0, (0.0, 0.15)), cfg)
+        assert trajectory.shape == (cfg.n_steps + 1, 2)
+        assert n_reflect > 0
+        assert math.hypot(*trajectory[-1]) <= 1.0
 
     def test_occupation_estimate_counts_the_same_reflections(self):
         cfg = rbm.PathConfig(seed=5, horizon=5.0)
         domain = StarDomain(1.0, (0.0, 0.15))
         estimate = rbm.stationary_mean(domain, parse_rhs("r2"), cfg)
-        stats = rbm.simulate(domain, cfg)
-        assert estimate.reflections == stats.reflections
-        assert estimate.reflected_fraction == stats.reflected_fraction
+        _, n_reflect = rbm.path(domain, cfg)
+        assert estimate.reflections == n_reflect
+        assert estimate.reflected_fraction == n_reflect / cfg.n_steps
 
 
 class TestStationaryMean:

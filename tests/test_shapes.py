@@ -63,8 +63,9 @@ def test_radius_derivatives_by_finite_differences():
     h = 1e-6
     fd1 = (dom.radius(th + h) - dom.radius(th - h)) / (2 * h)
     fd2 = (dom.radius(th + h) - 2 * dom.radius(th) + dom.radius(th - h)) / h**2
-    np.testing.assert_allclose(dom.radius_prime(th), fd1, atol=1e-8)
-    np.testing.assert_allclose(dom.radius_second(th), fd2, atol=1e-3)
+    _, rp, rpp = dom.radius_derivatives(th, 2)
+    np.testing.assert_allclose(rp, fd1, atol=1e-8)
+    np.testing.assert_allclose(rpp, fd2, atol=1e-3)
 
 
 def test_build_domain_rejects_nonpositive_base():
