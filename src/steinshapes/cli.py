@@ -35,12 +35,16 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return tuple(float(e) for e in grid)
 
 
+# keys only a family config takes: a config with any of them is a family
+_FAMILY_KEYS = ("k", "amplitudes", "eps", "normalization", "alpha")
+
+
 def _family_from_path(path: str, alpha: float | None) -> experiments.PerturbationFamily | list:
     given = {} if alpha is None else {"alpha": alpha}
     if path == "default":
         return experiments.PerturbationFamily(**given)
     data = load_json_object(path, "family config")
-    if "amplitudes" not in data and "eps" not in data:
+    if not any(key in data for key in _FAMILY_KEYS):
         return [build_domain(data)]
     return read_config(
         experiments.PerturbationFamily, data, "family config", {"eps": "amplitudes"}, **given
@@ -75,6 +79,8 @@ def _cmd_sweep(args) -> int:
         modes = [int(tok) for tok in args.k.split(",")]
     except ValueError as exc:
         raise IoFailure(f"--k must be a list of modes, got {args.k!r}") from exc
+    if len(set(modes)) < len(modes):
+        raise IoFailure(f"--k lists a mode twice: {args.k!r}")
     for k in modes:
         family = experiments.PerturbationFamily(
             k=k, amplitudes=eps, alpha=args.alpha

@@ -138,15 +138,17 @@ class SweepResult:
 def fit_loglog(eps, values) -> tuple[float, float]:
     """Least-squares slope of log(value) against log(eps).
 
-    Returns (slope, rms residual).  Value lists within ZERO_VALUES of zero
-    (residuals of an exact formula) report slope = inf; fewer than two
-    usable points give slope = nan.
+    Returns (slope, rms residual).  Finite values that all lie within
+    ZERO_VALUES of zero (residuals of an exact formula) report (inf, 0);
+    otherwise fewer than two usable points (eps > 0, value > 0) give
+    (nan, nan).
     """
     e = np.asarray(eps, dtype=float)
     v = np.asarray(values, dtype=float)
-    usable = (e > 0.0) & np.isfinite(v) & (v > _TINY)
-    if not usable.any() or np.abs(v[np.isfinite(v)]).max(initial=0.0) <= ZERO_VALUES:
+    finite = v[np.isfinite(v)]
+    if finite.size and np.abs(finite).max() <= ZERO_VALUES:
         return math.inf, 0.0
+    usable = (e > 0.0) & np.isfinite(v) & (v > _TINY)
     if usable.sum() < 2:
         return math.nan, math.nan
     x = np.log(e[usable])
@@ -203,6 +205,10 @@ class _Member:
     @cached_property
     def functionals(self):
         return self._solve(geometric_functionals)
+
+    @cached_property
+    def regularity(self):
+        return self._solve(regularity_params, alpha=self.alpha)
 
     @cached_property
     def deficits(self):
@@ -475,81 +481,51 @@ def expansion_validator(k: int, amplitudes) -> tuple[ExpansionReport, ...]:
 # analysis assembly and report emission
 
 
+# report key -> the _Member record it holds, in the order the stages run
+_ANALYSIS_STAGES = (
+    ("functionals", "functionals"),
+    ("regularity", "regularity"),
+    ("deficits", "deficits"),
+    ("steklov", "spectrum"),
+    ("zolotarev", "z"),
+)
+
+
 def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLOV_ORDER) -> dict:
-    """Full single-domain analysis as a plain report dictionary."""
-    timings: dict[str, float] = {}
+    """Full single-domain analysis: a report dictionary (schema 3) whose
+    stage values are the solvers' records, each timed under its key.
+
+    ``domain_spec`` is the analysed domain's ``ShapeSpec``, normalization
+    flags off, so ``build_domain`` of it rebuilds the same domain.
+    """
     t0 = time.perf_counter()
     domain = spec if isinstance(spec, StarDomain) else build_domain(spec)
-    timings["build"] = time.perf_counter() - t0
+    timings = {"build": time.perf_counter() - t0}
     member = _Member(domain, domain.label or "domain", alpha, steklov_k=steklov_order)
-
-    t0 = time.perf_counter()
-    fun = member.functionals
-    reg = regularity_params(domain, alpha=alpha)
-    deficits = member.deficits
-    timings["functionals"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spectrum = member.spectrum
-    timings["steklov"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    z = member.z
-    timings["zolotarev"] = time.perf_counter() - t0
-
-    return {
-        "schema_version": 2,
-        "domain_spec": {
-            "dimension": 2,
-            "base_radius": domain.base_radius,
-            "fourier_cos": list(domain.cos_coeffs),
-            "fourier_sin": list(domain.sin_coeffs),
-            "label": domain.label,
-        },
-        "functionals": {
-            "volume": fun.volume,
-            "perimeter": fun.perimeter,
-            "momentum": fun.momentum,
-            "barycenter": list(fun.barycenter),
-            "deficit_perimeter": fun.deficit_perimeter,
-            "deficit_momentum": fun.deficit_momentum,
-            "kappa": reg.kappa,
-            "lambda_est": reg.lambda_est,
-            "convex": reg.convex,
-        },
-        "deficits": {
-            "d1": deficits.d1,
-            "d2": deficits.d2,
-            "osc_l1": deficits.osc_l1,
-            "osc_l2": deficits.osc_l2,
-            "identity_residual": deficits.identity_residual,
-        },
-        "steklov": {
-            "eigenvalues": list(spectrum.eigenvalues),
-            "sigma1": spectrum.sigma1,
-            "c_bw": spectrum.c_bw,
-            "bw_deficit": spectrum.bw_deficit,
-            "converged": spectrum.converged,
-        },
-        "zolotarev": {
-            "alpha": z.alpha,
-            "lower_bound": z.lower_bound,
-            "witness": z.witness,
-            "method": z.method,
-        },
-        "tolerances": {
-            "quadrature": QUAD_TOL,
-            "deficit_quadrature": stein.DEFICIT_TOL,
-            "identity": IDENTITY_TOL,
-            "steklov_convergence": steklov.CONVERGENCE_TOL,
-        },
-        "timings": timings,
+    report = {
+        "schema_version": 3,
+        "domain_spec": ShapeSpec(
+            domain.base_radius, domain.cos_coeffs, domain.sin_coeffs, label=domain.label
+        ),
     }
+    for key, attr in _ANALYSIS_STAGES:
+        t0 = time.perf_counter()
+        report[key] = getattr(member, attr)
+        timings[key] = time.perf_counter() - t0
+    report["tolerances"] = {
+        "quadrature": QUAD_TOL,
+        "deficit_quadrature": stein.DEFICIT_TOL,
+        "identity": IDENTITY_TOL,
+        "steklov_convergence": steklov.CONVERGENCE_TOL,
+    }
+    report["timings"] = timings
+    return report
 
 
 def _jsonable(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        # a field declared repr=False is internal state, not a result
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -566,9 +542,10 @@ def emit_report(results, format: str = "json", path=None) -> str:
     """Serialize results deterministically; writes to ``path`` if given.
 
     json: any report object, two-space indented (dataclasses serialize in
-    field order, floats as their shortest round-trip repr, non-finite
-    floats as the strings "inf", "-inf" and "nan").  csv: a SweepResult,
-    one row per (amplitude, quantity), floats with 17 significant digits.
+    field order without their repr=False fields, floats as their shortest
+    round-trip repr, non-finite floats as the strings "inf", "-inf" and
+    "nan").  csv: a SweepResult, one row per (amplitude, quantity), floats
+    with 17 significant digits.
     """
     if results is None or (isinstance(results, (list, tuple, dict)) and not results):
         raise IoFailure("refusing to emit an empty report")

@@ -18,7 +18,7 @@ and the k -> k+4 gate reads sigma_1 of the whole pencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,8 @@ STEKLOV_ORDER = 16        # default truncation; verify and sweep add 4 per radiu
 @dataclass(frozen=True)
 class SteklovResult:
     eigenvalues: np.ndarray          # ascending, the N_EIGENVALUES smallest
-    coefficients: np.ndarray         # column j: eigenvector j over {1, r^k cos, r^k sin}
+    # column j: eigenvector j over {1, r^k cos, r^k sin}; internal, so no report shows it
+    coefficients: np.ndarray = field(repr=False)
     truncation: int
     grid: int
     converged: bool

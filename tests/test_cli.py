@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import steinshapes
-from steinshapes import rbm
+from steinshapes import experiments, rbm
 from steinshapes.cli import build_parser, main
 
 C_EMP_MAIN = 0.12748320740752622
@@ -30,6 +30,8 @@ def configs(tmp_path):
         "negative": {"base_radius": -1.0},
         "tangled": {"fourier_cos": [0.45, 0, 0, 0, 0, 0, 0, 0.4], "recenter": True},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
+        "mode_only_family": {"k": 3},
+        "mode_and_shape_keys": {"k": 3, "fourier_cos": [0.1]},
         "off_center_family": {"k": 1, "amplitudes": [0.02, 0.04]},
         "half_alpha_family": {"k": 2, "amplitudes": [0.04, 0.08], "alpha": 0.5},
         "scalar_amplitudes": {"amplitudes": 0.04},
@@ -62,14 +64,14 @@ class TestAnalyze:
     def test_stdout_report(self, configs, capsys):
         assert main(["analyze", configs["ball"]]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["domain_spec"]["label"] == "ball"
 
     def test_out_file(self, configs, capsys):
         target = configs["dir"] / "report.json"
         assert main(["analyze", configs["ball"], "--out", str(target)]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert json.loads(target.read_text(encoding="utf-8"))["schema_version"] == 2
+        assert json.loads(target.read_text(encoding="utf-8"))["schema_version"] == 3
 
     def test_missing_config_is_an_input_error(self, configs, capsys):
         assert main(["analyze", str(configs["dir"] / "missing.json")]) == 3
@@ -96,6 +98,14 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert len(report["labels"]) == 2
         assert float(report["c_emp"]) == pytest.approx(C_EMP_MAIN_SHORT, rel=1e-12)
+
+    def test_family_config_takes_the_family_defaults(self, configs, capsys):
+        # no amplitudes key, yet "k" only a family takes
+        assert main(["verify", configs["mode_only_family"], "--theorem", "thm-main"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        direct = experiments.verify_inequality(experiments.PerturbationFamily(k=3), "thm-main")
+        assert report["labels"] == list(direct.labels)
+        assert report["c_emp"] == direct.c_emp
 
     def test_unnormalized_shape_is_an_input_error(self, configs, capsys):
         assert main(["verify", configs["bump"], "--theorem", "thm-bw"]) == 3
@@ -246,6 +256,7 @@ class TestExitCodes:
             ["sweep", "--eps", "0.1,abc"],
             ["sweep", "--k", "x"],
             ["sweep", "--quantities", "bogus"],
+            ["sweep", "--k", "2,2"],
             ["mc", "{bump}", "--dt", "0.01"],
             ["mc", "{bump}", "--h", "bogus"],
             ["mc", "{bump}", "--T", "1.001", "--dt", "0.001"],
@@ -275,6 +286,7 @@ class TestExitCodes:
             ["verify", "{json_string}", "--theorem", "thm-main"],
             ["verify", "{json_number}", "--theorem", "thm-main"],
             ["verify", "{misspelt_keys}", "--theorem", "thm-main"],
+            ["verify", "{mode_and_shape_keys}", "--theorem", "thm-main"],
             ["verify", "{off_center_family}", "--theorem", "thm-bw"],
             ["verify", "{off_center_family}", "--theorem", "thm-kernel"],
             ["verify", "{off_center_family}", "--theorem", "prop-steklov"],

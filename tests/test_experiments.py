@@ -114,6 +114,19 @@ class TestFitLoglog:
         slope, rms = ex.fit_loglog((0.02, 0.04), (1e-3, math.nan))
         assert math.isnan(slope)
 
+    @pytest.mark.parametrize(
+        "eps, values",
+        [
+            ((0.02, 0.04, 0.06, 0.08), (-1e-3, -2e-3, -3e-3, -4e-3)),
+            ((0.02, 0.04, 0.06, 0.08), (math.nan,) * 4),
+            ((0.0, 0.0, 0.0, 0.0), (1e-3, 2e-3, 3e-3, 4e-3)),
+        ],
+        ids=["negative", "nan", "zero-amplitudes"],
+    )
+    def test_no_usable_points_is_nan_not_an_exact_formula(self, eps, values):
+        slope, rms = ex.fit_loglog(eps, values)
+        assert math.isnan(slope) and math.isnan(rms)
+
 
 class TestVerifyInequality:
     def test_unknown_ids(self, k2_family):
@@ -327,6 +340,15 @@ class TestFamilySweep:
         assert calls.count("deficits") == calls.count("kernel") == members
         assert all(row == sweep.table[0] for row in sweep.table)
 
+    def test_negative_quantity_has_no_slope(self):
+        # the radius-0.9 family's perimeter deficit is about -0.6, nowhere 0
+        family = ex.PerturbationFamily(
+            k=2, amplitudes=(0.02, 0.04, 0.06, 0.08), normalization="recenter", base_radius=0.9
+        )
+        sweep = ex.family_sweep(family, ("deficit_perimeter",))
+        assert all(-0.7 < v < -0.5 for v in sweep.table[0])
+        assert math.isnan(sweep.slopes[0])
+
     def test_guards(self):
         with pytest.raises(ValueError, match="amplitudes"):
             ex.family_sweep(ex.PerturbationFamily(amplitudes=(0.02, 0.04)))
@@ -389,16 +411,17 @@ class TestEmitReport:
             "deficits",
             "domain_spec",
             "functionals",
+            "regularity",
             "schema_version",
             "steklov",
             "timings",
             "tolerances",
             "zolotarev",
         ]
-        assert report["schema_version"] == 2
-        assert report["functionals"]["volume"] == pytest.approx(math.pi)
-        assert report["steklov"]["sigma1"] == pytest.approx(1.0, abs=1e-8)
-        assert report["zolotarev"]["lower_bound"] <= 1e-9
+        assert report["schema_version"] == 3
+        assert report["functionals"].volume == pytest.approx(math.pi)
+        assert report["steklov"].sigma1 == pytest.approx(1.0, abs=1e-8)
+        assert report["zolotarev"].lower_bound <= 1e-9
 
     def test_analyze_states_the_tolerances_it_used(self):
         tolerances = ex.analyze_domain(BALL)["tolerances"]
@@ -413,7 +436,7 @@ class TestEmitReport:
 
     def test_analyze_accepts_spec_dicts(self):
         report = ex.analyze_domain({"base_radius": 1.0, "label": "from-spec"})
-        assert report["domain_spec"]["label"] == "from-spec"
+        assert report["domain_spec"].label == "from-spec"
 
     def test_csv_rows(self, tmp_path):
         sweep = ex.family_sweep(
@@ -451,3 +474,54 @@ class TestEmitReport:
         assert ex.format_float(-math.inf) == "-inf"
         assert ex.format_float(math.nan) == "nan"
         assert ex.format_float(0.1) == "0.10000000000000001"
+
+
+class TestAnalyzeReport:
+    """analyze_domain's report holds the stage records as they are."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"base_radius": 1.0, "label": "ball"},
+            {"fourier_cos": [0.0, 0.05], "normalize_volume": True},
+            {"fourier_cos": [0.08, 0.03], "fourier_sin": [0.02], "recenter": True},
+        ],
+        ids=["ball", "volume-normalized", "recentered"],
+    )
+    def test_domain_spec_rebuilds_the_analysed_domain(self, spec):
+        first = json.loads(ex.emit_report(ex.analyze_domain(spec)))
+        rebuilt = shapes.build_domain(first["domain_spec"])
+        assert rebuilt == shapes.build_domain(spec)
+        again = json.loads(ex.emit_report(ex.analyze_domain(first["domain_spec"])))
+        first.pop("timings")
+        again.pop("timings")
+        assert again == first
+
+    def test_each_record_keeps_its_provenance(self):
+        bump = StarDomain(1.0, (0.0, 0.05))
+        report = json.loads(ex.emit_report(ex.analyze_domain(bump, steklov_order=20)))
+        assert report["steklov"]["truncation"] == 20
+        assert report["steklov"]["dropped"] >= 0
+        assert report["steklov"]["multiplicities"]
+        assert report["deficits"]["grid"] > 0
+        assert report["functionals"]["grid"] > 0
+        assert set(report["regularity"]) == {"kappa", "alpha", "lambda_est", "convex"}
+
+    def test_eigenvectors_stay_out_of_the_json(self):
+        report = ex.analyze_domain(BALL)
+        assert "coefficients" not in json.loads(ex.emit_report(report))["steklov"]
+        spectrum = report["steklov"]
+        u = spectrum.eigenfunction(1)
+        assert steklov.rayleigh_quotient(BALL, u) == pytest.approx(spectrum.sigma1, abs=1e-10)
+
+    def test_timings_name_the_build_and_every_stage(self):
+        timings = ex.analyze_domain(BALL)["timings"]
+        assert list(timings) == [
+            "build",
+            "functionals",
+            "regularity",
+            "deficits",
+            "steklov",
+            "zolotarev",
+        ]
+        assert all(t >= 0.0 for t in timings.values())
