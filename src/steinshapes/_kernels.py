@@ -20,20 +20,37 @@ that.
 at uniform angles sharing m radii t (``disk_grid``), where rotation makes a
 pair's distance a table entry: the pairs between ray a at radius t_j and
 ray a + l at radius t_k lie (t_j - t_k)^2 + 4 t_j t_k sin^2(pi l / n) apart
-for every a.  Stage 1 walks the lags l = 0..n // 2 and, per field column,
-subtracts contiguous (n, m, m) tables, here[a, j, k] = c[a, j] and
-there[b, j, k] = c[b mod n, k], so a lag is the slice there[l : l + n]; the
-max over the rotations a of each cell (l, j, k) is then divided once.  A
-column equal to the previous one, as the symmetric Hessian's off-diagonal
-is, reuses its square.  The ring distance is not the Cartesian d2 that
-pair_seminorms rounds, so the cell of the Cartesian maximizer may fall an
-ulp or so short of the stage-1 max; stage 2 therefore recomputes, through
-pair_seminorms' own per-pair arithmetic, every pair of each cell within
-RING_SLACK = 1e-9 of the field's stage-1 max.  Ring and Cartesian squared
-distances of disk_grid(96, 24) differ by at most 1.9e-14 relative, so the
-Cartesian maximizer's cell is always among them; on grids fine enough for
-that gap to approach the slack the result could miss it and fall short of
-pair_seminorms' by about the slack.
+for every a.  Stage 1 takes for each cell (l, j, k), l = 0..n // 2, the max
+N(l, j, k) over the rotations a of the numerator, and divides it once.  Per
+field column it subtracts contiguous (n, m, m) tables, here[a, j, k] =
+c[a, j] and there[b, j, k] = c[b mod n, k], so a lag is the slice
+there[l : l + n].  A column equal to the previous one, as the symmetric
+Hessian's off-diagonal is, reuses its square.
+
+Stage 1 skips the lags that cannot hold the max.  Through the point
+(a + l, j), or (a, k), the triangle inequality, which the Frobenius distance
+obeys too, bounds every numerator of a cell by N(0, j, k) +
+min(N(l, j, j), N(l, k, k)).  One pass over windows of each wrapped column
+gives the same-radius numerators N(l, j, j) of every lag.  Lag 0 comes
+first, then the other lags by decreasing bound over their distance; once a
+lag's bound falls below (1 - RING_SLACK) times the best ratio so far, it
+and the lags after it are skipped and their cells stay 0.
+
+The ring distance is not the Cartesian d2 that pair_seminorms rounds, so the
+cell of the Cartesian maximizer may fall an ulp or so short of the stage-1
+max.  Stage 2 therefore recomputes, through pair_seminorms' own per-pair
+arithmetic, the pairs of each cell within RING_SLACK = 1e-9 of the field's
+stage-1 max, but only the rotations whose numerator is within RING_SLACK of
+their cell's max.  Ring and Cartesian squared distances of disk_grid(96, 24)
+differ by at most 1.9e-14 relative.  So the Cartesian maximizer's ring ratio
+lies that close to the max, and its numerator that close to its cell's,
+while a skipped lag's ratios lie the slack below the max: the maximizer's
+lag is taken, its cell is a candidate and its rotation is kept.  As every
+recomputed pair is also one of pair_seminorms' pairs, in the same
+arithmetic, neither the skipped lags nor the dropped rotations change a
+bit.  On grids fine enough for that gap to approach the slack the result
+could miss the maximizer and fall short of pair_seminorms' by about the
+slack.
 
 The reflected-path stepper is inherently sequential.  It runs on Python
 floats, which round each operation as numpy scalars do but skip their
@@ -62,8 +79,8 @@ def backend() -> str:
 # array, and fewer wasted pairs below the diagonal than larger blocks
 BLOCK_ROWS = 64
 
-# relative slack of ring_pair_seminorms' second stage; the module
-# docstring gives its bound
+# relative slack of ring_pair_seminorms' skipped lags and second stage;
+# the module docstring gives its bound
 RING_SLACK = 1e-9
 
 
@@ -79,6 +96,16 @@ def _square_sum_into(out, tmp, a, here, there):
         out += tmp
 
 
+def _numerators_into(out, tmp, f, here, there):
+    # out = |f_here - f_there|, the Frobenius distance for a matrix field
+    if f.ndim == 1:
+        np.subtract(f[here], f[there], out=out)
+        np.abs(out, out=out)
+    else:
+        _square_sum_into(out, tmp, f, here, there)
+        np.sqrt(out, out=out)
+
+
 def _fold_pair_ratios(best, pts, fields, e, here, there):
     """Raise best[k] to the max over the pairs (here, there) of field k's
     ratio |f_here - f_there| / d2 ** e.  here and there are point indices
@@ -90,12 +117,7 @@ def _fold_pair_ratios(best, pts, fields, e, here, there):
     d2[d2 == 0.0] = np.inf
     den = d2**e
     for k, f in enumerate(fields):
-        if f.ndim == 1:
-            np.subtract(f[here], f[there], out=num)
-            np.abs(num, out=num)
-        else:
-            _square_sum_into(num, tmp, f, here, there)
-            np.sqrt(num, out=num)
+        _numerators_into(num, tmp, f, here, there)
         num /= den
         best[k] = max(best[k], float(num.max()))
 
@@ -117,37 +139,81 @@ def pair_seminorms(pts, fields, alpha):
     return best
 
 
-def _ring_numerators(f, n, m, lags):
+def _fold_columns(acc, sq, pairs, matrix):
+    # acc = the sum over a field's columns of (here - there)^2, or
+    # |here - there| for a single column; a pair None repeats the square of
+    # the column before it, still in sq
+    for q, pair in enumerate(pairs):
+        dest = sq if q else acc
+        if pair is not None:
+            np.subtract(*pair, out=dest)
+            if matrix:
+                dest *= dest
+            else:
+                np.abs(dest, out=dest)
+        if q:
+            acc += sq
+
+
+def _same_radius_numerators(kept, n, m, lags, matrix):
+    """(lags, m) numerators of the cells (lag, j, j), every lag at once:
+    rows a .. a + lags - 1 of a wrapped column are ray a's partners."""
+    window = np.lib.stride_tricks.sliding_window_view
+    acc, sq = np.empty((n, lags, m)), np.empty((n, lags, m))
+    pairs = [
+        None if col is None else (window(col[1], lags, axis=0).transpose(0, 2, 1), col[0][:, None])
+        for col in kept
+    ]
+    _fold_columns(acc, sq, pairs, matrix)
+    same = acc.max(axis=0)
+    return np.sqrt(same, out=same) if matrix else same
+
+
+def _ring_numerators(f, n, m, den):
     """(lags, m, m) max over the n rotations a of the numerator between
-    points (a, j) and (a + lag mod n, k), in pair_seminorms' arithmetic."""
+    points (a, j) and (a + lag mod n, k), in pair_seminorms' arithmetic, of
+    every lag whose bound over den reaches (1 - RING_SLACK) times the best
+    ratio of the lags taken before it; the other lags' cells stay 0."""
+    lags, matrix = den.shape[0], f.ndim > 1
     cols = f.reshape(n, m, -1)
-    # (here, there) per column; None for a column q >= 2 equal to column
-    # q - 1, whose square is then still in sq
-    tables = []
+    # (column, column wrapped by lags - 1 rows) per column; None for a
+    # column q >= 2 equal to column q - 1, whose square is then still in sq
+    kept = []
     for q in range(cols.shape[2]):
         c = cols[:, :, q]
         if q >= 2 and np.array_equal(c, cols[:, :, q - 1]):
-            tables.append(None)
-            continue
-        wrapped = np.concatenate([c, c[: lags - 1]])
-        tables.append(
-            (np.repeat(c[:, :, None], m, axis=2), np.repeat(wrapped[:, None, :], m, axis=1))
-        )
-    out = np.empty((lags, m, m))
+            kept.append(None)
+        else:
+            kept.append((c, np.concatenate([c, c[: lags - 1]])))
+    same = _same_radius_numerators(kept, n, m, lags, matrix)
+    # here[a, j, k] = c[a, j] and there[b, j, k] = c[b mod n, k]
+    tables = [
+        None
+        if col is None
+        else (np.repeat(col[0][:, :, None], m, axis=2), np.repeat(col[1][:, None, :], m, axis=1))
+        for col in kept
+    ]
+    out = np.zeros((lags, m, m))
     acc, sq = np.empty((n, m, m)), np.empty((n, m, m))
-    for lag in range(lags):
-        for q, table in enumerate(tables):
-            dest = sq if q else acc
-            if table is not None:
-                np.subtract(table[0], table[1][lag : lag + n], out=dest)
-                if f.ndim == 1:
-                    np.abs(dest, out=dest)
-                else:
-                    dest *= dest
-            if q:
-                acc += sq
+
+    def fill(lag):
+        pairs = [None if t is None else (t[0], t[1][lag : lag + n]) for t in tables]
+        _fold_columns(acc, sq, pairs, matrix)
         np.max(acc, axis=0, out=out[lag])
-    return out if f.ndim == 1 else np.sqrt(out, out=out)
+        if matrix:
+            np.sqrt(out[lag], out=out[lag])
+        return float((out[lag] / den[lag]).max())
+
+    best = fill(0)
+    # through (a + lag, j) or (a, k), |f(a, j) - f(a + lag, k)| is at most
+    # out[0, j, k] plus the lesser of same[lag, j] and same[lag, k]
+    reach = ((out[0] + np.minimum(same[:, :, None], same[:, None, :])) / den).max(axis=(1, 2))
+    # the lags of highest reach first, so that best rises early
+    for lag in 1 + np.argsort(-reach[1:], kind="stable"):
+        if reach[lag] < (1.0 - RING_SLACK) * best:
+            break
+        best = max(best, fill(lag))
+    return out
 
 
 def _ring_distances(grid):
@@ -165,8 +231,13 @@ def ring_pair_seminorms(grid, fields, alpha):
 
     The lags 0..n // 2, with (j, k) swapped, cover every pair.  Stage 1's
     numerators are pair_seminorms' bit for bit; only their distances are
-    the ring ones, so stage 2 takes the max over the pairs of every cell
-    whose stage-1 ratio exceeds (1 - RING_SLACK) times the field's max.
+    the ring ones.  It skips every lag whose triangle-inequality bound
+    N(0, j, k) + min(N(l, j, j), N(l, k, k)) over the distance stays below
+    (1 - RING_SLACK) times the best ratio found.  Stage 2 takes the max over
+    the pairs of every cell whose stage-1 ratio exceeds (1 - RING_SLACK)
+    times the field's max, of the rotations whose numerator is within
+    RING_SLACK of their cell's max.  The module docstring shows why the
+    Cartesian maximizer survives both filters, so no bit changes.
     """
     e = 0.5 * alpha
     n, m = grid.theta.size, grid.t.size
@@ -175,18 +246,24 @@ def ring_pair_seminorms(grid, fields, alpha):
     den = d2**e
     pts = grid.points
     rotation = np.arange(n)
+    # turned[lag, a]: the first point index of ray a + lag mod n
+    turned = (rotation + np.arange(den.shape[0])[:, None]) % n * m
     # stage-2 cells per call, of n pairs each: a pair_seminorms row block
     chunk = BLOCK_ROWS * m
     best = []
     for f in fields:
-        cells = _ring_numerators(f, n, m, d2.shape[0]) / den
+        nums = _ring_numerators(f, n, m, den)
+        cells = nums / den
         top = [0.0]
         lag, j, k = np.nonzero(cells > float(cells.max()) * (1.0 - RING_SLACK))
         for c0 in range(0, lag.size, chunk):
             c = slice(c0, c0 + chunk)
             here = rotation * m + j[c, None]
-            there = (rotation + lag[c, None]) % n * m + k[c, None]
-            _fold_pair_ratios(top, pts, [f], e, here, there)
+            there = turned[lag[c]] + k[c, None]
+            num, tmp = np.empty(here.shape), np.empty(here.shape)
+            _numerators_into(num, tmp, f, here, there)
+            near = num >= nums[lag[c], j[c], k[c]][:, None] * (1.0 - RING_SLACK)
+            _fold_pair_ratios(top, pts, [f], e, here[near], there[near])
         best.append(top[0])
     return best
 

@@ -717,25 +717,37 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
 # Hoelder norms on sample sets
 
 
+def _located_samples(points, values, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` as (N, d), (N,) meaning d = 1, and ``values`` as given,
+    both float; InputError unless alpha is a Hoelder exponent, N >= 2, each
+    point has one value and every coordinate and value is finite."""
+    check_alpha(alpha)
+    pts = np.asarray(points, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or vals.ndim == 0 or pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
+        raise InputError(
+            f"need >= 2 located samples, one value each; got {pts.shape} points, "
+            f"{vals.shape} values"
+        )
+    if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
+        raise InputError("sample points and values must be finite")
+    return pts, vals
+
+
 def holder_norm(points, values, alpha: float) -> float:
     """Grid estimate (a lower bound) of sup|h| + the C^alpha seminorm.
 
     ``points`` has shape (N, d) or (N,) for samples on a line; ``values``
     holds h at those points.
     """
-    check_alpha(alpha)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    vals = np.asarray(values, dtype=float)
-    if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
-        raise InputError("need >= 2 located samples")
+    pts, vals = _located_samples(points, values, alpha)
     return float(np.abs(vals).max() + _kernels.pair_seminorm(pts, vals, alpha))
 
 
 def matrix_holder_seminorm(points, matrices, alpha: float) -> float:
-    """C^alpha seminorm of a matrix field under the Frobenius distance."""
-    check_alpha(alpha)
-    pts = np.asarray(points, dtype=float)
-    mats = np.asarray(matrices, dtype=float).reshape(pts.shape[0], -1)
-    return _kernels.matrix_pair_seminorm(pts, mats, alpha)
+    """C^alpha seminorm of a matrix field under the Frobenius distance;
+    ``matrices`` holds one matrix per point, as ``holder_norm``'s values."""
+    pts, mats = _located_samples(points, matrices, alpha)
+    return _kernels.matrix_pair_seminorm(pts, mats.reshape(pts.shape[0], -1), alpha)

@@ -75,6 +75,12 @@ def _family_file(tmp_path, payload):
 RESONANT = _polar.PolarField(_polar.LoosePolarBasis([2], [4], [_polar.COS]), np.ones(1))
 SHORT_PATH = ss.PathConfig(horizon=2.0)
 NAN_STEPS = np.full((SHORT_PATH.n_steps, 2), math.nan)
+# three located 2 x 2 matrices, and copies with one bad point or entry
+PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+MATS = np.arange(12.0).reshape(3, 2, 2)
+INF_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.inf, PTS)
+NAN_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.nan, PTS)
+NAN_ENTRY = np.where(np.arange(12).reshape(3, 2, 2) == 5, math.nan, MATS)
 
 # class raised -> (entry point and bad value, call on a scratch directory)
 BAD_ARGUMENTS = {
@@ -118,6 +124,33 @@ BAD_ARGUMENTS = {
         (
             "holder_norm 3 points 2 values",
             lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(2.0), 1.0),
+        ),
+        ("holder_norm inf point", lambda tmp: ss.holder_norm(INF_POINT, np.arange(3.0), 1.0)),
+        ("holder_norm nan point", lambda tmp: ss.holder_norm(NAN_POINT, np.arange(3.0), 1.0)),
+        (
+            "holder_norm nan value",
+            lambda tmp: ss.holder_norm(PTS, np.array([0.0, math.nan, 1.0]), 1.0),
+        ),
+        ("holder_norm one sample", lambda tmp: ss.holder_norm(PTS[:1], np.zeros(1), 1.0)),
+        (
+            "matrix_holder_seminorm one nan entry",
+            lambda tmp: ss.matrix_holder_seminorm(PTS, NAN_ENTRY, 1.0),
+        ),
+        (
+            "matrix_holder_seminorm all nan",
+            lambda tmp: ss.matrix_holder_seminorm(PTS, np.full((3, 2, 2), math.nan), 1.0),
+        ),
+        (
+            "matrix_holder_seminorm inf point",
+            lambda tmp: ss.matrix_holder_seminorm(INF_POINT, MATS, 1.0),
+        ),
+        (
+            "matrix_holder_seminorm one sample",
+            lambda tmp: ss.matrix_holder_seminorm(PTS[:1], MATS[:1], 1.0),
+        ),
+        (
+            "matrix_holder_seminorm 3 points 6 matrices",
+            lambda tmp: ss.matrix_holder_seminorm(PTS, np.zeros((6, 2, 2)), 1.0),
         ),
     ],
     errors.NonPositiveRadius: [

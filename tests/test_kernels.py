@@ -1,6 +1,6 @@
 """The numpy kernels against their reference loops, the ring seminorm
-kernel against the Cartesian one, and the frozen reflected-path
-trajectory."""
+kernel against the Cartesian one and its pruned lags against the unpruned
+loop, and the frozen reflected-path trajectory."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from steinshapes import _kernels as K
-from steinshapes import rbm
-from steinshapes.shapes import StarDomain, disk_grid
+from steinshapes import oblique, rbm
+from steinshapes.shapes import StarDomain, disk_grid, normalize
 
 # sha over the raw trajectory bytes, bump domain, seed 5, horizon 5
 TRAJECTORY_SHA16 = "254890cf7b5286f1"
@@ -78,6 +78,24 @@ def circle_lag_seminorm_loop(vals, alpha):
             if s > best:
                 best = s
     return best
+
+
+def ring_numerators_loop(f, n, m, lags):
+    """(lags, m, m) max over the n rotations a of the numerator between the
+    points (a, j) and (a + lag mod n, k) of a ring grid, every lag: the ring
+    kernel's first stage without its pruning."""
+    cols = f.reshape(n, m, -1)
+    out = np.empty((lags, m, m))
+    for lag in range(lags):
+        diff = cols[:, :, None, :] - np.roll(cols, -lag, axis=0)[:, None, :, :]
+        if f.ndim == 1:
+            out[lag] = np.abs(diff[..., 0]).max(axis=0)
+            continue
+        sq = diff[..., 0] * diff[..., 0]
+        for q in range(1, cols.shape[2]):
+            sq += diff[..., q] * diff[..., q]
+        out[lag] = np.sqrt(sq.max(axis=0))
+    return out
 
 
 class TestBackendSelection:
@@ -186,6 +204,10 @@ class TestRingSeminorms:
         n = grid.size
         symmetric = rng.standard_normal((n, 4))
         symmetric[:, 2] = symmetric[:, 1]  # a Hessian's equal off-diagonal
+        # the Hessian of x^4 + x^3 y - 2 x y^3: smooth, so the ring kernel
+        # skips lags, and one rotation of a candidate cell holds its max
+        pxy = 3.0 * x * x - 6.0 * y * y
+        quartic = np.column_stack([12.0 * x * x + 6.0 * x * y, pxy, pxy, -12.0 * x * y])
         return [
             rng.standard_normal(n),
             x.copy(),  # at alpha = 1, 1692 cells of (96, 24) within the slack
@@ -193,6 +215,7 @@ class TestRingSeminorms:
             np.zeros(n),
             rng.standard_normal((n, 4)),
             symmetric,
+            quartic,
         ]
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -205,6 +228,40 @@ class TestRingSeminorms:
         assert K.ring_pair_seminorms(grid, fields, alpha) == K.pair_seminorms(
             grid.points, fields, alpha
         )
+
+    @staticmethod
+    def _probe_fields():
+        # schauder_probe's data and Hessian fields on a volume-normalized
+        # order-3 shape
+        domain = normalize(StarDomain(1.0, (0.02, -0.03, 0.04), (0.03, 0.0, -0.02)), "volume")
+        grid = disk_grid(*oblique.PROBE_GRID)
+        probes = [oblique.parse_rhs(token) for token in ("x1", "r2", "quadrupole")]
+        data = [h.value(grid) for h in probes]
+        hessians = [oblique._oblique_fit(domain, h)[0].hessian(grid) for h in probes]
+        return grid, data + [h.reshape(grid.size, -1) for h in hessians]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_skipped_lags_cannot_hold_the_max(self, alpha):
+        grid, fields = self._probe_fields()
+        n, m = grid.theta.size, grid.t.size
+        d2 = K._ring_distances(grid)
+        d2[d2 == 0.0] = np.inf
+        den = d2 ** (0.5 * alpha)
+        skipped = []
+        for f in fields:
+            pruned = K._ring_numerators(f, n, m, den)
+            full = ring_numerators_loop(f, n, m, den.shape[0])
+            top = float((full / den).max())
+            assert top > 0.0
+            lags = range(den.shape[0])
+            skip = [lag for lag in lags if not np.array_equal(pruned[lag], full[lag])]
+            for lag in skip:
+                # a skipped lag's cells stay 0; its exact ratios lie the
+                # slack below the field's max, so it could not hold the max
+                assert not pruned[lag].any()
+                assert float((full[lag] / den[lag]).max()) < (1.0 - K.RING_SLACK) * top
+            skipped.append(len(skip))
+        assert 0 not in skipped, skipped
 
     def test_ring_distances_are_cartesian_ones_to_within_the_slack(self):
         # stage 2 finds the Cartesian maximizer only if no ring distance
