@@ -284,19 +284,31 @@ LAG_BLOCK = 32
 def circle_lag_seminorm(vals, alpha):
     # row k - 1 of the ring's window view is np.roll(vals, -k): lag k pairs
     # i with i + k mod m, subtracted as the loop does; dividing by dk > 0
-    # after the max is exact, as rounding is monotone
+    # after the max is exact, as rounding is monotone.
+    # The blocks stop at the first lag k where osc / dk <= best, with osc =
+    # max vals - min vals and dk taken one float lower.  No later lag can
+    # raise the max: rounding is monotone, so no computed |a - b| exceeds
+    # osc, and pow is faithful, so no later dk falls below the float under
+    # this one.  A nan osc never stops the loop.  dk is formed only for the
+    # blocks taken, in the loop's arithmetic.
     m = vals.shape[0]
     lags = m // 2
+    if not lags:
+        return 0.0
     ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals[1:], vals]), m)[:lags]
-    dk = np.array([(2.0 * math.pi * k / m) ** alpha for k in range(1, lags + 1)])
+    osc = float(vals.max() - vals.min())
     buf = np.empty((min(LAG_BLOCK, lags), m))
     best = 0.0
     for k0 in range(0, lags, LAG_BLOCK):
-        block = slice(k0, k0 + LAG_BLOCK)
-        diff = buf[: dk[block].size]
-        np.subtract(ring[block], vals, out=diff)
+        dk = np.array(
+            [(2.0 * math.pi * k / m) ** alpha for k in range(k0 + 1, min(k0 + LAG_BLOCK, lags) + 1)]
+        )
+        if osc / math.nextafter(dk[0], 0.0) <= best:
+            break
+        diff = buf[: dk.size]
+        np.subtract(ring[k0 : k0 + LAG_BLOCK], vals, out=diff)
         np.abs(diff, out=diff)
-        best = max(best, float((diff.max(axis=1) / dk[block]).max()))
+        best = max(best, float((diff.max(axis=1) / dk).max()))
     return best
 
 

@@ -23,6 +23,18 @@ certified rho (the largest of M samples plus (pi/M) times a bound on
 bounds by more than 1e-8.  The ball side of the cusp bumps depends on
 alpha alone and is built once per alpha (``_ball_bumps``).
 
+On the domain side, a cusp bump min(1, |x - x0|^alpha) centred at x0 =
+e_phi0 is exactly 1 wherever |x - x0| >= 1, so it is evaluated only on
+its near rays of the bulk grid: those with computed cos(theta - phi0) =
+cos theta cos phi0 + sin theta sin phi0 > 0, 127 to 129 of 256.  A node
+at radius r of any other ray has |x - x0|^2 = 1 + r^2 - 2 r cos(theta -
+phi0) >= 1 + r^2, less a few ulp of rounding in the points, the centre and
+that cosine.  The grid's innermost radius is R(theta) t_1, t_1 = 3.5e-4,
+so r^2 clears that rounding by orders of magnitude, every computed hypot
+there is >= 1 and the bump reads 1.0 bit for bit.  A ray whose innermost
+r^2 is below 16 eps, where that margin would no longer hold, counts as
+near.
+
 Raster coverage (``_domain_coverage``) evaluates R only on the annulus
 where |rho - base| <= sum |a_k| + |b_k| + h; off it the clipped coverage
 is exactly 1 or 0 and is set without evaluating R, so every raster result
@@ -307,15 +319,20 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         value = ratio * abs(float(wq @ clipped)) / cert_affine
         features.append((f"clipped-affine phi={phi:.3f}", value, "odd"))
 
-    # the eight domain-side bumps as contiguous rows, so each dot product
-    # with the weights is the one a bump-by-bump loop takes
+    # each bump is evaluated on its near rays only (module docstring) and is
+    # exactly 1 on the others; its (N,) row is contiguous, so the dot
+    # product with the weights is the one over a full evaluation
     centers = _bump_centers()
-    bump_dom = np.minimum(
-        1.0, np.hypot(pts[:, 0] - centers[:, :1], pts[:, 1] - centers[:, 1:]) ** alpha
-    )
-    for idx, (ball_part, row) in enumerate(zip(_ball_bumps(alpha), bump_dom)):
+    ct, st = grid.directions
+    inner = grid.r[:, 0]
+    near = np.multiply.outer(centers[:, 0], ct) + np.multiply.outer(centers[:, 1], st) > 0.0
+    near |= inner * inner <= 16.0 * np.finfo(float).eps
+    px, py = pts.reshape(*grid.r.shape, 2).transpose(2, 0, 1)
+    for idx, (ball_part, rays, (cx, cy)) in enumerate(zip(_ball_bumps(alpha), near, centers)):
+        bump = np.ones(grid.r.shape)
+        bump[rays] = np.minimum(1.0, np.hypot(px[rays] - cx, py[rays] - cy) ** alpha)
         ang = TWO_PI * idx / DICTIONARY_SIZE
-        value = abs(ball_part - ratio * float(wq @ row)) / 2.0
+        value = abs(ball_part - ratio * float(wq @ bump.ravel())) / 2.0
         features.append((f"cusp-bump angle={ang:.3f}", value, "none"))
 
     best = max(features, key=lambda item: item[1])

@@ -421,9 +421,10 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
     data = [h.value(grid) for h in probes]
     sups = [float(np.abs(vals).max()) for vals in data]
     for i, sup in enumerate(sups):
-        # the seminorm is >= 0, so the norm is zero exactly when sup|h| is
-        if sup <= 0.0:
-            raise InputError(f"probe {i} has zero grid norm")
+        # the seminorm is >= 0, so the norm is zero exactly when sup|h| is;
+        # a nan or inf sup leaves the probe without a ratio
+        if not (math.isfinite(sup) and sup > 0.0):
+            raise InputError(f"probe {i} has grid sup {sup!r}; it must be finite and > 0")
     hessians = [_oblique_fit(domain, h)[0].hessian(grid) for h in probes]
     semis = _kernels.ring_pair_seminorms(
         grid, data + [m.reshape(grid.size, -1) for m in hessians], alpha

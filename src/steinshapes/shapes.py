@@ -577,6 +577,9 @@ def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParam
     lambda_est = sup|R - 1| + sup|R'| + alpha-seminorm of R' over grid
     pairs at geodesic circle separations in [2 pi / M, pi], with
     M = VALIDATION_GRID; convex means curvature >= -CONVEX_TOL there.
+    The seminorm stops at the first lag k where osc R' / d_k cannot beat
+    the best ratio so far (``_kernels.circle_lag_seminorm``): no later lag
+    can, so the value has every bit of the pass over all M / 2 lags.
     """
     check_alpha(alpha)
     frame = frame_at(domain, *circle_grid(VALIDATION_GRID))

@@ -118,6 +118,15 @@ BAD_ARGUMENTS = {
         ("rhs_harmonic k=2.5", lambda tmp: ss.rhs_harmonic(2.5)),
         ("schauder_probe h=0", lambda tmp: ss.schauder_probe(BALL, [ss.rhs_constant(0.0)])),
         (
+            "schauder_probe h=nan first",
+            lambda tmp: ss.schauder_probe(BALL, [ss.rhs_constant(math.nan), ss.rhs_x1()]),
+        ),
+        (
+            "schauder_probe h=nan last",
+            lambda tmp: ss.schauder_probe(BALL, [ss.rhs_x1(), ss.rhs_constant(math.nan)]),
+        ),
+        ("schauder_probe h=inf", lambda tmp: ss.schauder_probe(BALL, [ss.rhs_constant(math.inf)])),
+        (
             "zolotarev_lp one node",
             lambda tmp: ss.zolotarev_lp(np.zeros((1, 2)), np.ones(1), 1.0),
         ),

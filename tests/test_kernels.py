@@ -6,13 +6,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steinshapes import _kernels as K
 from steinshapes import oblique, rbm
-from steinshapes.shapes import StarDomain, disk_grid, normalize
+from steinshapes.shapes import (
+    VALIDATION_GRID,
+    StarDomain,
+    circle_grid,
+    disk_grid,
+    frame_at,
+    normalize,
+)
 
 # sha over the raw trajectory bytes, bump domain, seed 5, horizon 5
 TRAJECTORY_SHA16 = "254890cf7b5286f1"
@@ -78,6 +86,37 @@ def circle_lag_seminorm_loop(vals, alpha):
             if s > best:
                 best = s
     return best
+
+
+def circle_lag_seminorm_blocks(vals, alpha):
+    """circle_lag_seminorm without its stop: every lag, LAG_BLOCK at a time,
+    in the kernel's arithmetic; the reference where the loop is too slow."""
+    m = vals.shape[0]
+    lags = m // 2
+    ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals[1:], vals]), m)[:lags]
+    dk = lag_distances(m, alpha)
+    best = 0.0
+    for k0 in range(0, lags, K.LAG_BLOCK):
+        block = slice(k0, k0 + K.LAG_BLOCK)
+        diff = np.abs(ring[block] - vals)
+        best = max(best, float((diff.max(axis=1) / dk[block]).max()))
+    return best
+
+
+def lag_distances(m, alpha):
+    """(m // 2,) the kernel's d_k, lag k = 1 .. m // 2 at index k - 1."""
+    return np.array([(2.0 * math.pi * k / m) ** alpha for k in range(1, m // 2 + 1)])
+
+
+def lag_ratios(vals, alpha):
+    """(m // 2,) the computed max ratio of every lag, index k - 1 for lag k."""
+    m = vals.shape[0]
+    ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals[1:], vals]), m)
+    diffs = [
+        np.abs(ring[k0 : k0 + K.LAG_BLOCK] - vals).max(axis=1)
+        for k0 in range(0, m // 2, K.LAG_BLOCK)
+    ]
+    return np.concatenate(diffs)[: m // 2] / lag_distances(m, alpha)
 
 
 def ring_numerators_loop(f, n, m, lags):
@@ -158,6 +197,84 @@ class TestSeminormAgreement:
             assert_within_2ulp(
                 K.pair_seminorm(pts, vals, 0.3), pair_seminorm_loop(pts, vals, 0.3)
             )
+
+
+def regularity_series(seed):
+    """R' at VALIDATION_GRID angles of a random domain of order 1 to 8, the
+    series regularity_params passes to circle_lag_seminorm."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(1, 9))
+    amp = rng.uniform(0.01, 0.3) / order
+    cos, sin = rng.uniform(-amp, amp, (2, order))
+    domain = StarDomain(1.0, tuple(cos), tuple(sin))
+    return frame_at(domain, *circle_grid(VALIDATION_GRID)).radius_prime
+
+
+class TestCircleLagStop:
+    """circle_lag_seminorm stops at the first block where osc / d_k0 cannot
+    beat the best ratio so far; the unpruned blocks are the reference."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.05])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_regularity_series_match_the_unpruned_blocks(self, seed, alpha):
+        rp = regularity_series(seed)
+        assert K.circle_lag_seminorm(rp, alpha) == circle_lag_seminorm_blocks(rp, alpha)
+
+    def test_a_series_that_skips_no_block(self):
+        # |cos(theta + x) - cos theta| peaks at 2 sin(x / 2), which at alpha
+        # = 0.05 outgrows d(x) = x^0.05 up to the last block, so osc / d_k0
+        # stays above the best ratio of the blocks before every block start
+        m, alpha = VALIDATION_GRID, 0.05
+        vals = np.cos(circle_grid(m)[0])
+        dk, ratios = lag_distances(m, alpha), lag_ratios(vals, alpha)
+        osc = float(vals.max() - vals.min())
+        for k0 in range(K.LAG_BLOCK, m // 2, K.LAG_BLOCK):
+            assert osc / math.nextafter(dk[k0], 0.0) > ratios[:k0].max()
+        assert K.circle_lag_seminorm(vals, alpha) == circle_lag_seminorm_blocks(vals, alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_skipped_lags_cannot_raise_the_max(self, alpha):
+        # the exact max |a - b| of a lag is held by a pair whose computed
+        # difference is the computed max, as rounding is monotone
+        for seed in range(3):
+            rp = regularity_series(seed)
+            value = K.circle_lag_seminorm(rp, alpha)
+            m, lags = rp.size, rp.size // 2
+            dk = lag_distances(m, alpha)
+            ratios = lag_ratios(rp, alpha)
+            osc = float(rp.max() - rp.min())
+            stop = next(
+                k0
+                for k0 in range(0, lags, K.LAG_BLOCK)
+                if osc / math.nextafter(dk[k0], 0.0) <= ratios[:k0].max(initial=0.0)
+            )
+            assert stop < lags
+            assert value == ratios[:stop].max() == ratios.max()
+            ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([rp[1:], rp]), m)
+            for k in range(stop, lags):
+                diff = np.abs(ring[k] - rp)
+                exact = max(
+                    abs(Fraction(float(ring[k, i])) - Fraction(float(rp[i])))
+                    for i in np.flatnonzero(diff == diff.max())
+                )
+                assert exact / Fraction(float(dk[k])) <= Fraction(value)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            np.zeros(0),
+            np.ones(1),
+            np.array([0.0, math.nan, 1.0, 2.0]),
+            np.where(np.arange(512) == 300, math.nan, np.sin(np.arange(512.0))),
+            np.full(256, math.nan),
+            np.where(np.arange(512) == 7, math.inf, np.sin(np.arange(512.0))),
+        ],
+        ids=["empty", "one", "nan-of-4", "one-nan", "all-nan", "one-inf"],
+    )
+    def test_non_finite_and_tiny_rings_keep_the_unpruned_value(self, vals):
+        # a nan osc never stops the loop
+        for alpha in (1.0, 0.5):
+            assert K.circle_lag_seminorm(vals, alpha) == circle_lag_seminorm_blocks(vals, alpha)
 
 
 class TestSharedDenominator:

@@ -218,8 +218,22 @@ def order3() -> StarDomain:
     return StarDomain(1.0, (0.03, -0.02, 0.04), (0.01, 0.02, -0.03))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.5])
-@pytest.mark.parametrize("make", [bump_vn, unnormalized, order3])
+def rotated_order3() -> StarDomain:
+    return order3().rotated(0.3)
+
+
+def wide() -> StarDomain:
+    return StarDomain(1.2, (0.05, -0.03), (0.02, 0.04))
+
+
+def speck() -> StarDomain:
+    # innermost radii ~3.5e-13: every ray is evaluated, as r^2 cannot
+    # clear the rounding of |x - x0|^2 there
+    return StarDomain(1e-9, (0.0, 1e-10))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("make", [bump_vn, unnormalized, order3, rotated_order3, wide, speck])
 def test_cusp_bumps_match_the_per_bump_loop(make, alpha):
     # the cached ball side and the (8, N) domain side give every feature
     # the bits of one bump at a time
@@ -236,6 +250,26 @@ def test_cusp_bumps_match_the_per_bump_loop(make, alpha):
         loop.append((f"cusp-bump angle={ang:.3f}", value, "none"))
     features = zolotarev_lower(domain, alpha).features
     assert [f for f in features if f[0].startswith("cusp-bump")] == loop
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_far_rays_lie_outside_the_bump_cusp(seed):
+    # the rays zolotarev_lower leaves at 1.0 for a bump: computed
+    # cos(theta - phi0) <= 0 and an innermost r^2 above 16 eps
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(1, 9))
+    amp = rng.uniform(0.01, 0.3) / order
+    base = rng.uniform(0.5, 1.5)
+    cos, sin = rng.uniform(-amp, amp, (2, order))
+    domain = StarDomain(base, tuple(cos), tuple(sin))
+    grid = bulk_grid(domain)
+    ct, st = grid.directions
+    inner = grid.r[:, 0]
+    rays = grid.points.reshape(*grid.r.shape, 2)
+    for x0 in metrics._bump_centers():
+        far = (ct * x0[0] + st * x0[1] <= 0.0) & (inner * inner > 16.0 * np.finfo(float).eps)
+        assert far.sum() >= 127
+        assert (np.hypot(*(rays[far] - x0).transpose(2, 0, 1)) >= 1.0).all()
 
 
 def test_ball_bumps_are_built_once_per_alpha():
