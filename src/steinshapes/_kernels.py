@@ -84,25 +84,12 @@ BLOCK_ROWS = 64
 RING_SLACK = 1e-9
 
 
-def _square_sum_into(out, tmp, a, here, there):
-    # out = sum_q (a[here, q] - a[there, q])^2 accumulated column by column,
-    # the loops' association order; einsum may pair terms differently and
-    # drift by an ulp
-    np.subtract(a[here, 0], a[there, 0], out=out)
-    out *= out
-    for q in range(1, a.shape[1]):
-        np.subtract(a[here, q], a[there, q], out=tmp)
-        tmp *= tmp
-        out += tmp
-
-
 def _numerators_into(out, tmp, f, here, there):
     # out = |f_here - f_there|, the Frobenius distance for a matrix field
-    if f.ndim == 1:
-        np.subtract(f[here], f[there], out=out)
-        np.abs(out, out=out)
-    else:
-        _square_sum_into(out, tmp, f, here, there)
+    matrix = f.ndim > 1
+    columns = f.reshape(f.shape[0], -1).T
+    _fold_columns(out, tmp, ((c[here], c[there]) for c in columns), matrix)
+    if matrix:
         np.sqrt(out, out=out)
 
 
@@ -113,7 +100,7 @@ def _fold_pair_ratios(best, pts, fields, e, here, there):
     pairs."""
     shape = np.broadcast_shapes(np.shape(here), np.shape(there))
     d2, num, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    _square_sum_into(d2, tmp, pts, here, there)
+    _fold_columns(d2, tmp, ((x[here], x[there]) for x in pts.T), True)
     d2[d2 == 0.0] = np.inf
     den = d2**e
     for k, f in enumerate(fields):
@@ -142,7 +129,9 @@ def pair_seminorms(pts, fields, alpha):
 def _fold_columns(acc, sq, pairs, matrix):
     # acc = the sum over a field's columns of (here - there)^2, or
     # |here - there| for a single column; a pair None repeats the square of
-    # the column before it, still in sq
+    # the column before it, still in sq.  Column by column is the loops'
+    # association order; einsum may pair terms differently and drift by an
+    # ulp
     for q, pair in enumerate(pairs):
         dest = sq if q else acc
         if pair is not None:

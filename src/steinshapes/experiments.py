@@ -492,7 +492,7 @@ _ANALYSIS_STAGES = (
 
 
 def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLOV_ORDER) -> dict:
-    """Full single-domain analysis: a report dictionary (schema 3) whose
+    """Full single-domain analysis: a report dictionary (schema 4) whose
     stage values are the solvers' records, each timed under its key.
 
     ``domain_spec`` is the analysed domain's ``ShapeSpec``, normalization
@@ -503,7 +503,7 @@ def analyze_domain(spec, alpha: float = 1.0, steklov_order: int = steklov.STEKLO
     timings = {"build": time.perf_counter() - t0}
     member = _Member(domain, domain.label or "domain", alpha, steklov_k=steklov_order)
     report = {
-        "schema_version": 3,
+        "schema_version": 4,
         "domain_spec": ShapeSpec(
             domain.base_radius, domain.cos_coeffs, domain.sin_coeffs, label=domain.label
         ),

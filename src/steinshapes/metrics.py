@@ -93,9 +93,8 @@ class ZolotarevEstimate:
     alpha: float
     lower_bound: float
     witness: str                   # description of the maximizing h
-    method: str                    # dictionary | lp-oracle | tv
+    method: str                    # dictionary | lp-oracle
     grid: int
-    history: tuple[tuple[int, float], ...] = ()
     features: tuple[tuple[str, float, str], ...] = ()  # (name, value, parity)
     error_bound: float = 0.0       # lp-oracle: certified discretization slack
     node_values: tuple[float, ...] = ()
@@ -342,7 +341,6 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
         witness=best[0],
         method="dictionary",
         grid=pts.shape[0],
-        history=((pts.shape[0], best[1]),),
         features=tuple(features),
     )
 
@@ -456,38 +454,33 @@ def zolotarev_oracle(
 ) -> ZolotarevEstimate:
     """Grid LP estimate of Z(alpha) with a certified discretization slack.
 
-    Nodes are cell centers of a square raster covering B_1 and Omega,
-    carrying the two indicator cell-area weights.  Nodes whose gap is
-    below ZERO_MASS_TOL of a cell (the interior of a volume-normalized
-    shape) leave the LP: by McShane's extension theorem they cannot move
-    its optimum beyond their total |gap|, and node_values fills them with
-    the clipped extension of the LP solution.  Shapes with
+    One LP is solved, at about n_g nodes: cell centers of a square raster
+    covering B_1 and Omega, carrying the two indicator cell-area weights.
+    Nodes whose gap is below ZERO_MASS_TOL of a cell (the interior of a
+    volume-normalized shape) leave the LP: by McShane's extension theorem
+    they cannot move its optimum beyond their total |gap|, and node_values
+    fills them with the clipped extension of the LP solution.  Shapes with
     |Omega| != |B_1| drop no node.  The reported error_bound combines the
     exact raster mass defects, the Hoelder modulus over a half-diagonal
     cell shift and the dropped mass; the continuum distance lies within
-    error_bound of the LP optimum.
+    error_bound of the LP optimum, and that certified bound is the result's
+    only statement of its resolution.
     """
     check_alpha(alpha)
     check_integer("LP nodes", n_g, 16, GridTooCoarse)
     if n_g > LP_NODE_CAP:
         raise InputError(f"dense LP is capped at {LP_NODE_CAP} nodes, got {n_g}")
 
-    def solve(target_nodes: int) -> tuple[int, int, float, np.ndarray, float]:
-        pts, w_ball, w_dom, h = _lp_nodes(domain, target_nodes)
-        value, h_vals, dropped, n_live = _band_lp(pts, w_ball - w_dom, alpha, h * h)
-        defect = abs(w_ball.sum() - BALL_VOLUME) + abs(w_dom.sum() - BALL_VOLUME)
-        slack = defect + 2.0 * BALL_VOLUME * (h * math.sqrt(0.5)) ** alpha + dropped
-        return pts.shape[0], n_live, value, h_vals, slack
-
-    count_coarse, _, value_coarse, _, _ = solve(max(n_g // 2, 16))
-    count, n_live, value, h_vals, slack = solve(n_g)
+    pts, w_ball, w_dom, h = _lp_nodes(domain, n_g)
+    value, h_vals, dropped, n_live = _band_lp(pts, w_ball - w_dom, alpha, h * h)
+    defect = abs(w_ball.sum() - BALL_VOLUME) + abs(w_dom.sum() - BALL_VOLUME)
+    slack = defect + 2.0 * BALL_VOLUME * (h * math.sqrt(0.5)) ** alpha + dropped
     return ZolotarevEstimate(
         alpha=alpha,
         lower_bound=value,
-        witness=f"lp node values (n={count}, {n_live} in the LP)",
+        witness=f"lp node values (n={pts.shape[0]}, {n_live} in the LP)",
         method="lp-oracle",
-        grid=count,
-        history=((count_coarse, value_coarse), (count, value)),
+        grid=pts.shape[0],
         error_bound=slack,
         node_values=tuple(float(v) for v in h_vals),
     )

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, Mapping, get_origin, get_type_hints
@@ -116,8 +117,8 @@ class StarDomain:
 
     Coefficient tuples are indexed from frequency 1; they may have different
     lengths and are zero-padded to a common order internally.  A domain is
-    certified as it is built: a base or coefficient that is not a real
-    number raises NonPositiveRadius, then ``_validate`` runs.
+    certified as it is built: a base or coefficient that is not a finite
+    real number raises NonPositiveRadius, then ``_validate`` runs.
     """
 
     base_radius: float
@@ -127,8 +128,11 @@ class StarDomain:
 
     def __post_init__(self):
         for value in (self.base_radius, *self.cos_coeffs, *self.sin_coeffs):
-            if not _is_number(value):
-                raise NonPositiveRadius(f"radius coefficients must be real numbers, got {value!r}")
+            # false for inf, nan and an int beyond the float range alike
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):
+                raise NonPositiveRadius(
+                    f"radius coefficients must be finite real numbers, got {value!r}"
+                )
         _validate(self)
 
     @cached_property
@@ -390,24 +394,30 @@ def _radius_samples(domain: StarDomain, m: int) -> np.ndarray:
 def _validate(domain: StarDomain) -> None:
     """Certify min R > 0, then certify kappa > 0.
 
-    Every angle lies within pi/M of a node of the M-point grid and
-    |R'| <= L = sum_k k (|a_k| + |b_k|), so
+    |R'| <= L = sum_k k (|a_k| + |b_k|) and |R| <= A = |a_0| + sum_k
+    (|a_k| + |b_k|); an overflowing L or A rejects the domain before any
+    sample is taken.  Every angle lies within pi/M of a node of the M-point
+    grid, so
 
         min R >= min_j R(theta_j) - (pi/M) L - (FFT rounding allowance).
 
     M doubles from VALIDATION_GRID while that bound is inconclusive, up to
     VALIDATION_CAP; a non-positive sample rejects the domain at once.
     Given min R > 0, kappa = R / sqrt(R^2 + R'^2) is positive at every
-    angle unless R^2 + R'^2 overflows, and |R| <= A = |a_0| + sum_k
-    (|a_k| + |b_k|), so a finite 2 (A^2 + L^2) certifies kappa > 0.
+    angle unless R^2 + R'^2 overflows, so a finite 2 (A^2 + L^2) certifies
+    kappa > 0.
     """
-    a, b, k = domain._packed
-    slope = float(k @ (np.abs(a) + np.abs(b)))
-    amplitude = abs(domain.base_radius) + float(np.abs(a).sum() + np.abs(b).sum())
+    # Python floats: inf on overflow, where numpy would warn
+    a, b, _ = domain._packed
+    modes = [abs(x) + abs(y) for x, y in zip(a.tolist(), b.tolist())]
+    slope = sum(j * c for j, c in enumerate(modes, start=1))
+    amplitude = abs(domain.base_radius) + sum(modes)
+    if not (math.isfinite(slope) and math.isfinite(amplitude)):
+        raise NonPositiveRadius("radius coefficients overflow the bound on |R| or |R'|")
     m = VALIDATION_GRID
     while True:
         r = _radius_samples(domain, m)
-        if not (np.all(np.isfinite(r)) and math.isfinite(slope)):
+        if not np.all(np.isfinite(r)):
             raise NonPositiveRadius("radius function is not finite on the check grid")
         low = float(r.min())
         if low <= 0.0:
@@ -422,7 +432,6 @@ def _validate(domain: StarDomain) -> None:
                 f"on the {m}-point grid"
             )
         m *= 2
-    # Python floats: inf on overflow, where numpy would warn
     if not math.isfinite(2.0 * (amplitude * amplitude + slope * slope)):
         raise NotStarShaped("R^2 + R'^2 overflows, so kappa is not positive")
 

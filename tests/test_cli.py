@@ -64,14 +64,14 @@ class TestAnalyze:
     def test_stdout_report(self, configs, capsys):
         assert main(["analyze", configs["ball"]]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["domain_spec"]["label"] == "ball"
 
     def test_out_file(self, configs, capsys):
         target = configs["dir"] / "report.json"
         assert main(["analyze", configs["ball"], "--out", str(target)]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert json.loads(target.read_text(encoding="utf-8"))["schema_version"] == 3
+        assert json.loads(target.read_text(encoding="utf-8"))["schema_version"] == 4
 
     def test_missing_config_is_an_input_error(self, configs, capsys):
         assert main(["analyze", str(configs["dir"] / "missing.json")]) == 3

@@ -169,6 +169,10 @@ BAD_ARGUMENTS = {
         ("StarDomain cos=('x',)", lambda tmp: ss.StarDomain(1.0, ("x",))),
         ("StarDomain base=inf", lambda tmp: ss.StarDomain(math.inf)),
         ("StarDomain base=nan", lambda tmp: ss.StarDomain(math.nan)),
+        ("StarDomain cos=(inf,)", lambda tmp: ss.StarDomain(1.0, (math.inf,))),
+        ("StarDomain sin=(-inf,)", lambda tmp: ss.StarDomain(1.0, (), (-math.inf,))),
+        # |a_1| + 2 |a_2| overflows the float range
+        ("StarDomain cos=(1e308, 1e308)", lambda tmp: ss.StarDomain(1.0, (1e308, 1e308))),
         (
             "geometric_functionals cos=(2.0,)",
             lambda tmp: ss.geometric_functionals(ss.StarDomain(1.0, (2.0,))),

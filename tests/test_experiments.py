@@ -418,7 +418,7 @@ class TestEmitReport:
             "tolerances",
             "zolotarev",
         ]
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["functionals"].volume == pytest.approx(math.pi)
         assert report["steklov"].sigma1 == pytest.approx(1.0, abs=1e-8)
         assert report["zolotarev"].lower_bound <= 1e-9

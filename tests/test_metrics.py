@@ -118,10 +118,26 @@ def test_lp_oracle_frozen():
     est = zolotarev_oracle(bump_vn())
     np.testing.assert_allclose(est.lower_bound, VN_LP_ORACLE, rtol=1e-10)
     assert est.method == "lp-oracle"
-    assert len(est.history) == 2
-    assert est.history[-1][1] == est.lower_bound
     assert est.error_bound > 0.0
     assert len(est.node_values) == est.grid
+
+
+def test_lp_oracle_solves_one_lp(monkeypatch):
+    calls = []
+
+    def count(name):
+        original = getattr(metrics, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counted)
+
+    count("_lp_nodes")
+    count("_band_lp")
+    zolotarev_oracle(bump_vn())
+    assert calls == ["_lp_nodes", "_band_lp"]
 
 
 def test_lp_oracle_dominates_dictionary_here():
