@@ -423,7 +423,9 @@ def fit_normal(rows, rhs) -> tuple[np.ndarray, float]:
     normal equations, solved when the condition read from the Gram
     eigenvalues is at most NORMAL_COND = 1e3.  Above that the rows go
     to ``fit``, whose gate and message then apply; so do the rows of a wide
-    system, whose singular Gram matrix reads a condition far above it."""
+    system, whose singular Gram matrix reads a condition far above it.
+    Its callers are ``oblique.solve_oblique_kernel_variant`` and
+    ``stein.stein_kernel_solve``."""
     gram = rows.T @ rows
     norms = np.sqrt(np.diag(gram))
     norms[norms == 0.0] = 1.0

@@ -459,7 +459,8 @@ def config_value(data: Mapping, key: str, kind: type):
     float takes any number and int an integral one, 2.0 included since JSON
     has one number type (numpy scalars too, never a bool), bool only a
     bool, str only a string, and tuple a list or tuple of numbers, returned
-    as floats.  Anything else raises IoFailure naming the key.
+    as floats.  Anything else, an integer beyond the float range included,
+    raises IoFailure naming the key.
     """
     value = data[key]
     accepted, description = _CONFIG_KINDS[kind]
@@ -470,7 +471,10 @@ def config_value(data: Mapping, key: str, kind: type):
         valid = isinstance(value, numbers.Integral) or float(value).is_integer()
     if not valid:
         raise IoFailure(f"config key {key!r} must be {description}, got {value!r}")
-    return tuple(map(float, value)) if kind is tuple else kind(value)
+    try:
+        return tuple(map(float, value)) if kind is tuple else kind(value)
+    except OverflowError:
+        raise IoFailure(f"config key {key!r} holds a number beyond the float range") from None
 
 
 def read_config(cls, data: Mapping, what: str, aliases: Mapping | None = None, **defaults):

@@ -81,6 +81,7 @@ MATS = np.arange(12.0).reshape(3, 2, 2)
 INF_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.inf, PTS)
 NAN_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.nan, PTS)
 NAN_ENTRY = np.where(np.arange(12).reshape(3, 2, 2) == 5, math.nan, MATS)
+HUGE = 10**400  # a JSON integer beyond the float range
 
 # class raised -> (entry point and bad value, call on a scratch directory)
 BAD_ARGUMENTS = {
@@ -227,6 +228,12 @@ BAD_ARGUMENTS = {
         (
             "family config k=2.5",
             lambda tmp: _family_file(tmp, {"k": 2.5, "amplitudes": AMPLITUDES}),
+        ),
+        ("shape config fourier_cos=10**400", lambda tmp: ss.parse_shape_spec({"fourier_cos": [HUGE]})),
+        ("shape config base_radius=10**400", lambda tmp: ss.parse_shape_spec({"base_radius": HUGE})),
+        (
+            "family config amplitudes=10**400",
+            lambda tmp: _family_file(tmp, {"k": 3, "amplitudes": [HUGE]}),
         ),
     ],
 }

@@ -17,10 +17,10 @@ from steinshapes import (
     stein_discrepancy,
     stein_kernel_solve,
 )
-from steinshapes import stein
-from steinshapes._polar import PolarField, full_basis
-from steinshapes.errors import InputError, NormalizationMissing
-from steinshapes.shapes import doubling_quadrature, frame_at
+from steinshapes import _polar, stein
+from steinshapes._polar import PolarField, full_basis, harmonic_basis
+from steinshapes.errors import IdentityViolated, InputError, NormalizationMissing
+from steinshapes.shapes import boundary_frame, build_domain, bulk_grid, doubling_quadrature, frame_at
 
 # frozen oracle values, printed once at %.17g and pinned
 BUMP_D1 = 0.97221000850566797
@@ -199,3 +199,101 @@ def test_panel_evaluates_the_six_basis_terms(monkeypatch):
     assert ("gradient", (6, 6)) in columns and ("value", (6, 6)) in columns
     assert {shape for _, shape in columns} == {(6, 6)}
     assert sum(method == "gradient" for method, _ in columns) == 1
+
+
+def lstsq_solve(domain, k=stein.KERNEL_ORDER, m=stein.KERNEL_GRID):
+    """stein_kernel_solve by SVD: ``_polar.fit`` on the equilibrated
+    collocation, and the Neumann residual contracted over the whole basis
+    on a second frame of 2m angles.  Returns its fields as a tuple."""
+    frame = boundary_frame(domain, m)
+    sqrt_w = np.sqrt(frame.weights)
+    basis = harmonic_basis(k)
+    rows = basis.normal_derivative(frame, *frame.polar_normal)
+    coeffs, cond = _polar.fit(rows * sqrt_w[:, None], frame.points * sqrt_w[:, None])
+    frame_f = boundary_frame(domain, 2 * m)
+    flux = PolarField(basis, coeffs).normal_derivative(frame_f, *frame_f.polar_normal)
+    neumann = float(np.abs(flux - frame_f.points).max())
+    potentials = PolarField(basis, coeffs)
+    grid = bulk_grid(domain)
+    tau, disc1, disc2 = stein._discrepancies(potentials, grid)
+    energy = float(grid.weights @ np.einsum("nab,nab->n", tau, tau))
+    panel = stein._panel(domain, tau, grid)
+    worst = max(abs(l - r) / max(1.0, abs(r)) for _, l, r in panel)
+    if worst > stein.PANEL_TOL:
+        raise IdentityViolated(
+            f"test-panel identity off by {worst:.3g} relative (> {stein.PANEL_TOL:g})"
+        )
+    return coeffs, tau, neumann, disc1, disc2, energy, panel, cond
+
+
+ROUTE_EPS = (0.02, 0.05, 0.085)
+
+
+def family_member(k, eps):
+    return PerturbationFamily(k=k, amplitudes=ROUTE_EPS).members()[ROUTE_EPS.index(eps)]
+
+
+# the ball and the family members that pass the panel; k = 4 at eps = 0.085
+# fails it on either route
+ROUTE_CASES = [(0, 0.0)] + [
+    (k, eps) for k in (2, 3, 4) for eps in ROUTE_EPS if (k, eps) != (4, 0.085)
+]
+
+
+def count_fit_calls(monkeypatch):
+    calls = []
+    original = _polar.fit
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_polar, "fit", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k, eps", ROUTE_CASES, ids=lambda v: f"{v:g}")
+def test_normal_equations_match_the_lstsq_route(k, eps, monkeypatch):
+    domain = family_member(k, eps) if k else ball()
+    _, _, neumann, disc1, disc2, energy, panel, cond = lstsq_solve(domain)
+    calls = count_fit_calls(monkeypatch)
+    res = stein_kernel_solve(domain)
+    assert calls == []
+    # the disk's discrepancies vanish in exact arithmetic: both routes
+    # read round-off there, so they are held at an absolute 1e-14
+    floor = 0.0 if k else 1e-14
+    assert res.discrepancy_l1 == pytest.approx(disc1, rel=1e-12, abs=floor)
+    assert res.discrepancy_l2 == pytest.approx(disc2, rel=1e-12, abs=floor)
+    assert res.energy == pytest.approx(energy, rel=1e-12)
+    assert res.condition == pytest.approx(cond, rel=1e-10)
+    assert abs(res.neumann_residual - neumann) <= 1e-14
+    for (label, l_new, r_new), (label_old, l_old, r_old) in zip(res.panel, panel):
+        assert label == label_old
+        assert abs(l_new - l_old) <= 1e-12 * max(1.0, abs(l_old))
+        assert abs(r_new - r_old) <= 1e-12 * max(1.0, abs(r_old))
+
+
+def test_panel_failure_keeps_its_message():
+    domain = family_member(4, 0.085)
+    with pytest.raises(IdentityViolated) as lstsq:
+        lstsq_solve(domain)
+    with pytest.raises(IdentityViolated) as normal:
+        stein_kernel_solve(domain)
+    assert str(normal.value) == str(lstsq.value)
+
+
+def test_ill_conditioned_gram_falls_back_to_lstsq(monkeypatch):
+    # Gram condition 2.4e3 > NORMAL_COND at k = 32: fit_normal hands the rows to fit
+    domain = build_domain({"fourier_cos": [0.0, 0.2], "normalize_volume": True, "recenter": True})
+    coeffs, tau, neumann, disc1, disc2, energy, panel, cond = lstsq_solve(domain, k=32)
+    calls = count_fit_calls(monkeypatch)
+    res = stein_kernel_solve(domain, k=32, m=1024)
+    assert len(calls) == 1
+    assert cond > _polar.NORMAL_COND and res.condition == cond
+    # the same rows reach the same fit: every bit of the solve is the lstsq
+    # route's, and only the residual is read another way
+    assert np.array_equal(res.potentials.coeffs, coeffs)
+    assert np.array_equal(res.tau, tau)
+    assert (res.discrepancy_l1, res.discrepancy_l2, res.energy) == (disc1, disc2, energy)
+    assert res.panel == tuple(panel)
+    assert abs(res.neumann_residual - neumann) <= 1e-14
