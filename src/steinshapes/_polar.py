@@ -63,11 +63,20 @@ columns (n_theta, width) and the axial rows (width, n_t):
   own (n,) field bit for bit;
 - a term table (N, n) gathers: each entry's cs column times its radial
   column, times its axial row with the weight folded in; each log entry
-  then adds into its term's column.  Tables are read only as least-squares
-  rows (``fit`` and ``fit_normal``, which gate their condition).
+  then adds into its term's column.  Every cell map of a basis has the
+  same frequencies, so tables asked for together share one cs table, and
+  their radial and axial factors are built once per shift:
+  ``values_and_normal_derivative`` tables a boundary frame once for the
+  Steklov Gram matrices.  Tables are read as least-squares rows (``fit``
+  and ``fit_normal``, which gate their condition), as those Gram
+  matrices, and times fitted coefficients at the Stein kernel's odd
+  residual angles.
 
 The readers agree to round-off, not bit for bit.  Every field value comes
-from a ``PolarField`` method.
+from a ``PolarField`` method, except in the Stein test panel: its six test
+terms are fixed Cartesian quadratics, read in closed form from the grid
+points, so the audit of a kernel does not go through the evaluator that
+built it.
 """
 
 from __future__ import annotations
@@ -226,14 +235,21 @@ class PolarBasis:
         return self._maps[name]
 
     def _tables(self, g: PolarGrid, *names):
-        """(N, n) term tables of the named components, which share one shift,
-        gathered from their cell maps."""
+        """(N, n) term tables of the named components, gathered from their
+        cell maps.  The maps of a basis share their frequencies, so one cs
+        table serves every name; the radial and axial factors are built
+        once per shift."""
         maps = [self._cells(name) for name in names]
-        cs, radial, axial = maps[0].factors(g)
-        xs, n = maps[0].xs, self.n
-        radial, axial = np.take(radial, xs, axis=1), np.take(axial.T, xs, axis=1)
+        cs, n = maps[0].trig(g), self.n
+        powers = {}
         tables = []
-        for cells in maps:
+        for name, cells in zip(names, maps):
+            shift = self._forms[name][0]
+            if shift not in powers:
+                radial, axial = cells.powers(g)
+                xs = cells.xs
+                powers[shift] = np.take(radial, xs, axis=1), np.take(axial.T, xs, axis=1)
+            radial, axial = powers[shift]
             rows = np.take(cs, cells.cols, axis=1)
             rows *= radial
             # times the weighted axial rows, (n_theta, n_t, entries); in place
@@ -260,10 +276,13 @@ class PolarBasis:
     def normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
         """f_r nu_r + (f_theta / r) nu_theta, (N, n), against a normal given
         by its polar components at each point."""
-        fr, ftr = self.gradients(g)
-        fr *= nu_r[:, None]
-        fr += ftr * nu_theta[:, None]
-        return fr
+        return _normal(*self.gradients(g), nu_r, nu_theta)
+
+    def values_and_normal_derivative(self, g: PolarGrid, nu_r, nu_theta):
+        """``values(g)`` and ``normal_derivative(g, nu_r, nu_theta)``, bit for
+        bit, from one cs table of g's angles."""
+        vals, fr, ftr = self._tables(g, "value", *GRADIENT)
+        return vals, _normal(fr, ftr, nu_r, nu_theta)
 
     def hessian_rtheta(self, g: PolarGrid):
         """H_rtheta, the frame component d/dr(f_theta/r), (N, n)."""
@@ -271,6 +290,13 @@ class PolarBasis:
 
     def laplacians(self, g: PolarGrid):
         return self._tables(g, "laplacian")[0]
+
+
+def _normal(fr, ftr, nu_r, nu_theta):
+    """fr nu_r + ftr nu_theta row by row, in place in fr."""
+    fr *= nu_r[:, None]
+    fr += ftr * nu_theta[:, None]
+    return fr
 
 
 class CellMap(NamedTuple):
@@ -290,20 +316,24 @@ class CellMap(NamedTuple):
     flat: np.ndarray
     logs: np.ndarray
 
-    def factors(self, g: PolarGrid):
-        """The grid factors: cs (n_theta, 2K), the radial columns
-        (n_theta, width) and the axial rows (width, n_t), with r^e = R^e t^e
-        and r^e log r = R^e log R t^e + R^e t^e log t."""
+    def trig(self, g: PolarGrid):
+        """cs, the (n_theta, 2K) [cos | sin] table of ks at g's angles."""
         ang = np.multiply.outer(g.theta, self.ks)
         cs = np.empty((g.theta.size, 2 * self.ks.size))
         np.cos(ang, out=cs[:, : self.ks.size])
         np.sin(ang, out=cs[:, self.ks.size :])
+        return cs
+
+    def powers(self, g: PolarGrid):
+        """The radial columns (n_theta, width) and the axial rows
+        (width, n_t), with r^e = R^e t^e and r^e log r = R^e log R t^e +
+        R^e t^e log t."""
         radial, axial = g.radius[:, None] ** self.expo, g.t ** self.expo[:, None]
         if self.log_expo.size:
             r_pow, t_pow = g.radius[:, None] ** self.log_expo, g.t ** self.log_expo[:, None]
             radial = np.concatenate([radial, r_pow * _log(g.radius)[:, None], r_pow], axis=1)
             axial = np.concatenate([axial, t_pow, t_pow * _log(g.t)])
-        return cs, radial, axial
+        return radial, axial
 
 
 def concat(*parts: PolarBasis) -> PolarBasis:
@@ -455,7 +485,7 @@ class PolarField:
         (N, *comp) for (n,) coefficients and (N, q, *comp) for (n, q)."""
         b = self.basis
         maps = [b._cells(name) for name in names]
-        cs, radial, axial = maps[0].factors(g)
+        cs, (radial, axial) = maps[0].trig(g), maps[0].powers(g)
         n_cells = cs.shape[1] * axial.shape[0]
         columns = self.coeffs.reshape(b.n, -1).T
         out = None

@@ -96,7 +96,9 @@ class ZolotarevEstimate:
     method: str                    # dictionary | lp-oracle
     grid: int
     features: tuple[tuple[str, float, str], ...] = ()  # (name, value, parity)
-    error_bound: float = 0.0       # lp-oracle: certified discretization slack
+    # lp-oracle: certified discretization slack; dictionary: inf, as a
+    # lower bound has no certified upper end
+    error_bound: float = math.inf
     node_values: tuple[float, ...] = ()
 
 
@@ -282,6 +284,9 @@ def zolotarev_lower(domain: StarDomain, alpha: float = 1.0) -> ZolotarevEstimate
       * radial powers |x|^{2j};
       * clipped affine functions clip(x . e, -1, 1);
       * cusp bumps min(1, |x - x0|^alpha) centered on the unit circle.
+
+    The result is a lower bound only: its ``error_bound`` is inf, since
+    nothing certifies how far below Z(alpha) it lies.
     """
     check_alpha(alpha)
     fun = geometric_functionals(domain)

@@ -281,11 +281,16 @@ def doubling_quadrature(
     integral and the node count of the last rule.
 
     Without ``breaks`` the rule is the periodic trapezoid sum on QUAD_START
-    up to QUAD_CAP angles.  With ``breaks``, for integrands analytic between
-    them but kinked there, it is composite Gauss-Legendre on the arcs
-    between the sorted breaks, SEGMENT_START up to SEGMENT_CAP nodes per
-    arc, with one integrand call per level on the nodes of all arcs.
-    Raises NoConvergence if the cap is reached without agreement.
+    up to QUAD_CAP angles.  The rules are nested: the even angles of
+    ``circle_grid(2n)`` are those of ``circle_grid(n)`` bit for bit, so each
+    doubling calls the integrand on the n new odd angles only.  This needs
+    an integrand that is pointwise in theta: row i of its value depends on
+    theta[i] alone.
+    With ``breaks``, for integrands analytic between them but kinked there,
+    it is composite Gauss-Legendre on the arcs between the sorted breaks,
+    SEGMENT_START up to SEGMENT_CAP nodes per arc, with one integrand call
+    per level on the nodes of all arcs.  Raises NoConvergence if the cap is
+    reached without agreement.
     """
     breaks = np.sort(np.mod(np.asarray(breaks, dtype=float), TWO_PI))
     arcs = max(breaks.size, 1)
@@ -302,7 +307,14 @@ def doubling_quadrature(
             cur = sum(parts[1:], parts[0])
         else:
             theta, _ = circle_grid(n)
-            cur = np.asarray(integrand(theta), dtype=float).mean(axis=0) * TWO_PI
+            if prev is None:
+                vals = np.asarray(integrand(theta), dtype=float)
+            else:
+                fresh = np.asarray(integrand(theta[1::2]), dtype=float)
+                both = np.empty((n,) + fresh.shape[1:])
+                both[::2], both[1::2] = vals, fresh
+                vals = both
+            cur = vals.mean(axis=0) * TWO_PI
         if prev is not None:
             scale = np.maximum(np.abs(cur), 1.0)
             if np.all(np.abs(cur - prev) <= tol * scale):

@@ -18,12 +18,16 @@ basis there.  The two potentials are the columns of one PolarField, and
 tau = Dg is its gradient on the polar bulk quadrature grid over Omega.
 The defining identity is audited on a fixed panel of ten polynomial test
 fields, kept as a coefficient table ``_PANEL`` over the six quadratic
-basis terms.  Both sides of the identity are linear in the test field, so
-they are integrated against the six terms, not the ten fields: the (2, 6)
-left moments int tau_jd d_d phi_t come from one gradient of the basis on
-the bulk grid and one (4, N) @ (N, 12) product, the (2, 6) right moments
-int x_j phi_t dS from one 12-column boundary quadrature, and each panel
-row is its coefficients against the moments.  The kernel requires a
+basis terms 1, x1, x2, |x|^2, x1^2 - x2^2 and 2 x1 x2.  Both sides of the
+identity are linear in the test field, so they are integrated against the
+six terms, not the ten fields.  The terms' gradients are 0, e1, e2, 2x,
+(2 x1, -2 x2) and (2 x2, 2 x1), so the (2, 6) left moments
+int tau_jd d_d phi_t are a fixed linear map of int tau_jd (1, x1, x2), one
+(4, N) @ (N, 3) product on the bulk grid.  The (2, 6) right moments
+int x_j phi_t dS come from one 12-column boundary quadrature that reads
+the terms off the frame's points, and each panel row is its coefficients
+against the moments.  No polar field is evaluated, so the audit does not
+share the evaluator that built tau.  The kernel requires a
 boundary-centered domain: pairing with constant fields forces the
 boundary barycenter to vanish, which ``require_centered`` checks.
 """
@@ -160,18 +164,27 @@ def _discrepancies(potentials, grid):
 
 def _panel(domain, tau, grid):
     """(label, int tau : Du, int_dOmega (x . u) dS) for each test field u,
-    read off the left and right moments of the six basis terms phi_t."""
+    read off the left and right moments of the six basis terms phi_t, which
+    are the Cartesian quadratics 1, x1, x2, |x|^2, x1^2 - x2^2 and 2 x1 x2."""
     coeffs = np.array([row[1:] for row in _PANEL], dtype=float).reshape(len(_PANEL), 12)
-    terms = _polar.PolarField(_polar.full_basis(2, include_constant=True), np.eye(6))
-    # (4, N) @ (N, 12) pairs every (j, d) with every (t, d'); keep d = d'
+    # the left moments from int tau_jd (1, x1, x2) (module docstring), read
+    # as one_d = int tau_jd and xa_d = int tau_jd x_a, each (2,) over j
     weighted = (grid.weights[:, None] * tau.reshape(grid.size, 4)).T
-    pairs = (weighted @ terms.gradient(grid).reshape(grid.size, 12)).reshape(2, 2, 6, 2)
-    lhs = coeffs @ (pairs[:, 0, :, 0] + pairs[:, 1, :, 1]).ravel()
+    linear = weighted @ np.column_stack([np.ones(grid.size), grid.points])
+    (one1, x11, x21), (one2, x12, x22) = linear.reshape(2, 2, 3).transpose(1, 2, 0)
+    left = np.stack(
+        [np.zeros(2), one1, one2, 2.0 * (x11 + x22), 2.0 * (x11 - x22), 2.0 * (x21 + x12)],
+        axis=1,
+    )
+    lhs = coeffs @ left.ravel()
 
     def boundary_integrand(theta: np.ndarray) -> np.ndarray:
         frame = frame_at(domain, theta)
-        phi = terms.value(frame) * frame.jacobian[:, None]
-        return (frame.points[:, :, None] * phi[:, None, :]).reshape(len(theta), 12)
+        x1, x2 = frame.points.T
+        x1x1, x2x2 = x1 * x1, x2 * x2
+        phi = np.stack([np.ones_like(x1), x1, x2, x1x1 + x2x2, x1x1 - x2x2, 2.0 * x1 * x2])
+        phi *= frame.jacobian
+        return (frame.points[:, :, None] * phi.T[:, None, :]).reshape(len(theta), 12)
 
     moments, _ = doubling_quadrature(boundary_integrand)
     rhs = coeffs @ moments

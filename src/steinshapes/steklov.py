@@ -57,8 +57,7 @@ class SteklovResult:
 def _assemble(domain: StarDomain, k: int, m: int):
     frame = boundary_frame(domain, m)
     basis = _polar.harmonic_basis(k, include_constant=True)
-    vals = basis.values(frame)
-    dnu = basis.normal_derivative(frame, *frame.polar_normal)
+    vals, dnu = basis.values_and_normal_derivative(frame, *frame.polar_normal)
     scale = 1.0 / np.abs(vals).max(axis=0)
     vals = vals * scale
     dnu = dnu * scale

@@ -398,6 +398,14 @@ class TestExpansionValidator:
 
 
 class TestEmitReport:
+    def test_dictionary_zolotarev_block_reads_as_a_lower_bound(self):
+        # the dictionary route certifies no upper end, so the JSON carries
+        # "inf" where a 0.0 would read as an exact value
+        block = json.loads(ex.emit_report(ex.analyze_domain(BALL)))["zolotarev"]
+        assert block["method"] == "dictionary"
+        assert block["error_bound"] == "inf"
+        assert isinstance(block["lower_bound"], float)
+
     def test_json_is_deterministic_except_timings(self):
         first = json.loads(ex.emit_report(ex.analyze_domain(BALL)))
         second = json.loads(ex.emit_report(ex.analyze_domain(BALL)))

@@ -97,6 +97,12 @@ def test_dictionary_bound_frozen():
     assert est1.lower_bound == max(value for _, value, _ in est1.features)
 
 
+def test_dictionary_bound_claims_no_upper_end():
+    # a lower bound with no certified slack: error_bound is inf, not 0
+    assert zolotarev_lower(bump_vn()).error_bound == math.inf
+    assert zolotarev_lower(ball(), alpha=0.5).error_bound == math.inf
+
+
 def test_dictionary_bound_is_rotation_invariant():
     base = zolotarev_lower(bump_vn(), alpha=1.0).lower_bound
     rotated = zolotarev_lower(bump_vn().rotated(0.7), alpha=1.0).lower_bound

@@ -409,6 +409,18 @@ def test_tables_match_the_closed_forms(basis, bulk, grid, layout):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+def test_values_and_normal_derivative_equal_the_two_tables(basis, bulk, grid, layout):
+    # one cs table serves both shifts: the tables are those of the two
+    # separate calls bit for bit, log terms and multi-point rays included
+    g = layout_grid(layout, bulk, grid)
+    phi = np.random.default_rng(9).uniform(-np.pi, np.pi, g.size)
+    nu_r, nu_t = np.cos(phi), np.sin(phi)
+    vals, dnu = basis.values_and_normal_derivative(g, nu_r, nu_t)
+    assert np.array_equal(vals, basis.values(g))
+    assert np.array_equal(dnu, basis.normal_derivative(g, nu_r, nu_t))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_fields_match_the_closed_forms(basis, bulk, grid, layout):
     g = layout_grid(layout, bulk, grid)
     rng = np.random.default_rng(10)

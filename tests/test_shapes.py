@@ -17,11 +17,17 @@ from steinshapes import (
     geometric_functionals,
     normalize,
 )
+from steinshapes import metrics, shapes, stein
 from steinshapes.shapes import (
+    QUAD_CAP,
+    QUAD_START,
+    QUAD_TOL,
+    TWO_PI,
     boundary_frame,
     bulk_grid,
     bulk_map,
     bulk_map_inverse,
+    circle_grid,
     doubling_quadrature,
     holder_norm,
     load_shape_spec,
@@ -232,6 +238,75 @@ def test_doubling_quadrature_stalls_on_kink():
     # |cos| has kinks; the trapezoid rule cannot reach 1e-12 by doubling
     with pytest.raises(NoConvergence):
         doubling_quadrature(lambda th: np.abs(np.cos(th)))
+
+
+def full_doubling(integrand, tol=QUAD_TOL):
+    """The trapezoid doubling as it was before its rules were nested: every
+    level evaluates the integrand on all of its angles."""
+    n, prev = QUAD_START, None
+    while n <= QUAD_CAP:
+        theta, _ = circle_grid(n)
+        cur = np.asarray(integrand(theta), dtype=float).mean(axis=0) * TWO_PI
+        if prev is not None and np.all(np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1.0)):
+            return cur, n
+        prev = cur
+        n *= 2
+    raise NoConvergence("no agreement by QUAD_CAP")
+
+
+def random_domains(seed, count=8):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        order = int(rng.integers(1, 7))
+        amp = float(rng.uniform(0.01, 0.08))
+        out.append(StarDomain(1.0, tuple(rng.uniform(-amp, amp, order)), tuple(rng.uniform(-amp, amp, order))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nested_doubling_keeps_the_bits_of_full_reevaluation(seed, monkeypatch):
+    # every trapezoid doubling that the functionals, deficits, moments and
+    # test panel run, held to the full re-evaluation loop on the same grid
+    checked = []
+
+    def both(integrand, tol=QUAD_TOL, breaks=()):
+        got = doubling_quadrature(integrand, tol, breaks)
+        if np.size(breaks) == 0:
+            want = full_doubling(integrand, tol)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            checked.append(got[1])
+        return got
+
+    for module in (shapes, stein, metrics):
+        monkeypatch.setattr(module, "doubling_quadrature", both)
+    for domain in random_domains(seed):
+        geometric_functionals(domain)
+        stein.boundary_deficits(domain)
+        metrics._moments(domain)
+        grid = bulk_grid(domain)
+        stein._panel(domain, np.zeros((grid.size, 2, 2)), grid)
+    assert len(checked) == 8 * 5  # functionals twice (once in the deficits)
+
+
+def test_nested_doubling_evaluates_each_angle_once():
+    # 1 + cos 256 theta + cos 384 theta: the trapezoid rule on n angles reads
+    # 2 pi plus 2 pi for each frequency that n divides, so 6 pi, 4 pi, 2 pi
+    # and 2 pi on 128 to 1024 angles, and both loops stop at n = 1024
+    seen = []
+
+    def integrand(theta):
+        seen.append(theta)
+        return 1.0 + np.cos(256.0 * theta) + np.cos(384.0 * theta)
+
+    val, n = doubling_quadrature(integrand)
+    assert n == 1024 and val == pytest.approx(2.0 * np.pi, abs=1e-12)
+    nodes = np.concatenate(seen)
+    assert nodes.size == n
+    assert np.array_equal(np.sort(nodes), circle_grid(n)[0])
+    seen.clear()
+    assert full_doubling(integrand) == (val, n)
+    assert sum(theta.size for theta in seen) == 2 * n - QUAD_START
 
 
 def test_trig_zeros_cos_2theta():

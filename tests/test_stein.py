@@ -183,22 +183,17 @@ def test_panel_matches_the_per_field_route(name):
         assert abs(r_moment - r_field) <= bound
 
 
-def test_panel_evaluates_the_six_basis_terms(monkeypatch):
-    # one field of six coefficient columns, not the twenty test components
+def test_panel_makes_no_polar_field_evaluation(monkeypatch):
+    # the six test terms are Cartesian quadratics, read in closed form: the
+    # audit does not go through the evaluator that built tau
     res = stein_kernel_solve(bump_vn())
-    columns = []
-    for method in ("value", "gradient"):
-        original = getattr(PolarField, method)
 
-        def spy(self, g, _original=original, _method=method):
-            columns.append((_method, self.coeffs.shape))
-            return _original(self, g)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the panel evaluated a polar field or term table")
 
-        monkeypatch.setattr(PolarField, method, spy)
-    stein._panel(res.domain, res.tau, res.grid)
-    assert ("gradient", (6, 6)) in columns and ("value", (6, 6)) in columns
-    assert {shape for _, shape in columns} == {(6, 6)}
-    assert sum(method == "gradient" for method, _ in columns) == 1
+    monkeypatch.setattr(PolarField, "_contract", refuse)
+    monkeypatch.setattr(_polar.PolarBasis, "_tables", refuse)
+    assert stein._panel(res.domain, res.tau, res.grid) == res.panel
 
 
 def lstsq_solve(domain, k=stein.KERNEL_ORDER, m=stein.KERNEL_GRID):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steinshapes import (
+    PerturbationFamily,
     StarDomain,
     normalize,
     rayleigh_quotient,
@@ -13,6 +14,7 @@ from steinshapes import (
     trace_inequality_check,
 )
 from steinshapes import _polar
+from steinshapes.shapes import boundary_frame
 from steinshapes.steklov import CONVERGENCE_TOL, _assemble, _solve_pencil
 from steinshapes.errors import GridTooCoarse, InputError, NoConvergence, ZeroTrace
 
@@ -140,3 +142,29 @@ def test_spectrum_is_the_leading_block_of_the_k_plus_4_pencil(k):
 def test_boundary_frame_holds_the_k_plus_4_system():
     assert steklov_spectrum(bump_vn(), k=8, m=32, strict=False).grid == 64
     assert steklov_spectrum(ball(), k=60).grid == 272
+
+
+def two_call_assemble(domain, k, m):
+    """``_assemble`` with its two tables from two basis calls, each building
+    its own cos/sin table of the frame's angles."""
+    frame = boundary_frame(domain, m)
+    basis = _polar.harmonic_basis(k, include_constant=True)
+    vals = basis.values(frame)
+    dnu = basis.normal_derivative(frame, *frame.polar_normal)
+    scale = 1.0 / np.abs(vals).max(axis=0)
+    vals = vals * scale
+    dnu = dnu * scale
+    w = frame.weights
+    a_raw = vals.T @ (w[:, None] * dnu)
+    b_raw = vals.T @ (w[:, None] * vals)
+    return 0.5 * (a_raw + a_raw.T), 0.5 * (b_raw + b_raw.T), scale
+
+
+@pytest.mark.parametrize("member", [None] + [(k, i) for k in (2, 3, 4) for i in range(3)],
+                         ids=lambda v: "ball" if v is None else f"k{v[0]}-{v[1]}")
+def test_assemble_equals_the_two_call_route(member):
+    domain = ball() if member is None else PerturbationFamily(k=member[0]).members()[member[1]]
+    for k, m in ((20, 256), (28, 256)):
+        got, want = _assemble(domain, k, m), two_call_assemble(domain, k, m)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
