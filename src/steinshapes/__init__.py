@@ -22,7 +22,6 @@ from .errors import (
     ResidualTooLarge,
     SolverStall,
     SteinShapesError,
-    ZeroTrace,
 )
 from .experiments import (
     SWEEP_QUANTITIES,
@@ -40,20 +39,16 @@ from .experiments import (
 )
 from .metrics import (
     FraenkelResult,
-    OscillationIndex,
     ZolotarevEstimate,
     fraenkel_asymmetry,
     fraenkel_polar_oracle,
-    oscillation_index,
     zolotarev_lower,
     zolotarev_lp,
     zolotarev_oracle,
-    zolotarev_tv,
 )
 from .oblique import (
     ObliqueSolution,
     SchauderReport,
-    divergence_functional,
     ellipticity_margin,
     parse_rhs,
     rhs_constant,
@@ -71,7 +66,6 @@ from .rbm import (
     PathConfig,
     feynman_kac_check,
     path,
-    radial_uniformity_chi2,
     stationary_mean,
 )
 from .shapes import (
@@ -83,15 +77,11 @@ from .shapes import (
     boundary_frame,
     build_domain,
     bulk_grid,
-    bulk_map,
-    bulk_map_inverse,
     circle_grid,
     disk_grid,
     doubling_quadrature,
     geometric_functionals,
-    holder_norm,
     load_shape_spec,
-    matrix_holder_seminorm,
     normalize,
     parse_shape_spec,
     regularity_params,
@@ -100,14 +90,11 @@ from .stein import (
     DeficitReport,
     SteinKernelResult,
     boundary_deficits,
-    stein_discrepancy,
     stein_kernel_solve,
 )
 from .steklov import (
     SteklovResult,
-    rayleigh_quotient,
     steklov_spectrum,
-    trace_inequality_check,
 )
 
 __version__ = "0.1.0"

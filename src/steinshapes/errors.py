@@ -76,10 +76,6 @@ class DegenerateBasis(SteinShapesError):
     """Mass matrix lost more than half its basis to rank truncation."""
 
 
-class ZeroTrace(SteinShapesError):
-    """Rayleigh quotient denominator vanishes after mean removal."""
-
-
 # ---------------------------------------------------------------------------
 # stochastics / optimization
 

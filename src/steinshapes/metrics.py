@@ -1,9 +1,8 @@
-"""Set distances to the ball: Fraenkel asymmetry, total-variation form,
-certified dictionary lower bounds and a grid LP oracle for the Hoelder
-shape distance.
+"""Set distances to the ball: Fraenkel asymmetry, certified dictionary
+lower bounds and a grid LP oracle for the Hoelder shape distance.
 
-The Hoelder norm convention everywhere is sup + seminorm, shared with
-shapes.holder_norm.  The shape distance is implemented in its raw
+The Hoelder norm convention everywhere is sup + seminorm, as in the
+Schauder probe's ratios.  The shape distance is implemented in its raw
 unnormalized form
 
     Z(alpha) = sup { int_{B_1} h - (|B_1|/|Omega|) int_Omega h :
@@ -64,7 +63,6 @@ from .shapes import (
     VALIDATION_GRID,
     StarDomain,
     _fourier_fit,
-    boundary_frame,
     bulk_grid,
     check_alpha,
     check_integer,
@@ -100,13 +98,6 @@ class ZolotarevEstimate:
     # lower bound has no certified upper end
     error_bound: float = math.inf
     node_values: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class OscillationIndex:
-    value: float
-    center: tuple[float, float]
-    evaluations: tuple[tuple[tuple[float, float], float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +197,6 @@ def fraenkel_polar_oracle(domain: StarDomain) -> float:
     breaks = trig_zeros(base - r_sq, a, b)
     val, _ = doubling_quadrature(integrand, breaks=breaks)
     return float(val) / fun.volume
-
-
-def zolotarev_tv(domain: StarDomain, n: int = 512) -> float:
-    """int |1_{B_1} - (|B_1|/|Omega|) 1_Omega| by rasterization."""
-    check_integer("raster grid", n, 128, GridTooCoarse)
-    fun = geometric_functionals(domain)
-    ratio = BALL_VOLUME / fun.volume
-    half_width = max(_sup_radius(domain), 1.0) + 0.05
-    x, y, h = _raster_axes(half_width, n)
-    cov_ball = _ball_coverage(0.0, 0.0, 1.0, x, y, h)
-    cov_domain = _domain_coverage(domain, x, y, h)
-    return float(np.abs(cov_ball - ratio * cov_domain).sum() * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -488,32 +467,4 @@ def zolotarev_oracle(
         grid=pts.shape[0],
         error_bound=slack,
         node_values=tuple(float(v) for v in h_vals),
-    )
-
-
-# ---------------------------------------------------------------------------
-# oscillation index
-
-
-def oscillation_index(domain: StarDomain) -> OscillationIndex:
-    """min over candidate centers y of the L^2 boundary gap between the
-    normal and the radial direction seen from y.
-
-    The min is taken over the origin and the Fraenkel center only, and
-    ``evaluations`` lists (center, value) for each, the origin first; the
-    full minimization over y is out of scope.
-    """
-    frame = boundary_frame(domain, 2048)
-    w = frame.weights
-    candidates = [(0.0, 0.0), fraenkel_asymmetry(domain, n=256).center]
-    evaluations = []
-    for cand in candidates:
-        offset = frame.points - np.asarray(cand)
-        ray = offset / np.linalg.norm(offset, axis=1, keepdims=True)
-        gap = frame.normals - ray
-        val = math.sqrt(float(w @ np.einsum("nd,nd->n", gap, gap)))
-        evaluations.append((cand, val))
-    center, value = min(evaluations, key=lambda item: item[1])
-    return OscillationIndex(
-        value=value, center=center, evaluations=tuple(evaluations)
     )

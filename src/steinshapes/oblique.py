@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, _polar
-from .errors import InputError, NotElliptic, ResidualTooLarge
+from .errors import InputError, NotElliptic
 from .shapes import (
     StarDomain,
     check_alpha,
@@ -55,7 +55,7 @@ from .shapes import (
 )
 
 RELIABLE_FACTOR = 1e-6         # interior residual over sup|h| of a reliable variant solve
-RESIDUAL_GATE = 1e-6           # boundary residual above which flux and Monte Carlo checks refuse
+RESIDUAL_GATE = 1e-6           # boundary residual above which the Monte Carlo check refuses
 HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
 COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
 CASCADE_ORDER = 16             # kernel variant: cascade_basis order
@@ -442,12 +442,3 @@ def schauder_probe(domain: StarDomain, probes, alpha: float = 1.0) -> SchauderRe
         denominators=tuple(dens),
         max_ratio=max(ratios),
     )
-
-
-def divergence_functional(solution: ObliqueSolution) -> float:
-    """Integral of Laplacian f over B_1, evaluated as a boundary flux."""
-    if solution.boundary_residual > RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"boundary residual {solution.boundary_residual:.3g} > {RESIDUAL_GATE:g}"
-        )
-    return _circle_integral(solution.field, "radial_derivative")

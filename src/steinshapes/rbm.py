@@ -12,10 +12,7 @@ of the oblique boundary problem, so time averages of a forcing h (a
 ``PolarField`` or a callable on points) estimate the same compatibility
 constant the spectral solver computes; ``feynman_kac_check`` compares a
 solution's c_star with the time average of its own data h.  For the ball
-the reflection is radial and the invariant measure is uniform, which the
-chi-square radial test exercises.  Its p-value is the closed-form tail of
-a chi-square law with an odd number of degrees of freedom (erfc plus a
-finite sum, Abramowitz & Stegun 26.4.4), so the module needs no scipy.
+the reflection is radial and the invariant measure is uniform.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ from .oblique import RESIDUAL_GATE, ObliqueSolution
 from .shapes import StarDomain, check_integer
 
 BATCHES = 20
-CHI2_BINS = 16
-CHI2_SPACING = 0.5        # time units between retained path points
 EXACT_GAP = 1e-13         # |gap| up to which a zero-error estimate reads 0 sigma, not inf
 
 
@@ -168,41 +163,3 @@ def feynman_kac_check(
         gap_sigma=float(sigma),
         mean_domain_h=solution.mean_domain_h,
     )
-
-
-def radial_uniformity_chi2(
-    domain: StarDomain, config: PathConfig
-) -> tuple[float, float, int]:
-    """Chi-square test of r^2 ~ Uniform[0, 1] over CHI2_BINS bins on
-    subsampled path points.
-
-    Subsampling every CHI2_SPACING time units keeps the retained points
-    nearly independent (the disk relaxation time is order one).
-    Returns (statistic, p_value, dof).  Meaningful for the ball, where
-    the stationary law is uniform.
-    """
-    positions, _ = path(domain, config)
-    stride = max(1, int(round(CHI2_SPACING / config.dt)))
-    kept = positions[config.n_burn + 1 :: stride]
-    r_sq = kept[:, 0] ** 2 + kept[:, 1] ** 2
-    if r_sq.size < 5 * CHI2_BINS:
-        raise InputError(f"{r_sq.size} subsamples is too few for {CHI2_BINS} bins")
-    counts, _ = np.histogram(r_sq, bins=CHI2_BINS, range=(0.0, 1.0))
-    expected = r_sq.size / CHI2_BINS
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, _chi2_tail(stat), CHI2_BINS - 1
-
-
-def _chi2_tail(x: float) -> float:
-    """P(chi-square > x) at CHI2_BINS - 1 = 15 = 2n + 1 degrees of freedom:
-
-        erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) sum_{j=1..n} x^(j-1) / (2j-1)!!
-
-    (Abramowitz & Stegun 26.4.4).
-    """
-    term = total = 1.0
-    for j in range(1, (CHI2_BINS - 1) // 2):
-        term *= x / (2 * j + 1)
-        total += term
-    density = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
-    return math.erfc(math.sqrt(0.5 * x)) + density * total

@@ -582,20 +582,6 @@ def boundary_frame(domain: StarDomain, m: int = 1024) -> BoundaryFrame:
     return frame_at(domain, *circle_grid(m))
 
 
-def bulk_map(domain: StarDomain, points) -> np.ndarray:
-    """psi(p) = R(p/|p|) p, mapping the closed unit ball onto the domain."""
-    p = np.asarray(points, dtype=float)
-    theta = np.arctan2(p[..., 1], p[..., 0])
-    return domain.radius(theta)[..., None] * p
-
-
-def bulk_map_inverse(domain: StarDomain, points) -> np.ndarray:
-    """psi^{-1}(x) = x / R(x/|x|)."""
-    x = np.asarray(points, dtype=float)
-    theta = np.arctan2(x[..., 1], x[..., 0])
-    return x / domain.radius(theta)[..., None]
-
-
 def regularity_params(domain: StarDomain, alpha: float = 1.0) -> RegularityParams:
     """Grid estimates of the uniform star-shape and C^{1,alpha} parameters.
 
@@ -739,43 +725,3 @@ def normalize(domain: StarDomain, mode: str) -> StarDomain:
             order *= 2
         current = StarDomain(base, tuple(a), tuple(b), current.label)
     raise RecenterFailed(f"barycenter iteration did not contract below {RECENTER_STOP:g}")
-
-
-# ---------------------------------------------------------------------------
-# Hoelder norms on sample sets
-
-
-def _located_samples(points, values, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """``points`` as (N, d), (N,) meaning d = 1, and ``values`` as given,
-    both float; InputError unless alpha is a Hoelder exponent, N >= 2, each
-    point has one value and every coordinate and value is finite."""
-    check_alpha(alpha)
-    pts = np.asarray(points, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or vals.ndim == 0 or pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
-        raise InputError(
-            f"need >= 2 located samples, one value each; got {pts.shape} points, "
-            f"{vals.shape} values"
-        )
-    if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
-        raise InputError("sample points and values must be finite")
-    return pts, vals
-
-
-def holder_norm(points, values, alpha: float) -> float:
-    """Grid estimate (a lower bound) of sup|h| + the C^alpha seminorm.
-
-    ``points`` has shape (N, d) or (N,) for samples on a line; ``values``
-    holds h at those points.
-    """
-    pts, vals = _located_samples(points, values, alpha)
-    return float(np.abs(vals).max() + _kernels.pair_seminorm(pts, vals, alpha))
-
-
-def matrix_holder_seminorm(points, matrices, alpha: float) -> float:
-    """C^alpha seminorm of a matrix field under the Frobenius distance;
-    ``matrices`` holds one matrix per point, as ``holder_norm``'s values."""
-    pts, mats = _located_samples(points, matrices, alpha)
-    return _kernels.matrix_pair_seminorm(pts, mats.reshape(pts.shape[0], -1), alpha)

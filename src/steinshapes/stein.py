@@ -30,6 +30,15 @@ against the moments.  No polar field is evaluated, so the audit does not
 share the evaluator that built tau.  The kernel requires a
 boundary-centered domain: pairing with constant fields forces the
 boundary barycenter to vanish, which ``require_centered`` checks.
+
+The exact kernel tau* = Dg, g harmonic with dg/dnu = x on dOmega, attains
+the minimum L2 Stein discrepancy over all kernels: over the affine set of
+tau with int tau : Du = int_dOmega x . u dS for every u in H^1(Omega)^2,
+int ||I - tau||_HS^2 is least where I - tau lies in the closure of {Du},
+and that tau is Dg.  The reported ``discrepancy_l2`` is the value of the
+truncated kernel Dg_h, g_h the fitted potentials; by Green's formula it
+equals 2|Omega| - 2 int_dOmega g_h . nu dS + int_dOmega g_h . dg_h/dnu dS,
+whose last term is the ``energy``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polar
-from .errors import GridTooCoarse, IdentityViolated, InputError, NormalizationMissing
+from .errors import GridTooCoarse, IdentityViolated, NormalizationMissing
 from .shapes import (
     StarDomain,
     boundary_frame,
@@ -139,6 +148,11 @@ def boundary_deficits(domain: StarDomain) -> DeficitReport:
 
 @dataclass(frozen=True)
 class SteinKernelResult:
+    """The truncated kernel tau = Dg_h and its discrepancies.  The exact
+    kernel Dg (g harmonic, dg/dnu = x) attains the minimum L2 Stein
+    discrepancy over all kernels; ``discrepancy_l2`` is the value of the
+    truncated kernel, which approximates that minimum."""
+
     domain: StarDomain
     potentials: _polar.PolarField  # g_1, g_2 as its two coefficient columns
     tau: np.ndarray                # (N, 2, 2) on the bulk grid
@@ -272,17 +286,3 @@ def stein_kernel_solve(
         truncation=k,
         grid_boundary=m,
     )
-
-
-def stein_discrepancy(
-    result: SteinKernelResult, order: int = 1, requadrature: bool = False
-) -> float:
-    """Stored discrepancy of the constructed kernel (an upper bound of the
-    infimum over all kernels); optionally re-integrated on a doubled grid."""
-    if order not in (1, 2):
-        raise InputError(f"order must be 1 or 2, got {order}")
-    if not requadrature:
-        return result.discrepancy_l1 if order == 1 else result.discrepancy_l2
-    nt, nr = result.grid.theta.size, result.grid.t.size
-    _, disc1, disc2 = _discrepancies(result.potentials, bulk_grid(result.domain, 2 * nt, 2 * nr))
-    return disc1 if order == 1 else disc2

@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _polar
-from .errors import DegenerateBasis, GridTooCoarse, NoConvergence, ZeroTrace
-from .shapes import StarDomain, boundary_frame, bulk_grid, check_integer
+from .errors import DegenerateBasis, GridTooCoarse, NoConvergence
+from .shapes import StarDomain, boundary_frame, check_integer
 
 PIVOT_THRESHOLD = 1e-12
 CONVERGENCE_TOL = 1e-8
 CLUSTER_GAP = 1e-7
 N_EIGENVALUES = 7
-CHECK_GRID = 2048         # boundary grid of the Rayleigh and trace checks
-TRACE_FLOOR = 1e-14       # boundary variance at which the Rayleigh quotient is undefined
 STEKLOV_ORDER = 16        # default truncation; verify and sweep add 4 per radius order
 
 
@@ -132,44 +130,3 @@ def steklov_spectrum(
         multiplicities=tuple(mults.tolist()),
         dropped=dropped,
     )
-
-
-def _boundary_variance(frame, trace: np.ndarray) -> float:
-    """Weighted boundary variance of ``trace`` about its weighted mean."""
-    w = frame.weights
-    centered = trace - float(w @ trace) / float(w.sum())
-    return float(w @ (centered * centered))
-
-
-def rayleigh_quotient(domain: StarDomain, u: _polar.PolarField) -> float:
-    """Dirichlet energy over boundary variance for a harmonic expansion.
-
-    The numerator uses the boundary form int u du/dnu, exact for harmonic
-    u; the boundary mean of u is projected out of the denominator.
-    """
-    frame = boundary_frame(domain, CHECK_GRID)
-    w = frame.weights
-    trace = u.value(frame)
-    dnu = u.normal_derivative(frame, *frame.polar_normal)
-    numerator = float(w @ (trace * dnu))
-    denominator = _boundary_variance(frame, trace)
-    if denominator <= TRACE_FLOOR:
-        raise ZeroTrace(f"boundary variance {denominator:.3g} <= {TRACE_FLOOR:g}")
-    return numerator / denominator
-
-
-def trace_inequality_check(domain: StarDomain, components, c_bw: float) -> float:
-    """Margin of the vector trace inequality for the supplied field.
-
-    Returns c_bw * total Dirichlet energy - boundary variance of the
-    vector trace; components are PolarField entries of u.  The energy is
-    a bulk quadrature, so non-harmonic polynomial fields are admissible.
-    """
-    grid = bulk_grid(domain)
-    energy = 0.0
-    for comp in components:
-        grad = comp.gradient(grid)
-        energy += float(grid.weights @ np.einsum("nd,nd->n", grad, grad))
-    frame = boundary_frame(domain, CHECK_GRID)
-    variance = sum(_boundary_variance(frame, comp.value(frame)) for comp in components)
-    return c_bw * energy - variance

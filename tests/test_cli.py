@@ -30,6 +30,7 @@ def configs(tmp_path):
         "negative": {"base_radius": -1.0},
         "tangled": {"fourier_cos": [0.45, 0, 0, 0, 0, 0, 0, 0.4], "recenter": True},
         "family": {"k": 2, "amplitudes": [0.04, 0.08]},
+        "k4_family": {"k": 4, "amplitudes": [0.03, 0.06, 0.09]},
         "mode_only_family": {"k": 3},
         "mode_and_shape_keys": {"k": 3, "fourier_cos": [0.1]},
         "off_center_family": {"k": 1, "amplitudes": [0.02, 0.04]},
@@ -110,6 +111,13 @@ class TestVerify:
     def test_unnormalized_shape_is_an_input_error(self, configs, capsys):
         assert main(["verify", configs["bump"], "--theorem", "thm-bw"]) == 3
         assert "input error" in capsys.readouterr().err
+
+    def test_solver_gate_exits_two(self, configs, capsys):
+        # the top member trips the Stein test panel after its full solve
+        assert main(["verify", configs["k4_family"], "--theorem", "thm-bw"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver gate failure: k=4 eps=0.09 › stein_kernel_solve(k=24, m=1024)"
+        )
 
     def test_direction_violation_exits_one(self, configs, capsys):
         # the disk of radius 1.1 has Z > 0 but no boundary oscillation

@@ -29,7 +29,6 @@ GATE_CLASSES = (
     errors.ResidualTooLarge,
     errors.IdentityViolated,
     errors.DegenerateBasis,
-    errors.ZeroTrace,
     errors.SolverStall,
     errors.ReflectionFailed,
 )
@@ -75,12 +74,6 @@ def _family_file(tmp_path, payload):
 RESONANT = _polar.PolarField(_polar.LoosePolarBasis([2], [4], [_polar.COS]), np.ones(1))
 SHORT_PATH = ss.PathConfig(horizon=2.0)
 NAN_STEPS = np.full((SHORT_PATH.n_steps, 2), math.nan)
-# three located 2 x 2 matrices, and copies with one bad point or entry
-PTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-MATS = np.arange(12.0).reshape(3, 2, 2)
-INF_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.inf, PTS)
-NAN_POINT = np.where(np.arange(6).reshape(3, 2) == 3, math.nan, PTS)
-NAN_ENTRY = np.where(np.arange(12).reshape(3, 2, 2) == 5, math.nan, MATS)
 HUGE = 10**400  # a JSON integer beyond the float range
 
 # class raised -> (entry point and bad value, call on a scratch directory)
@@ -110,10 +103,6 @@ BAD_ARGUMENTS = {
         ),
         ("schauder_probe alpha=0", lambda tmp: ss.schauder_probe(BALL, [ss.rhs_x1()], 0.0)),
         ("regularity_params alpha=1.5", lambda tmp: ss.regularity_params(BALL, 1.5)),
-        (
-            "holder_norm alpha=True",
-            lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(3.0), True),
-        ),
         ("solve_oblique h=r^2 cos 4theta", lambda tmp: ss.solve_oblique(BALL, RESONANT)),
         ("rhs_harmonic k=-1", lambda tmp: ss.rhs_harmonic(-1)),
         ("rhs_harmonic k=2.5", lambda tmp: ss.rhs_harmonic(2.5)),
@@ -130,37 +119,6 @@ BAD_ARGUMENTS = {
         (
             "zolotarev_lp one node",
             lambda tmp: ss.zolotarev_lp(np.zeros((1, 2)), np.ones(1), 1.0),
-        ),
-        (
-            "holder_norm 3 points 2 values",
-            lambda tmp: ss.holder_norm(np.arange(3.0), np.arange(2.0), 1.0),
-        ),
-        ("holder_norm inf point", lambda tmp: ss.holder_norm(INF_POINT, np.arange(3.0), 1.0)),
-        ("holder_norm nan point", lambda tmp: ss.holder_norm(NAN_POINT, np.arange(3.0), 1.0)),
-        (
-            "holder_norm nan value",
-            lambda tmp: ss.holder_norm(PTS, np.array([0.0, math.nan, 1.0]), 1.0),
-        ),
-        ("holder_norm one sample", lambda tmp: ss.holder_norm(PTS[:1], np.zeros(1), 1.0)),
-        (
-            "matrix_holder_seminorm one nan entry",
-            lambda tmp: ss.matrix_holder_seminorm(PTS, NAN_ENTRY, 1.0),
-        ),
-        (
-            "matrix_holder_seminorm all nan",
-            lambda tmp: ss.matrix_holder_seminorm(PTS, np.full((3, 2, 2), math.nan), 1.0),
-        ),
-        (
-            "matrix_holder_seminorm inf point",
-            lambda tmp: ss.matrix_holder_seminorm(INF_POINT, MATS, 1.0),
-        ),
-        (
-            "matrix_holder_seminorm one sample",
-            lambda tmp: ss.matrix_holder_seminorm(PTS[:1], MATS[:1], 1.0),
-        ),
-        (
-            "matrix_holder_seminorm 3 points 6 matrices",
-            lambda tmp: ss.matrix_holder_seminorm(PTS, np.zeros((6, 2, 2)), 1.0),
         ),
     ],
     errors.NonPositiveRadius: [
@@ -194,7 +152,6 @@ BAD_ARGUMENTS = {
         ("boundary_frame m=64.0", lambda tmp: ss.boundary_frame(BALL, 64.0)),
         ("boundary_frame m=9", lambda tmp: ss.boundary_frame(BALL, 9)),
         ("zolotarev_oracle n_g=200.5", lambda tmp: ss.zolotarev_oracle(BALL, n_g=200.5)),
-        ("zolotarev_tv n=256.5", lambda tmp: ss.zolotarev_tv(BALL, n=256.5)),
         ("fraenkel_asymmetry n=True", lambda tmp: ss.fraenkel_asymmetry(BALL, n=True)),
     ],
     errors.NormalizationMissing: [

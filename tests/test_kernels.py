@@ -22,6 +22,8 @@ from steinshapes.shapes import (
     normalize,
 )
 
+from reference import circle_lag_seminorm_blocks, lag_distances
+
 # sha over the raw trajectory bytes, bump domain, seed 5, horizon 5
 TRAJECTORY_SHA16 = "254890cf7b5286f1"
 
@@ -86,26 +88,6 @@ def circle_lag_seminorm_loop(vals, alpha):
             if s > best:
                 best = s
     return best
-
-
-def circle_lag_seminorm_blocks(vals, alpha):
-    """circle_lag_seminorm without its stop: every lag, LAG_BLOCK at a time,
-    in the kernel's arithmetic; the reference where the loop is too slow."""
-    m = vals.shape[0]
-    lags = m // 2
-    ring = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals[1:], vals]), m)[:lags]
-    dk = lag_distances(m, alpha)
-    best = 0.0
-    for k0 in range(0, lags, K.LAG_BLOCK):
-        block = slice(k0, k0 + K.LAG_BLOCK)
-        diff = np.abs(ring[block] - vals)
-        best = max(best, float((diff.max(axis=1) / dk[block]).max()))
-    return best
-
-
-def lag_distances(m, alpha):
-    """(m // 2,) the kernel's d_k, lag k = 1 .. m // 2 at index k - 1."""
-    return np.array([(2.0 * math.pi * k / m) ** alpha for k in range(1, m // 2 + 1)])
 
 
 def lag_ratios(vals, alpha):

@@ -1,5 +1,5 @@
 """Set distances: raster Fraenkel vs the piecewise-analytic polar oracle,
-certified dictionary bounds, the node LP, and the oscillation index."""
+certified dictionary bounds and the node LP."""
 
 from __future__ import annotations
 
@@ -14,11 +14,9 @@ from steinshapes import (
     fraenkel_asymmetry,
     fraenkel_polar_oracle,
     normalize,
-    oscillation_index,
     zolotarev_lower,
     zolotarev_lp,
     zolotarev_oracle,
-    zolotarev_tv,
 )
 from steinshapes import metrics
 from steinshapes.shapes import TWO_PI, BALL_VOLUME, bulk_grid, disk_grid, geometric_functionals
@@ -29,8 +27,6 @@ VN_POLAR_FRAENKEL = 0.12673006187118815
 VN_Z_ALPHA1 = 0.092209453499899244
 VN_Z_ALPHA05 = 0.08946524072916491
 VN_LP_ORACLE = 0.11967016589200467
-VN_TV = 0.39813719292650651
-VN_OSCILLATION = 0.35317371922235025
 
 
 def ball() -> StarDomain:
@@ -83,8 +79,6 @@ def test_stalled_center_search_is_a_solver_stall(monkeypatch):
 def test_raster_grid_floors():
     with pytest.raises(GridTooCoarse):
         fraenkel_asymmetry(ball(), n=64)
-    with pytest.raises(GridTooCoarse):
-        zolotarev_tv(ball(), n=64)
 
 
 def test_dictionary_bound_frozen():
@@ -212,21 +206,6 @@ def test_band_lp_with_one_live_node_is_a_constant():
     assert dropped == 2e-16
     assert np.array_equal(h, np.full(4, -1.0))
     assert holder_norm_over_pairs(points, h, 0.5) == 1.0
-
-
-def test_tv_distance_frozen():
-    np.testing.assert_allclose(zolotarev_tv(bump_vn()), VN_TV, rtol=1e-12)
-    assert zolotarev_tv(ball()) < 1e-10
-
-
-def test_oscillation_index_frozen():
-    res = oscillation_index(bump_vn())
-    np.testing.assert_allclose(res.value, VN_OSCILLATION, rtol=1e-10)
-    assert res.center == (0.0, 0.0)
-    assert len(res.evaluations) == 2
-    origin, origin_value = res.evaluations[0]
-    assert origin == (0.0, 0.0)
-    np.testing.assert_allclose(origin_value, res.value, rtol=1e-10)
 
 
 def test_alpha_validation():

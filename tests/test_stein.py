@@ -14,13 +14,14 @@ from steinshapes import (
     boundary_deficits,
     geometric_functionals,
     normalize,
-    stein_discrepancy,
     stein_kernel_solve,
 )
 from steinshapes import _polar, stein
 from steinshapes._polar import PolarField, full_basis, harmonic_basis
 from steinshapes.errors import IdentityViolated, InputError, NormalizationMissing
 from steinshapes.shapes import boundary_frame, build_domain, bulk_grid, doubling_quadrature, frame_at
+
+from reference import requadrature
 
 # frozen oracle values, printed once at %.17g and pinned
 BUMP_D1 = 0.97221000850566797
@@ -112,18 +113,38 @@ def test_disc2_decomposes_into_functionals():
     fun = geometric_functionals(bump_vn())
     algebraic = 2.0 * fun.volume - 2.0 * fun.momentum + res.energy
     np.testing.assert_allclose(res.discrepancy_l2, algebraic, rtol=1e-10)
+    # for harmonic g the bulk values equal their boundary forms (Green):
+    # disc2 = 2|Omega| - 2 int g . nu dS + int g . dg/dnu dS, and the energy
+    # is the last term; the boundary quadrature shares nothing with the bulk
+    rng = np.random.default_rng(16)
+    domains = [ball()]
+    for _ in range(8):
+        order = int(rng.integers(1, 4))
+        amp = float(rng.uniform(0.0, 0.07))
+        cos, sin = rng.uniform(-amp, amp, (2, order))
+        domains.append(normalize(StarDomain(1.0, tuple(cos), tuple(sin)), "recenter"))
+    for domain in domains:
+        res = stein_kernel_solve(domain)
+
+        def forms(theta):
+            frame = frame_at(domain, theta)
+            g = res.potentials.value(frame)
+            dnu = res.potentials.normal_derivative(frame, *frame.polar_normal)
+            pairs = [np.einsum("nd,nd->n", g, frame.normals), np.einsum("nd,nd->n", g, dnu)]
+            return np.stack(pairs, axis=1) * frame.jacobian[:, None]
+
+        (flux, energy), _ = doubling_quadrature(forms)
+        volume = geometric_functionals(domain).volume
+        assert res.energy == pytest.approx(energy, rel=0.0, abs=1e-12)
+        boundary = 2.0 * volume - 2.0 * flux + energy
+        assert res.discrepancy_l2 == pytest.approx(boundary, rel=0.0, abs=1e-12)
 
 
 def test_requadrature_is_stable():
     res = stein_kernel_solve(bump_vn())
-    assert stein_discrepancy(res, 1) == res.discrepancy_l1
-    assert stein_discrepancy(res, 2) == res.discrepancy_l2
-    assert stein_discrepancy(res, 1, requadrature=True) == pytest.approx(
-        res.discrepancy_l1, rel=1e-8
-    )
-    assert stein_discrepancy(res, 2, requadrature=True) == pytest.approx(
-        res.discrepancy_l2, rel=1e-8
-    )
+    disc1, disc2 = requadrature(res)
+    assert disc1 == pytest.approx(res.discrepancy_l1, rel=1e-8)
+    assert disc2 == pytest.approx(res.discrepancy_l2, rel=1e-8)
 
 
 def test_off_center_domain_is_rejected():
@@ -135,12 +156,6 @@ def test_off_center_domain_is_rejected():
 def test_truncation_below_one_is_an_input_error(k):
     with pytest.raises(InputError, match="truncation"):
         stein_kernel_solve(ball(), k=k)
-
-
-def test_discrepancy_order_validation():
-    res = stein_kernel_solve(ball())
-    with pytest.raises(ValueError):
-        stein_discrepancy(res, order=3)
 
 
 def per_field_panel(domain, tau, grid):
