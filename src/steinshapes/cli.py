@@ -145,7 +145,7 @@ def _cmd_mc(args) -> int:
             f"c_star={fk.c_star:.8f} gap={fk.gap:+.3e} "
             f"({fk.gap_sigma:.2f} standard errors)"
         )
-        if fk.estimate.standard_error > 0 and fk.gap_sigma > FK_SIGMAS:
+        if fk.gap_sigma > FK_SIGMAS:
             return 1
     return 0
 

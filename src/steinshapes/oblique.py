@@ -55,7 +55,6 @@ from .shapes import (
 )
 
 RELIABLE_FACTOR = 1e-6         # interior residual over sup|h| of a reliable variant solve
-RESIDUAL_GATE = 1e-6           # boundary residual above which the Monte Carlo check refuses
 HARMONIC_ORDER = 24            # spectral ansatz: harmonic degree kf
 COLLOCATION_GRID = 512         # spectral ansatz: boundary collocation angles
 CASCADE_ORDER = 16             # kernel variant: cascade_basis order

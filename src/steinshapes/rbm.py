@@ -8,11 +8,12 @@ positive root of a quadratic, closed-form on the disk).  Containment
 |X| <= 1 holds exactly after every step.
 
 The invariant measure of this process is the adjoint-stationary measure
-of the oblique boundary problem, so time averages of a forcing h (a
-``PolarField`` or a callable on points) estimate the same compatibility
-constant the spectral solver computes; ``feynman_kac_check`` compares a
-solution's c_star with the time average of its own data h.  For the ball
-the reflection is radial and the invariant measure is uniform.
+of the oblique boundary problem, so time averages of a ``PolarField``
+forcing h estimate the same compatibility constant the spectral solver
+computes; ``feynman_kac_check`` compares a solution's c_star with the time
+average of its own data h, and refuses a solution whose boundary residual
+exceeds ``RESIDUAL_GATE``.  For the ball the reflection is radial and the
+invariant measure is uniform.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import numpy as np
 
 from . import _kernels, _polar
 from .errors import InputError, ReflectionFailed, ResidualTooLarge
-from .oblique import RESIDUAL_GATE, ObliqueSolution
+from .oblique import ObliqueSolution
 from .shapes import StarDomain, check_integer
 
 BATCHES = 20
 EXACT_GAP = 1e-13         # |gap| up to which a zero-error estimate reads 0 sigma, not inf
+RESIDUAL_GATE = 1e-6      # boundary residual above which the Monte Carlo check refuses
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,13 @@ def path(
     return np.stack([xs, ys], axis=1), int(n_reflect)
 
 
-def _evaluate_forcing(h, points: np.ndarray) -> np.ndarray:
-    if isinstance(h, _polar.PolarField):
-        return h.value(_polar.PolarGrid.at(points))
-    return np.asarray(h(points), dtype=float)
-
-
 def stationary_mean(
-    domain: StarDomain, h, config: PathConfig
+    domain: StarDomain, h: _polar.PolarField, config: PathConfig
 ) -> OccupationEstimate:
     """Time average of h along the path after burn-in, with batch-means
     standard error over 20 contiguous batches."""
     positions, n_reflect = path(domain, config)
-    samples = _evaluate_forcing(h, positions[config.n_burn + 1 :])
+    samples = h.value(_polar.PolarGrid.at(positions[config.n_burn + 1 :]))
     n = samples.size
     if n < BATCHES:
         raise InputError(f"horizon leaves {n} samples, need >= {BATCHES}")

@@ -158,17 +158,6 @@ class StarDomain:
             sin_coeffs=tuple(factor * b for b in self.sin_coeffs),
         )
 
-    def rotated(self, phase: float) -> "StarDomain":
-        """Domain with radius R(theta + phase): same shape, rotated frame."""
-        a, b, k = self._packed
-        ck = np.cos(k * phase)
-        sk = np.sin(k * phase)
-        return replace(
-            self,
-            cos_coeffs=tuple(a * ck + b * sk),
-            sin_coeffs=tuple(b * ck - a * sk),
-        )
-
 
 class BoundaryFrame(PolarGrid):
     """Boundary geometry at a set of angles, built by ``frame_at``: a grid of

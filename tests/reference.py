@@ -11,6 +11,7 @@ package computes another way, and it is kept once:
   two basis calls;
 * ``circle_lag_seminorm_blocks`` is ``circle_lag_seminorm`` without its
   stop;
+* ``rotated`` turns a domain's frame, for the invariance tests;
 * the oracles ``rayleigh_quotient``, ``trace_inequality_check``,
   ``requadrature``, ``divergence_functional``, ``radial_uniformity_chi2``,
   ``holder_norm`` and ``matrix_holder_seminorm`` check the solvers'
@@ -20,13 +21,14 @@ package computes another way, and it is kept once:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from steinshapes import _kernels, _polar
 from steinshapes.errors import NoConvergence, ResidualTooLarge
-from steinshapes.oblique import RESIDUAL_GATE, ObliqueSolution, _circle_integral
-from steinshapes.rbm import PathConfig, path
+from steinshapes.oblique import ObliqueSolution, _circle_integral
+from steinshapes.rbm import RESIDUAL_GATE, PathConfig, path
 from steinshapes.shapes import (
     QUAD_CAP,
     QUAD_START,
@@ -44,6 +46,23 @@ CHECK_GRID = 2048         # boundary grid of the Rayleigh and trace checks
 TRACE_FLOOR = 1e-14       # boundary variance at which the Rayleigh quotient is undefined
 CHI2_BINS = 16
 CHI2_SPACING = 0.5        # time units between retained path points
+
+
+# ---------------------------------------------------------------------------
+# domains
+
+
+def rotated(domain: StarDomain, phase: float) -> StarDomain:
+    """``domain`` with radius R(theta + phase): the same shape in a rotated
+    frame, certified as every ``StarDomain`` is."""
+    a, b, k = domain._packed
+    ck = np.cos(k * phase)
+    sk = np.sin(k * phase)
+    return replace(
+        domain,
+        cos_coeffs=tuple(a * ck + b * sk),
+        sin_coeffs=tuple(b * ck - a * sk),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ contract (0 pass, 1 direction violation, 2 solver gate, 3 input error)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import steinshapes
-from steinshapes import experiments, rbm
+from steinshapes import experiments, oblique, rbm
 from steinshapes.cli import build_parser, main
 
 C_EMP_MAIN = 0.12748320740752622
@@ -201,6 +202,20 @@ class TestMc:
         out = capsys.readouterr().out
         assert "c_star=0.50000000" in out
         assert "standard errors" in out
+
+    def test_zero_error_miss_is_a_direction_violation(self, configs, capsys, monkeypatch):
+        # constant forcing: the estimate is exactly 1 with zero standard
+        # error, so a c_star off by more than EXACT_GAP is inf sigmas away
+        original = oblique.solve_oblique
+
+        def missed(*args, **kwargs):
+            solution = original(*args, **kwargs)
+            return dataclasses.replace(solution, c_star=solution.c_star + 1e-9)
+
+        monkeypatch.setattr(oblique, "solve_oblique", missed)
+        code = main(["mc", configs["ball"], "--h", "one", "--T", "5", "--fk"])
+        assert "(inf standard errors)" in capsys.readouterr().out
+        assert code == 1
 
     @pytest.mark.parametrize("extra", [[], ["--fk"]], ids=["plain", "fk"])
     def test_path_is_simulated_once(self, configs, capsys, monkeypatch, extra):

@@ -123,15 +123,6 @@ class TestStationaryMean:
         assert estimate.mean == 1.0
         assert estimate.standard_error == 0.0
 
-    def test_callable_forcing(self):
-        cfg = rbm.PathConfig(seed=7, horizon=5.0)
-        via_callable = rbm.stationary_mean(
-            BALL, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, cfg
-        )
-        via_expansion = rbm.stationary_mean(BALL, parse_rhs("r2"), cfg)
-        # the expansion route squares hypot(x, y), one ulp off x^2 + y^2
-        assert via_callable.mean == pytest.approx(via_expansion.mean, rel=1e-14)
-
     def test_short_horizon_is_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             rbm.stationary_mean(
